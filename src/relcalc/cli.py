@@ -23,7 +23,7 @@ from .errors import (
     NotRepresentableError,
     ProblemFormatError,
 )
-from .subspaces import Coset, Subspace, Tolerance, null_space, orthonormalize
+from .subspaces import Coset, Subspace, Tolerance, orthonormalize
 from .relations import (
     LinearRelation,
     as_matrix,
@@ -274,30 +274,25 @@ def _need(pf: ProblemFile, key: str):
 # serialization
 
 
-def _num(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+# Handlers serialize complex vectors and matrices as float arrays with a
+# trailing [re, im] axis; dispatch turns every float of the result into plain
+# JSON numbers through _canonical, one vectorized pass per array.
+
+SIGNIFICANT_DIGITS = 13
 
 
-def _ser_vector(v: np.ndarray) -> list:
-    return [_num(z) for z in v]
-
-
-def _ser_matrix(m: np.ndarray) -> list:
-    return [_ser_vector(row) for row in m]
+def _ser_complex(a: np.ndarray) -> np.ndarray:
+    return np.stack([a.real, a.imag], axis=-1)
 
 
 def _ser_subspace(s: Subspace) -> dict:
-    return {
-        "ambient": s.ambient_dim,
-        "dim": s.dim,
-        "basis": [_ser_vector(s.basis[:, j]) for j in range(s.dim)],
-    }
+    return {"ambient": s.ambient_dim, "dim": s.dim, "basis": _ser_complex(s.basis.T)}
 
 
 def _ser_coset(c: Coset) -> dict:
     if c.is_empty:
         return {"empty": True}
-    return {"empty": False, "point": _ser_vector(c.point), "direction": _ser_subspace(c.direction)}
+    return {"empty": False, "point": _ser_complex(c.point), "direction": _ser_subspace(c.direction)}
 
 
 def _ser_parts(rel: LinearRelation, tol: Tolerance) -> dict:
@@ -325,18 +320,12 @@ def _cmd_relation_analyze(pf, tol, verify):
 
 
 def _parts_oracle_delta(rel: LinearRelation, tol: Tolerance) -> float:
-    # recompute kernel/multivalued part from graph-block null spaces
     p = parts(rel, tol)
-    ker_alt = orthonormalize(
-        rel.in_block @ null_space(rel.out_block, tol).basis, tol, ambient_dim=rel.dim_in
-    )
-    mul_alt = orthonormalize(
-        rel.out_block @ null_space(rel.in_block, tol).basis, tol, ambient_dim=rel.dim_out
-    )
+    ker_alt, mul_alt = oracles.kernel_and_mul_via_axes(rel.graph.basis, rel.dim_in, tol.abs_eps)
     return float(
         max(
-            np.linalg.norm(p.ker.projector() - ker_alt.projector()),
-            np.linalg.norm(p.mul.projector() - mul_alt.projector()),
+            np.linalg.norm(p.ker.projector() - ker_alt @ ker_alt.conj().T),
+            np.linalg.norm(p.mul.projector() - mul_alt @ mul_alt.conj().T),
         )
     )
 
@@ -385,7 +374,7 @@ def _cmd_lss_solve(pf, tol, verify):
     result = {
         "exists": sol.exists,
         "min_value": None if not sol.exists else sol.min_value,
-        "witness": None if sol.witness is None else _ser_vector(sol.witness),
+        "witness": None if sol.witness is None else _ser_complex(sol.witness),
         "solution_set": _ser_coset(sol.solution_set),
         "minimizing_outputs": _ser_coset(sol.minimizing_outputs),
     }
@@ -479,7 +468,7 @@ def _cmd_shorted(pf, tol, verify):
             tol,
         )
         diag["oracle_delta"] = float(np.linalg.norm(mat - as_matrix(rel, tol)))
-    return "ok", {"shorted": _ser_matrix(mat)}, diag
+    return "ok", {"shorted": _ser_complex(mat)}, diag
 
 
 def _cmd_complementable(pf, tol, verify):
@@ -543,18 +532,53 @@ COMMANDS = {
 
 
 def dispatch(command: str, pf: ProblemFile, tol: Tolerance, verify: bool = False) -> dict:
-    """Run one command against a parsed problem file and build its report."""
+    """Run one command against a parsed problem file and build its report.
+
+    The floats of ``result`` and of ``diagnostics.oracle_delta`` are
+    canonical (see ``_canonical``), so ``emit`` writes them unchanged and a
+    report round-trips through JSON.
+    """
     if command not in COMMANDS:
         raise ProblemFormatError(f"unknown command {command!r}")
     status, result, diag = COMMANDS[command](pf, tol, verify)
     diagnostics = {"tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps}}
-    diagnostics.update(diag)
+    diagnostics.update(_canonical(diag, tol.abs_eps))
     return {
         "command": command,
         "status": status,
-        "result": result,
+        "result": _canonical(result, tol.abs_eps),
         "diagnostics": diagnostics,
     }
+
+
+def _canonical(value, eps: float):
+    """The report value with every float replaced by its canonical form.
+
+    Refactors that leave the mathematics unchanged still move rounding noise,
+    so report bytes are built from canonical numbers: magnitudes below the
+    run's ``abs_eps`` become 0.0, -0.0 becomes 0.0, and everything else is
+    rounded to ``SIGNIFICANT_DIGITS`` significant digits.
+    """
+    if isinstance(value, dict):
+        return {key: _canonical(item, eps) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_canonical(item, eps) for item in value]
+    if isinstance(value, (float, np.ndarray)):
+        return _canonical_numbers(np.asarray(value, dtype=float), eps).tolist()
+    return value
+
+
+def _canonical_numbers(a: np.ndarray, eps: float) -> np.ndarray:
+    out = np.where(np.abs(a) < eps, 0.0, a)
+    keep = np.isfinite(out) & (out != 0.0)
+    v = out[keep]
+    # decimal places that leave SIGNIFICANT_DIGITS digits, capped so that
+    # 10**places stays finite (magnitudes under 1e-288 round to zero)
+    places = np.minimum(SIGNIFICANT_DIGITS - 1 - np.floor(np.log10(np.abs(v))), 300)
+    scale = 10.0 ** np.abs(places)
+    with np.errstate(over="ignore"):  # in the branch np.where discards
+        out[keep] = np.where(places >= 0, np.rint(v * scale) / scale, np.rint(v / scale) * scale)
+    return out + 0.0  # adding +0.0 turns -0.0 into 0.0
 
 
 def emit(report: dict, fmt: str = "json") -> bytes:

@@ -8,7 +8,6 @@ relation is (the graph of) an operator exactly when its multivalued part
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +39,7 @@ class LinearRelation:
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.graph = graph
+        self._parts: dict[Tolerance, RelationParts] = {}
 
     @property
     def in_block(self) -> np.ndarray:
@@ -53,25 +53,21 @@ class LinearRelation:
     def is_square(self) -> bool:
         return self.dim_in == self.dim_out
 
-    @cached_property
-    def _default_parts(self) -> "RelationParts":
-        return _compute_parts(self, _tol(None))
-
     @property
     def dom(self) -> Subspace:
-        return self._default_parts.dom
+        return parts(self).dom
 
     @property
     def ran(self) -> Subspace:
-        return self._default_parts.ran
+        return parts(self).ran
 
     @property
     def ker(self) -> Subspace:
-        return self._default_parts.ker
+        return parts(self).ker
 
     @property
     def mul(self) -> Subspace:
-        return self._default_parts.mul
+        return parts(self).mul
 
     def __repr__(self):
         return (
@@ -91,34 +87,29 @@ class Restriction(NamedTuple):
     image: Subspace
 
 
-def _input_axis(n: int, m: int) -> Subspace:
-    basis = np.zeros((n + m, n), dtype=complex)
-    basis[:n] = np.eye(n)
-    return Subspace(basis, validate=False)
-
-
-def _output_axis(n: int, m: int) -> Subspace:
-    basis = np.zeros((n + m, m), dtype=complex)
-    basis[n:] = np.eye(m)
-    return Subspace(basis, validate=False)
-
-
 def _compute_parts(T: LinearRelation, tol: Tolerance) -> RelationParts:
-    n, m = T.dim_in, T.dim_out
-    dom = orthonormalize(T.in_block, tol, ambient_dim=n)
-    ran = orthonormalize(T.out_block, tol, ambient_dim=m)
-    ker_pairs = subspace_intersect(T.graph, _input_axis(n, m), tol)
-    ker = orthonormalize(ker_pairs.basis[:n], tol, ambient_dim=n)
-    mul_pairs = subspace_intersect(T.graph, _output_axis(n, m), tol)
-    mul = orthonormalize(mul_pairs.basis[n:], tol, ambient_dim=m)
+    F, H = T.in_block, T.out_block
+    dom = orthonormalize(F, tol, ambient_dim=T.dim_in)
+    ran = orthonormalize(H, tol, ambient_dim=T.dim_out)
+    ker = orthonormalize(F @ null_space(H, tol).basis, tol, ambient_dim=T.dim_in)
+    mul = orthonormalize(H @ null_space(F, tol).basis, tol, ambient_dim=T.dim_out)
     return RelationParts(dom, ran, ker, mul)
 
 
 def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
-    """Domain, range, kernel and multivalued part of the relation."""
-    if tol is None:
-        return T._default_parts
-    return _compute_parts(T, tol)
+    """Domain, range, kernel and multivalued part of the relation.
+
+    With the graph basis split into its input block F and output block H,
+    dom and ran are the column spans of F and H, ker is F applied to the null
+    space of H, and mul is H applied to the null space of F.  The four parts
+    are cached on the relation per tolerance value; ``None`` and
+    ``Tolerance()`` share one entry.
+    """
+    tol = _tol(tol)
+    cached = T._parts.get(tol)
+    if cached is None:
+        cached = T._parts[tol] = _compute_parts(T, tol)
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -210,11 +210,22 @@ def subspace_complement(s: Subspace, tol: Tolerance | None = None) -> Subspace:
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Subspace:
-    # de Morgan in the subspace lattice: (S1^perp + S2^perp)^perp
+    """S1 ∩ S2 from one SVD, ranked by the sines of the principal angles.
+
+    With B the basis of the lower-dimensional operand and C that of the
+    other, the residual map B - C (C* B) has the principal-angle sines as its
+    singular values, so its null space holds the coordinates (in B) of the
+    common directions: a direction is shared when its sine falls under the
+    rank cutoff.  B times an orthonormal null-space basis is already
+    orthonormal, so only the column phases are fixed afterwards.
+    """
     _check_same_ambient(s1, s2)
-    return subspace_complement(
-        subspace_sum(subspace_complement(s1, tol), subspace_complement(s2, tol), tol), tol
-    )
+    if s1.dim < s2.dim:
+        s1, s2 = s2, s1
+    if s2.dim == 0:
+        return s2
+    coords = matrix_preimage(s2.basis, s1, tol)
+    return Subspace(_phase_canonical(s2.basis @ coords.basis), validate=False)
 
 
 def lattice_op(kind: str, s1: Subspace, s2: Subspace | None = None, tol: Tolerance | None = None) -> Subspace:

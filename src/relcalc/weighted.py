@@ -106,6 +106,18 @@ class KreinClassification:
     note: str = "pseudo-regularity is automatic: every subspace sum is closed in finite dimensions"
 
 
+def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part, eigenvalues below the rank cutoff
+    flushed to exact zero."""
+    tol = _tol(tol)
+    matrix = np.asarray(matrix, dtype=complex)
+    sym = (matrix + matrix.conj().T) / 2
+    eigs, vecs = np.linalg.eigh(sym)
+    top = float(eigs[-1]) if eigs.size else 0.0
+    eigs = np.where(eigs >= tol.rank_cutoff(max(top, 0.0), sym.shape), eigs, 0.0)
+    return eigs, vecs
+
+
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Hermitian square root of a psd matrix.
 
@@ -113,12 +125,7 @@ def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     otherwise rounding noise of size eps would surface as sqrt(eps) and the
     root would no longer share the kernel of its square.
     """
-    tol = _tol(tol)
-    matrix = np.asarray(matrix, dtype=complex)
-    sym = (matrix + matrix.conj().T) / 2
-    eigs, vecs = np.linalg.eigh(sym)
-    top = float(eigs[-1]) if eigs.size else 0.0
-    eigs = np.where(eigs >= tol.rank_cutoff(max(top, 0.0), sym.shape), eigs, 0.0)
+    eigs, vecs = _psd_eigh(matrix, tol)
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
@@ -199,16 +206,19 @@ def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
             f"subspace ambient {s.ambient_dim} != weight size {w.ambient_dim}"
         )
     tol_ = _tol(tol)
-    u = s.basis
-    u_perp = subspace_complement(s, tol).basis
+    s_perp = subspace_complement(s, tol)
+    u, u_perp = s.basis, s_perp.basis
     a = u.conj().T @ w.matrix @ u
     b = u.conj().T @ w.matrix @ u_perp
     c = u_perp.conj().T @ w.matrix @ u_perp
-    inner = a - b @ np.linalg.pinv(c) @ b.conj().T
+    # pseudo-inverse of c under psd_sqrt's rank cutoff: an eigenvalue at
+    # rounding level is dropped, not inverted into a huge spurious term
+    eigs, vecs = _psd_eigh(c, tol)
+    c_pinv = (vecs * np.divide(1.0, eigs, out=np.zeros_like(eigs), where=eigs > 0)) @ vecs.conj().T
+    inner = a - b @ c_pinv @ b.conj().T
     schur = u @ inner @ u.conj().T
     schur = (schur + schur.conj().T) / 2
 
-    s_perp = subspace_complement(s, tol)
     rel = compose(
         graph_of_matrix(w.matrix, tol), identity_minus(make_pws(w, s_perp, tol), tol), tol
     )

@@ -65,6 +65,22 @@ def random_relation(rng, n, m, extra_ker=True, extra_mul=True):
     return LinearRelation(n, m, graph)
 
 
+def relation_with_ker_and_mul(rng, n, m, tilt=1e-6):
+    """Random relation whose graph always holds a kernel pair (x, 0), a
+    multivalued pair (0, y) and random pairs, plus one pair (x', tilt * y')
+    at a principal angle of about ``tilt`` from the input axis, so that x' is
+    close to the kernel but outside it."""
+    d0 = int(rng.integers(0, min(n, m)))
+    ker = np.zeros((n + m, 1), dtype=complex)
+    ker[:n, 0] = cvec(rng, n)
+    mul = np.zeros((n + m, 1), dtype=complex)
+    mul[n:, 0] = cvec(rng, m)
+    x, y = cvec(rng, n), cvec(rng, m)
+    near = np.concatenate([x / np.linalg.norm(x), tilt * y / np.linalg.norm(y)])[:, None]
+    graph = orthonormalize(np.hstack([cmat(rng, n + m, d0), ker, mul, near]), ambient_dim=n + m)
+    return LinearRelation(n, m, graph)
+
+
 def random_psd(rng, n, force_singular=None):
     """Random psd matrix with well-separated spectrum; singular half the time."""
     if force_singular is None:

@@ -106,6 +106,56 @@ class TestGoldenReports:
         assert json.loads(emit(report, "json")) == report
 
 
+def _assert_same_report(old, new, path="report"):
+    """Same keys, list lengths and non-float values; floats within 1e-12."""
+    if isinstance(old, float) and isinstance(new, float):
+        assert abs(old - new) <= 1e-12, f"{path}: {old!r} vs {new!r}"
+    elif isinstance(old, dict):
+        assert isinstance(new, dict) and sorted(old) == sorted(new), path
+        for key in old:
+            _assert_same_report(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list):
+        assert isinstance(new, list) and len(old) == len(new), path
+        for i, (a, b) in enumerate(zip(old, new)):
+            _assert_same_report(a, b, f"{path}[{i}]")
+    else:
+        assert type(old) is type(new) and old == new, f"{path}: {old!r} vs {new!r}"
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+
+
+class TestCanonicalReports:
+    @pytest.mark.parametrize(
+        "golden", sorted(p.name for p in (DATA / "pre_canonical").glob("*.golden.json"))
+    )
+    def test_regenerated_golden_matches_pre_canonical(self, golden):
+        # the goldens were regenerated once when reports became canonical;
+        # the earlier bytes are kept to show the regeneration hid nothing
+        old = json.loads((DATA / "pre_canonical" / golden).read_text())
+        new = json.loads((DATA / golden).read_text())
+        _assert_same_report(old, new)
+
+    @pytest.mark.parametrize("command,fixture", GOLDEN_CASES)
+    @pytest.mark.parametrize("abs_eps", [1e-10, 1e-3])
+    def test_result_numbers_are_canonical(self, command, fixture, abs_eps):
+        report = dispatch(command, parse(DATA / fixture), Tolerance(abs_eps=abs_eps), verify=True)
+        numbers = list(_floats(report["result"])) + [report["diagnostics"]["oracle_delta"]]
+        for x in numbers:
+            assert x == 0.0 or abs(x) >= abs_eps
+            assert np.copysign(1.0, x) == 1.0 or x != 0.0  # no -0.0
+            assert x == float(f"{x:.12e}")  # at most 13 significant digits
+        assert report["diagnostics"]["tolerance"]["abs_eps"] == abs_eps
+
+
 class TestExitCodes:
     def test_success_is_zero(self):
         code, _ = run_cli(["lss-solve", str(DATA / "lss-solve.json")])

@@ -227,3 +227,30 @@ class TestTwoWeights:
             )
             < 1e-8
         )
+
+
+class TestRankDecisionCount:
+    def test_svd_calls_per_solve(self, monkeypatch):
+        # the instance family of acceptance criterion 7; each SVD is one rank
+        # decision, and the count pins the one-SVD intersection and the
+        # block-null-space parts (the de Morgan kernel made 45 / 56)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = np.random.default_rng(107)
+        counts = []
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            a = random_relation(rng, n, n)
+            w = Weight(random_psd(rng, n), "psd")
+            b = cvec(rng, n)
+            calls.clear()
+            solve(LssProblem(a, w, b))
+            counts.append(len(calls))
+        assert np.mean(counts) <= 25
+        assert max(counts) <= 32

@@ -6,6 +6,7 @@ import pytest
 from relcalc import (
     Coset,
     DimensionMismatchError,
+    Tolerance,
     adjoint,
     apply,
     apply_to_coset,
@@ -37,10 +38,17 @@ from relcalc import (
     subspace_sum,
     zero_on,
     zero_space,
-    null_space,
 )
+from relcalc import oracles
 
-from genutil import cmat, cvec, random_relation, random_subspace
+from genutil import (
+    cmat,
+    cvec,
+    projector_dist,
+    random_relation,
+    random_subspace,
+    relation_with_ker_and_mul,
+)
 
 
 def rngs(base, count=30):
@@ -85,17 +93,37 @@ class TestParts:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_against_nullspace_oracle(self, seed):
-        # oracle: ker = F @ null(H), mul = H @ null(F) on the graph blocks
+        # oracle: ker and mul from the graph's intersections with the axes
         rng = np.random.default_rng(400 + seed)
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         t = random_relation(rng, n, m)
         p = parts(t)
-        ker_alt = orthonormalize(t.in_block @ null_space(t.out_block).basis, ambient_dim=n)
-        mul_alt = orthonormalize(t.out_block @ null_space(t.in_block).basis, ambient_dim=m)
-        assert subspace_equals(p.ker, ker_alt)
-        assert subspace_equals(p.mul, mul_alt)
+        ker_alt, mul_alt = oracles.kernel_and_mul_via_axes(t.graph.basis, n)
+        assert subspace_equals(p.ker, orthonormalize(ker_alt, ambient_dim=n))
+        assert subspace_equals(p.mul, orthonormalize(mul_alt, ambient_dim=m))
         assert t.graph.dim == p.dom.dim + p.mul.dim
         assert t.graph.dim == p.ran.dim + p.ker.dim
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_kernel_and_mul_with_a_near_kernel_pair(self, seed):
+        # x' lies 1e-6 off the kernel: both routes keep it out
+        rng = np.random.default_rng(430 + seed)
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        t = relation_with_ker_and_mul(rng, n, m)
+        p = parts(t)
+        ker_alt, mul_alt = oracles.kernel_and_mul_via_axes(t.graph.basis, n)
+        assert p.ker.dim == ker_alt.shape[1] >= 1 and p.mul.dim == mul_alt.shape[1] >= 1
+        assert projector_dist(p.ker, orthonormalize(ker_alt, ambient_dim=n)) < 1e-9
+        assert projector_dist(p.mul, orthonormalize(mul_alt, ambient_dim=m)) < 1e-9
+        assert t.graph.dim == p.dom.dim + p.mul.dim == p.ran.dim + p.ker.dim
+
+    def test_cache_is_per_tolerance(self):
+        t = relation_with_ker_and_mul(np.random.default_rng(460), 3, 3)
+        assert parts(t) is parts(t, Tolerance()) is parts(t, None)
+        coarse = parts(t, Tolerance(abs_eps=1e-3))
+        assert coarse is parts(t, Tolerance(abs_eps=1e-3)) and coarse is not parts(t)
+        # at 1e-3 the tilted pair counts as a kernel direction
+        assert coarse.ker.dim == parts(t).ker.dim + 1
 
 
 class TestInvert:

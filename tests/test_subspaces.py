@@ -20,8 +20,9 @@ from relcalc import (
     subspace_sum,
     zero_space,
 )
+from relcalc import oracles
 
-from genutil import cvec, cmat, random_subspace
+from genutil import cvec, cmat, projector_dist, random_subspace, random_unitary
 
 
 def e(n, i):
@@ -103,6 +104,45 @@ class TestLattice:
         lhs = subspace_complement(subspace_intersect(s1, s2))
         rhs = subspace_sum(subspace_complement(s1), subspace_complement(s2))
         assert subspace_equals(lhs, rhs)
+
+
+def _span(basis):
+    return Subspace(basis, validate=False)
+
+
+class TestIntersectAgainstDeMorgan:
+    """subspace_intersect against the raw-numpy de Morgan oracle."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_pairs(self, seed):
+        rng = np.random.default_rng(1500 + seed)
+        n = int(rng.integers(2, 9))
+        s1, s2 = random_subspace(rng, n), random_subspace(rng, n)
+        meet = subspace_intersect(s1, s2)
+        oracle = _span(oracles.intersect_de_morgan(s1.basis, s2.basis))
+        assert meet.dim == oracle.dim == max(0, s1.dim + s2.dim - n)
+        assert projector_dist(meet, oracle) < 1e-9
+        assert projector_dist(subspace_intersect(s2, s1), meet) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_known_meet_with_a_tiny_principal_angle(self, seed):
+        # S1 and S2 share C exactly; besides it they hold u and a vector
+        # tilted 1e-6 from u, which is no common direction at the 1e-10 cut
+        rng = np.random.default_rng(1600 + seed)
+        n = int(rng.integers(3, 9))
+        q = random_unitary(rng, n)
+        c = int(rng.integers(0, n - 1))
+        extra = int(rng.integers(0, n - c - 1))
+        theta = 1e-6
+        tilted = np.cos(theta) * q[:, c] + np.sin(theta) * q[:, c + 1]
+        s1 = orthonormalize(np.column_stack([q[:, : c + 1], q[:, c + 2 : c + 2 + extra]]))
+        s2 = orthonormalize(np.column_stack([q[:, :c], tilted]), ambient_dim=n)
+        common = orthonormalize(q[:, :c], ambient_dim=n)
+        meet = subspace_intersect(s1, s2)
+        oracle = _span(oracles.intersect_de_morgan(s1.basis, s2.basis))
+        assert meet.dim == oracle.dim == c
+        assert projector_dist(meet, common) < 1e-9
+        assert projector_dist(meet, oracle) < 1e-9
 
 
 class TestProject:

@@ -218,6 +218,20 @@ class TestShorted:
         rel = compose(graph_of_matrix(w.matrix), identity_minus(make_pws(w, E1)))
         assert np.linalg.norm(shorted(w, E2) - as_matrix(rel)) < 1e-10
 
+    def test_rank_one_weight_with_rounding_level_block(self):
+        # W = v v* on C^3 and a line S: W's block on the complement of S has
+        # one eigenvalue at rounding level, which the Schur route must drop
+        # rather than invert
+        rng = np.random.default_rng(1307)
+        v = cmat(rng, 3, 1)
+        k = int(rng.integers(1, 3))
+        s = orthonormalize(cmat(rng, 3, k))
+        w = Weight(v @ v.conj().T, "psd")
+        sigma = shorted(w, s)
+        rel = compose(graph_of_matrix(w.matrix), identity_minus(make_pws(w, subspace_complement(s))))
+        assert np.linalg.norm(sigma - as_matrix(rel)) < 1e-9
+        assert np.linalg.eigvalsh(w.matrix - sigma)[0] > -1e-9
+
     @pytest.mark.parametrize("seed", range(20))
     def test_defining_properties(self, seed):
         rng = np.random.default_rng(3600 + seed)

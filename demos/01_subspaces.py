@@ -10,7 +10,6 @@ from relcalc import (
     Tolerance,
     full_space,
     orthonormalize,
-    project,
     subspace_complement,
     subspace_contains,
     subspace_equals,
@@ -35,7 +34,7 @@ print("complement of the first axis is the second:",
       subspace_equals(subspace_complement(line), orthonormalize([np.array([0.0, 1.0])])))
 
 # Orthogonal projection of a vector.
-print("P_diag (1, 0) =", np.round(project(diag, np.array([1.0, 0.0])), 6))
+print("P_diag (1, 0) =", np.round(diag.project(np.array([1.0, 0.0])), 6))
 
 # The modular law holds with exact integer dimensions.
 rng = np.random.default_rng(7)

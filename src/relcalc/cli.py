@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -64,6 +65,16 @@ class ProblemFile:
     rho: float | None = None
 
 
+def _finite_float(value, where: str) -> float:
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemFormatError(f"{where}: numbers must be finite, got {x}")
+    return x
+
+
 def _complex_entry(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -71,7 +82,7 @@ def _complex_entry(value, where: str) -> complex:
         or not all(isinstance(part, (int, float)) for part in value)
     ):
         raise ProblemFormatError(f"{where}: complex scalars must be [re, im] pairs")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_finite_float(value[0], where), _finite_float(value[1], where))
 
 
 def _parse_vector(raw, where: str) -> np.ndarray:
@@ -121,8 +132,10 @@ def parse(path: str | Path) -> ProblemFile:
         if not isinstance(spec, dict):
             raise ProblemFormatError("tolerance: expected an object")
         tolerance = Tolerance(
-            abs_eps=float(spec.get("abs_eps", 1e-10)),
-            rel_eps=None if spec.get("rel_eps") is None else float(spec["rel_eps"]),
+            abs_eps=_finite_float(spec.get("abs_eps", 1e-10), "tolerance.abs_eps"),
+            rel_eps=None
+            if spec.get("rel_eps") is None
+            else _finite_float(spec["rel_eps"], "tolerance.rel_eps"),
         )
 
     pf = ProblemFile(version=version, field_kind=field_kind, tolerance=tolerance)
@@ -141,7 +154,7 @@ def parse(path: str | Path) -> ProblemFile:
         raise ProblemFormatError("problem: expected an object")
     pf.problem = problem
     if "rho" in data:
-        pf.rho = float(data["rho"])
+        pf.rho = _finite_float(data["rho"], "rho")
     return pf
 
 
@@ -506,10 +519,8 @@ def _cmd_krein_classify(pf, tol, verify):
     }
     diag = {}
     if verify:
-        proj = make_pws(weight, s, tol)
-        p = parts(proj, tol)
-        operator_like = p.mul.dim == 0 and p.dom.dim == weight.ambient_dim
-        diag["oracle_delta"] = 0.0 if operator_like == report.regular else 1.0
+        regular = oracles.krein_regular(weight.matrix, s.basis, tol.abs_eps)
+        diag["oracle_delta"] = 0.0 if regular == report.regular else 1.0
     return "ok", result, diag
 
 

@@ -4,8 +4,9 @@ Everything here is deliberately written against raw numpy least squares and
 pseudoinverses, away from the subspace/relation machinery, so that an oracle
 never shares a code path with the computation it checks.  Where the library
 adopts an oracle's formula, the oracle keeps the one the library dropped: the
-de Morgan intersection and the graph-and-axis route to the kernel and the
-multivalued part live on here.
+de Morgan intersection, the graph-and-axis route to the kernel and the
+multivalued part, and the cylinder intersections behind composition, the
+operator sum and restriction live on here.
 """
 
 from __future__ import annotations
@@ -64,6 +65,59 @@ def kernel_and_mul_via_axes(
     ker_pairs = intersect_de_morgan(graph, axes[:, :dim_in], atol)
     mul_pairs = intersect_de_morgan(graph, axes[:, dim_in:], atol)
     return _span_basis(ker_pairs[:dim_in], atol), _span_basis(mul_pairs[dim_in:], atol)
+
+
+def compose_by_cylinders(r_graph: np.ndarray, t_graph: np.ndarray, n: int, atol: float = 1e-12) -> np.ndarray:
+    """Graph basis of R T for T from C^n with graph basis ``t_graph`` and R
+    with graph basis ``r_graph``: the triples (x, z, y) in both T x C^e and
+    C^n x R, with z dropped."""
+    k = t_graph.shape[0] - n
+    e = r_graph.shape[0] - k
+    dt, dr = t_graph.shape[1], r_graph.shape[1]
+    cyl_t = np.zeros((n + k + e, dt + e), dtype=complex)
+    cyl_t[: n + k, :dt] = t_graph
+    cyl_t[n + k :, dt:] = np.eye(e)
+    cyl_r = np.zeros((n + k + e, n + dr), dtype=complex)
+    cyl_r[:n, :n] = np.eye(n)
+    cyl_r[n:, n:] = r_graph
+    triples = intersect_de_morgan(cyl_t, cyl_r, atol)
+    return _span_basis(np.vstack([triples[:n], triples[n + k :]]), atol)
+
+
+def op_sum_by_cylinders(t_graph: np.ndarray, s_graph: np.ndarray, n: int, atol: float = 1e-12) -> np.ndarray:
+    """Graph basis of T + S for T and S from C^n: the triples (x, y, z) with
+    (x, y) in T and (x, z) in S, read as (x, y + z)."""
+    m = t_graph.shape[0] - n
+    dt, ds = t_graph.shape[1], s_graph.shape[1]
+    cyl_t = np.zeros((n + 2 * m, dt + m), dtype=complex)
+    cyl_t[: n + m, :dt] = t_graph
+    cyl_t[n + m :, dt:] = np.eye(m)
+    cyl_s = np.zeros((n + 2 * m, ds + m), dtype=complex)
+    cyl_s[:n, :ds] = s_graph[:n]
+    cyl_s[n + m :, :ds] = s_graph[n:]
+    cyl_s[n : n + m, ds:] = np.eye(m)
+    triples = intersect_de_morgan(cyl_t, cyl_s, atol)
+    return _span_basis(np.vstack([triples[:n], triples[n : n + m] + triples[n + m :]]), atol)
+
+
+def restrict_by_cylinders(
+    t_graph: np.ndarray, n: int, m_basis: np.ndarray, atol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray]:
+    """Graph basis of T restricted to inputs in span(m_basis), the
+    intersection of T with M x C^m, and a basis of the image T(M)."""
+    m = t_graph.shape[0] - n
+    cyl = np.zeros((n + m, m_basis.shape[1] + m), dtype=complex)
+    cyl[:n, : m_basis.shape[1]] = m_basis
+    cyl[n:, m_basis.shape[1] :] = np.eye(m)
+    pairs = intersect_de_morgan(t_graph, cyl, atol)
+    return pairs, _span_basis(pairs[n:], atol)
+
+
+def krein_regular(J: np.ndarray, B: np.ndarray, atol: float = 1e-12) -> bool:
+    """Whether span(B) is regular for the indefinite metric of the symmetry
+    J: exactly when the Gram matrix B* J B of an orthonormal basis B is
+    nonsingular."""
+    return _null_basis(B.conj().T @ J @ B, atol=atol).shape[1] == 0
 
 
 def weighted_min_over_span(weight: np.ndarray, span: np.ndarray, b: np.ndarray) -> float:

@@ -18,12 +18,14 @@ from .subspaces import (
     Subspace,
     Tolerance,
     _as_vector,
+    _phase_canonical,
     _tol,
-    full_space,
+    matrix_preimage,
     null_space,
     orthonormalize,
-    subspace_intersect,
     subspace_contains,
+    subspace_equals,
+    subspace_intersect,
     subspace_sum,
 )
 
@@ -154,25 +156,6 @@ def product_of_subspaces(m: Subspace, n: Subspace) -> LinearRelation:
     return LinearRelation(m.ambient_dim, n.ambient_dim, Subspace(np.hstack([top, bot]), validate=False))
 
 
-def eye_relation(n: int) -> LinearRelation:
-    return identity_on(full_space(n))
-
-
-def make_relation(kind: str, *args, tol: Tolerance | None = None) -> LinearRelation:
-    """Dispatch constructor covering all the primitive relation shapes."""
-    if kind == "graph_of_matrix":
-        return graph_of_matrix(*args, tol=tol)
-    if kind == "from_graph_basis":
-        return from_graph_basis(*args, tol=tol)
-    if kind == "identity_on":
-        return identity_on(*args)
-    if kind == "zero_on":
-        return zero_on(*args)
-    if kind == "product_of_subspaces":
-        return product_of_subspaces(*args)
-    raise ValueError(f"unknown relation constructor {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # the calculus
 
@@ -193,46 +176,50 @@ def adjoint(T: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
     return LinearRelation(T.dim_out, T.dim_in, null_space(cond, tol))
 
 
+def _preimage_under_block(block: np.ndarray, e: int, target: Subspace, tol: Tolerance | None):
+    """The pairs (a, z) with (block a, z) in target, the preimage of target
+    under diag(block, I_e), split into the a and z coordinate blocks."""
+    q, d = block.shape
+    block_map = np.zeros((q + e, d + e), dtype=complex)
+    block_map[:q, :d] = block
+    block_map[q:, d:] = np.eye(e)
+    coords = matrix_preimage(block_map, target, tol).basis
+    return coords[:d], coords[d:]
+
+
 def compose(R: LinearRelation, T: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
-    """R T = {(x, y) : (x, z) in T and (z, y) in R for some z}."""
+    """R T = {(x, y) : (x, z) in T and (z, y) in R for some z}.
+
+    With T's graph basis split into F over H, R T holds the pairs (F a, y)
+    over the preimage of R's graph under diag(H, I).  That rank decision
+    weighs the principal-angle sines of the zero-padded cylinders T x C^e and
+    C^n x R in C^(n+k+e), on a matrix n rows shorter: the relative cutoff's
+    dimension factor shrinks by at most n, a shift of at most
+    1e-12 * n * sigma_max.
+    """
     if T.dim_out != R.dim_in:
         raise DimensionMismatchError(
             f"inner dimensions differ: T maps into C^{T.dim_out}, R is defined on C^{R.dim_in}"
         )
-    n, k, e = T.dim_in, T.dim_out, R.dim_out
-    dT, dR = T.graph.dim, R.graph.dim
-    # triples (x, z, y) with (x, z) in T:
-    cyl_t = np.zeros((n + k + e, dT + e), dtype=complex)
-    cyl_t[: n + k, :dT] = T.graph.basis
-    cyl_t[n + k :, dT:] = np.eye(e)
-    # triples with (z, y) in R:
-    cyl_r = np.zeros((n + k + e, n + dR), dtype=complex)
-    cyl_r[:n, :n] = np.eye(n)
-    cyl_r[n:, n:] = R.graph.basis
-    inter = subspace_intersect(
-        Subspace(cyl_t, validate=False), Subspace(cyl_r, validate=False), tol
-    )
-    pairs = np.vstack([inter.basis[:n], inter.basis[n + k :]])
+    n, e = T.dim_in, R.dim_out
+    a, y = _preimage_under_block(T.out_block, e, R.graph, tol)
+    pairs = np.vstack([T.in_block @ a, y])
     return LinearRelation(n, e, orthonormalize(pairs, tol, ambient_dim=n + e))
 
 
 def op_sum(T: LinearRelation, S: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
-    """T + S = {(x, y + z) : (x, y) in T and (x, z) in S}."""
+    """T + S = {(x, y + z) : (x, y) in T and (x, z) in S}.
+
+    With T's graph basis split into F over H, T + S holds the pairs
+    (F a, H a + z) over the preimage of S's graph under diag(F, I).  As in
+    ``compose``, that weighs the principal-angle sines of the zero-padded
+    cylinders in C^(n+2m), on a matrix m rows shorter: a cutoff shift of at
+    most 1e-12 * m * sigma_max.
+    """
     _check_same_shape(T, S)
     n, m = T.dim_in, T.dim_out
-    dT, dS = T.graph.dim, S.graph.dim
-    # triples (x, y, z) with (x, y) in T and (x, z) in S
-    cyl_t = np.zeros((n + 2 * m, dT + m), dtype=complex)
-    cyl_t[: n + m, :dT] = T.graph.basis
-    cyl_t[n + m :, dT:] = np.eye(m)
-    cyl_s = np.zeros((n + 2 * m, dS + m), dtype=complex)
-    cyl_s[:n, :dS] = S.in_block
-    cyl_s[n + m :, :dS] = S.out_block
-    cyl_s[n : n + m, dS:] = np.eye(m)
-    inter = subspace_intersect(
-        Subspace(cyl_t, validate=False), Subspace(cyl_s, validate=False), tol
-    )
-    pairs = np.vstack([inter.basis[:n], inter.basis[n : n + m] + inter.basis[n + m :]])
+    a, z = _preimage_under_block(T.in_block, m, S.graph, tol)
+    pairs = np.vstack([T.in_block @ a, T.out_block @ a + z])
     return LinearRelation(n, m, orthonormalize(pairs, tol, ambient_dim=n + m))
 
 
@@ -249,36 +236,33 @@ def scale(T: LinearRelation, lam: complex, tol: Tolerance | None = None) -> Line
 
 
 def identity_minus(T: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
-    """I - T on a square relation, with the operator-like sum."""
+    """I - T = {(x, x - y) : (x, y) in T} on a square relation: one span."""
     if not T.is_square:
         raise DimensionMismatchError("identity_minus needs a square relation")
-    return op_sum(eye_relation(T.dim_in), scale(T, -1.0, tol), tol)
+    pairs = np.vstack([T.in_block, T.in_block - T.out_block])
+    return LinearRelation(T.dim_in, T.dim_out, orthonormalize(pairs, tol, ambient_dim=2 * T.dim_in))
 
 
 def restrict(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Restriction:
-    """T restricted to inputs in M, plus the image T(M)."""
+    """T restricted to inputs in M, plus the image T(M).
+
+    The graph coordinates a with F a in M form the preimage of M under the
+    input block F; the graph basis times an orthonormal basis of them is
+    already orthonormal, so only the column phases are fixed afterwards.
+    """
     if m.ambient_dim != T.dim_in:
         raise DimensionMismatchError(
             f"restriction subspace ambient {m.ambient_dim} != dim_in {T.dim_in}"
         )
-    n, mm = T.dim_in, T.dim_out
-    cyl = np.zeros((n + mm, m.dim + mm), dtype=complex)
-    cyl[:n, : m.dim] = m.basis
-    cyl[n:, m.dim :] = np.eye(mm)
-    inter = subspace_intersect(T.graph, Subspace(cyl, validate=False), tol)
-    restricted = LinearRelation(n, mm, inter)
-    img = orthonormalize(inter.basis[n:], tol, ambient_dim=mm)
-    return Restriction(restricted, img)
+    coords = matrix_preimage(T.in_block, m, tol).basis
+    graph = Subspace(_phase_canonical(T.graph.basis @ coords), validate=False)
+    img = orthonormalize(T.out_block @ coords, tol, ambient_dim=T.dim_out)
+    return Restriction(LinearRelation(T.dim_in, T.dim_out, graph), img)
 
 
 def image(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Subspace:
     """T(M) = {y : (x, y) in T for some x in M}."""
     return restrict(T, m, tol).image
-
-
-def closure(T: LinearRelation) -> LinearRelation:
-    """Topological closure; the identity in finite dimensions, kept for symmetry."""
-    return T
 
 
 def apply(T: LinearRelation, x: np.ndarray, tol: Tolerance | None = None) -> Coset:
@@ -330,7 +314,7 @@ def relation_contains(outer: LinearRelation, inner: LinearRelation, tol: Toleran
 def relation_equals(T: LinearRelation, S: LinearRelation, tol: Tolerance | None = None) -> bool:
     """Relation equality is graph-subspace equality."""
     _check_same_shape(T, S)
-    return T.graph.dim == S.graph.dim and subspace_contains(T.graph, S.graph, tol)
+    return subspace_equals(T.graph, S.graph, tol)
 
 
 def is_operator(T: LinearRelation, tol: Tolerance | None = None) -> bool:

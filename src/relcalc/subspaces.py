@@ -7,6 +7,7 @@ rules live here and nowhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,10 @@ class Tolerance:
     rel_eps: float | None = None
 
     def __post_init__(self):
-        if self.abs_eps < 0:
-            raise ValueError("abs_eps must be nonnegative")
-        if self.rel_eps is not None and self.rel_eps < 0:
-            raise ValueError("rel_eps must be nonnegative")
+        if not (0 <= self.abs_eps < math.inf):
+            raise ValueError(f"abs_eps must be finite and nonnegative, got {self.abs_eps}")
+        if self.rel_eps is not None and not (0 <= self.rel_eps < math.inf):
+            raise ValueError(f"rel_eps must be finite and nonnegative, got {self.rel_eps}")
 
     def _rel(self, dim: int) -> float:
         if self.rel_eps is not None:
@@ -200,13 +201,8 @@ def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Su
 
 
 def subspace_complement(s: Subspace, tol: Tolerance | None = None) -> Subspace:
-    """Orthogonal complement, computed from a full SVD of the basis."""
-    tol = _tol(tol)
-    if s.dim == 0:
-        return full_space(s.ambient_dim)
-    u, sv, _ = np.linalg.svd(s.basis, full_matrices=True)
-    rank = int(np.count_nonzero(sv >= tol.rank_cutoff(float(sv[0]), s.basis.shape)))
-    return Subspace(_phase_canonical(u[:, rank:]), validate=False)
+    """Orthogonal complement, the null space of the adjoint basis."""
+    return null_space(s.basis.conj().T, tol)
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Subspace:
@@ -228,26 +224,6 @@ def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None)
     return Subspace(_phase_canonical(s2.basis @ coords.basis), validate=False)
 
 
-def lattice_op(kind: str, s1: Subspace, s2: Subspace | None = None, tol: Tolerance | None = None) -> Subspace:
-    """Dispatch form of the lattice operations: sum, intersect, complement."""
-    if kind == "complement":
-        if s2 is not None:
-            raise ValueError("complement takes a single subspace")
-        return subspace_complement(s1, tol)
-    if s2 is None:
-        raise ValueError(f"{kind} requires two subspaces")
-    if kind == "sum":
-        return subspace_sum(s1, s2, tol)
-    if kind == "intersect":
-        return subspace_intersect(s1, s2, tol)
-    raise ValueError(f"unknown lattice operation {kind!r}")
-
-
-def project(s: Subspace, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v onto the subspace."""
-    return s.project(v)
-
-
 def subspace_contains(outer: Subspace, inner: Subspace, tol: Tolerance | None = None) -> bool:
     """Whether inner is contained in outer, tested columnwise on the inner basis."""
     tol = _tol(tol)
@@ -264,15 +240,6 @@ def subspace_contains(outer: Subspace, inner: Subspace, tol: Tolerance | None = 
 def subspace_equals(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> bool:
     _check_same_ambient(s1, s2)
     return s1.dim == s2.dim and subspace_contains(s1, s2, tol)
-
-
-def compare(kind: str, s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> bool:
-    """Dispatch form of the comparison predicates: equals, contains."""
-    if kind == "equals":
-        return subspace_equals(s1, s2, tol)
-    if kind == "contains":
-        return subspace_contains(s1, s2, tol)
-    raise ValueError(f"unknown comparison {kind!r}")
 
 
 def matrix_image(matrix: np.ndarray, s: Subspace, tol: Tolerance | None = None) -> Subspace:

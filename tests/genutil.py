@@ -8,6 +8,7 @@ from relcalc import (
     cw_sum,
     graph_of_matrix,
     make_pmn,
+    null_space,
     orthonormalize,
     product_of_subspaces,
     restrict,
@@ -105,6 +106,18 @@ def random_symmetry(rng, n):
         signs[0] = -signs[0]  # keep it indefinite most of the time
     w = (q * signs) @ q.conj().T
     return (w + w.conj().T) / 2
+
+
+def degenerate_subspace(rng, j):
+    """A neutral vector x (x* J x = 0, J indefinite) plus random vectors
+    J-orthogonal to it, so that x lies in S and in its J-companion."""
+    eigs, vecs = np.linalg.eigh(j)
+    pos, neg = vecs[:, eigs > 0], vecs[:, eigs < 0]
+    u, v = pos @ cvec(rng, pos.shape[1]), neg @ cvec(rng, neg.shape[1])
+    x = u / np.linalg.norm(u) + v / np.linalg.norm(v)
+    companion = null_space((j @ x)[None, :].conj()).basis
+    extra = int(rng.integers(0, companion.shape[1] + 1))
+    return orthonormalize(np.column_stack([x, companion @ cmat(rng, companion.shape[1], extra)]))
 
 
 def random_mv_projection(rng, n):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -187,6 +188,71 @@ class TestExitCodes:
         assert code == 1
         code, _ = run_cli(["lss-solve", str(DATA / "lss-solve.json"), "--batch", str(DATA)])
         assert code == 1
+
+
+def _write_problem(tmp_path, doc):
+    """Write a problem file; json.dumps spells non-finite floats NaN/Infinity."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _lss_with_entry(section, name, index, entry):
+    """The lss-solve fixture with the complex entry at ``index`` replaced."""
+    doc = json.loads((DATA / "lss-solve.json").read_text())
+    target = doc[section][name]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = entry
+    return doc
+
+
+class TestNonFiniteInput:
+    """Non-finite numbers are bad input (exit 1), never "no solution"."""
+
+    @pytest.mark.parametrize(
+        "section,name,index,entry,where",
+        [
+            ("vectors", "b", [0], [float("nan"), 0.0], r"vectors\.b\[0\]"),
+            ("vectors", "b", [1], [1.0, float("inf")], r"vectors\.b\[1\]"),
+            ("matrices", "A", [1, 1], [float("inf"), 0.0], r"matrices\.A row 1\[1\]"),
+            ("matrices", "A", [0, 0], [10**400, 0], r"matrices\.A row 0\[0\]"),
+        ],
+        ids=["nan-in-b", "inf-in-b", "inf-in-A", "huge-int-in-A"],
+    )
+    def test_non_finite_entry_is_one(self, tmp_path, capsys, section, name, index, entry, where):
+        path = _write_problem(tmp_path, _lss_with_entry(section, name, index, entry))
+        code, payload = run_cli(["lss-solve", str(path), "--verify"])
+        assert code == 1 and payload == b""
+        err = capsys.readouterr().err
+        assert re.search(where, err) and "finite" in err
+
+    def test_parse_names_the_entry(self, tmp_path):
+        doc = _lss_with_entry("matrices", "W", [0, 1], [0.0, float("-inf")])
+        with pytest.raises(ProblemFormatError, match=r"matrices\.W row 0\[1\]"):
+            parse(_write_problem(tmp_path, doc))
+
+    def test_non_finite_rho_is_one(self, tmp_path, capsys):
+        doc = json.loads((DATA / "smooth.json").read_text())
+        doc["rho"] = float("inf")
+        code, _ = run_cli(["smooth", str(_write_problem(tmp_path, doc))])
+        assert code == 1
+        assert "rho" in capsys.readouterr().err
+
+    def test_non_finite_file_tolerance_is_one(self, tmp_path, capsys):
+        doc = json.loads((DATA / "lss-solve.json").read_text())
+        doc["tolerance"] = {"abs_eps": float("nan")}
+        code, _ = run_cli(["lss-solve", str(_write_problem(tmp_path, doc))])
+        assert code == 1
+        assert "tolerance.abs_eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tol_is_one(self, capsys, value):
+        # at --tol inf every rank cut dropped everything: A = diag(1, 0)
+        # read as zero gave exit 0 with min_value 0.0 instead of 1.0
+        code, payload = run_cli(["lss-solve", str(DATA / "lss-solve.json"), "--tol", value])
+        assert code == 1 and payload == b""
+        assert "abs_eps" in capsys.readouterr().err
 
 
 class TestFlags:

@@ -6,11 +6,13 @@ import pytest
 from relcalc import (
     LssProblem,
     NoSolutionError,
+    SplineProblem,
     Weight,
     check_normal,
     complementability,
     full_space,
     graph_of_matrix,
+    identity_minus,
     make_pws,
     null_space,
     orthonormalize,
@@ -18,6 +20,7 @@ from relcalc import (
     product_of_subspaces,
     psd_sqrt,
     solve,
+    spline_solve,
     subspace_complement,
     subspace_equals,
     subspace_sum,
@@ -229,19 +232,25 @@ class TestTwoWeights:
         )
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that grows by one per numpy.linalg.svd call (one rank decision)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 class TestRankDecisionCount:
-    def test_svd_calls_per_solve(self, monkeypatch):
-        # the instance family of acceptance criterion 7; each SVD is one rank
-        # decision, and the count pins the one-SVD intersection and the
-        # block-null-space parts (the de Morgan kernel made 45 / 56)
-        calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(None)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    def test_svd_calls_per_solve(self, svd_calls):
+        # the instance family of acceptance criterion 7; the count pins the
+        # one-SVD intersection and the block-null-space parts (the de Morgan
+        # kernel made 45 / 56)
         rng = np.random.default_rng(107)
         counts = []
         for _ in range(300):
@@ -249,8 +258,31 @@ class TestRankDecisionCount:
             a = random_relation(rng, n, n)
             w = Weight(random_psd(rng, n), "psd")
             b = cvec(rng, n)
-            calls.clear()
+            svd_calls.clear()
             solve(LssProblem(a, w, b))
-            counts.append(len(calls))
+            counts.append(len(svd_calls))
         assert np.mean(counts) <= 25
         assert max(counts) <= 32
+
+    def test_identity_minus_is_one_span(self, svd_calls):
+        # I - T is the span of (x, x - y); as the operator sum of the
+        # identity and -T it took 3 SVDs
+        t = random_relation(np.random.default_rng(108), 4, 4)
+        svd_calls.clear()
+        identity_minus(t)
+        assert len(svd_calls) == 1
+
+    def test_svd_calls_per_spline_solve(self, svd_calls):
+        # mean 17.75 / max 19 when I - P was an operator sum
+        rng = np.random.default_rng(3)
+        counts = []
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n + 1))
+            T, V = rng.standard_normal((n, n)), rng.standard_normal((k, n))
+            b = rng.standard_normal(k)
+            svd_calls.clear()
+            spline_solve(SplineProblem(T, V, b))
+            counts.append(len(svd_calls))
+        assert np.mean(counts) <= 16.5
+        assert max(counts) <= 17

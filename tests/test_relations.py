@@ -11,18 +11,17 @@ from relcalc import (
     apply,
     apply_to_coset,
     as_matrix,
-    closure,
     compose,
     cw_sum,
     from_graph_basis,
     full_space,
     graph_of_matrix,
+    identity_minus,
     identity_on,
     image,
     invert,
     is_operator,
     make_pmn,
-    make_relation,
     op_sum,
     orthonormalize,
     parts,
@@ -70,12 +69,6 @@ class TestConstructors:
         t = product_of_subspaces(zero_space(2), orthonormalize([np.array([1.0, 0.0])]))
         p = parts(t)
         assert p.dom.dim == 0 and p.mul.dim == 1
-
-    def test_dispatch_constructor(self):
-        t = make_relation("graph_of_matrix", np.eye(2))
-        assert relation_equals(t, graph_of_matrix(np.eye(2)))
-        with pytest.raises(ValueError):
-            make_relation("nope")
 
 
 class TestParts:
@@ -327,6 +320,56 @@ class TestApplyToCoset:
         assert not out.is_empty and np.allclose(out.point, 0)
 
 
+def _basis_dist(a, b):
+    return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T))
+
+
+def _cylinder_gap(op, family, rng):
+    """Projector distance between the library's result and the raw-numpy
+    cylinder-intersection route on one random instance."""
+    n, k, m = (int(rng.integers(2, 7)) for _ in range(3))
+    if op == "compose":
+        t, r = family(rng, n, k), family(rng, k, m)
+        oracle = oracles.compose_by_cylinders(r.graph.basis, t.graph.basis, n)
+        return _basis_dist(compose(r, t).graph.basis, oracle)
+    if op == "op_sum":
+        t, s = family(rng, n, m), family(rng, n, m)
+        oracle = oracles.op_sum_by_cylinders(t.graph.basis, s.graph.basis, n)
+        return _basis_dist(op_sum(t, s).graph.basis, oracle)
+    if op == "restrict":
+        t, sub = family(rng, n, m), random_subspace(rng, n)
+        got = restrict(t, sub)
+        graph, img = oracles.restrict_by_cylinders(t.graph.basis, n, sub.basis)
+        return max(
+            _basis_dist(got.relation.graph.basis, graph), _basis_dist(got.image.basis, img)
+        )
+    # I - T as the operator sum of the identity and -T
+    t = family(rng, n, n)
+    eye = np.vstack([np.eye(n), np.eye(n)]) / np.sqrt(2.0)
+    minus_t = np.vstack([t.in_block, -t.out_block])
+    oracle = oracles.op_sum_by_cylinders(eye, minus_t, n)
+    return _basis_dist(identity_minus(t).graph.basis, oracle)
+
+
+class TestCalculusAgainstCylinders:
+    """compose, op_sum, restrict and identity_minus against the raw-numpy
+    intersections of zero-padded cylinders; a wrong rank reads >= 1."""
+
+    OPS = ["compose", "op_sum", "restrict", "identity_minus"]
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_random_relations(self, op):
+        rng = np.random.default_rng(2000 + self.OPS.index(op))
+        assert max(_cylinder_gap(op, random_relation, rng) for _ in range(300)) <= 1e-9
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_relations_with_a_near_kernel_pair(self, op):
+        # the graphs hold a pair 1e-6 off the input axis, so some principal
+        # angles are small but far above the cut; both routes must keep them
+        rng = np.random.default_rng(2100 + self.OPS.index(op))
+        assert max(_cylinder_gap(op, relation_with_ker_and_mul, rng) for _ in range(300)) <= 1e-7
+
+
 class TestEqualityCriterion:
     @pytest.mark.parametrize("seed", range(30))
     def test_equality_criterion(self, seed):
@@ -364,10 +407,6 @@ class TestAdjointProduct:
 
 
 class TestMisc:
-    def test_closure_is_identity(self):
-        t = random_relation(np.random.default_rng(11), 3, 3)
-        assert closure(t) is t
-
     def test_scale_by_zero_collapses(self):
         rng = np.random.default_rng(12)
         t = random_relation(rng, 3, 3)

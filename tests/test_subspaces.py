@@ -8,11 +8,8 @@ from relcalc import (
     DimensionMismatchError,
     Subspace,
     Tolerance,
-    compare,
     full_space,
-    lattice_op,
     orthonormalize,
-    project,
     subspace_complement,
     subspace_contains,
     subspace_equals,
@@ -77,14 +74,6 @@ class TestLattice:
         c = subspace_complement(orthonormalize([e(2, 0)]))
         assert subspace_equals(c, orthonormalize([e(2, 1)]))
 
-    def test_dispatch_form(self):
-        s1, s2 = orthonormalize([e(2, 0)]), orthonormalize([e(2, 1)])
-        assert subspace_equals(lattice_op("sum", s1, s2), full_space(2))
-        assert lattice_op("intersect", s1, s2).dim == 0
-        assert subspace_equals(lattice_op("complement", s1), s2)
-        with pytest.raises(ValueError):
-            lattice_op("complement", s1, s2)
-
     @pytest.mark.parametrize("seed", range(25))
     def test_modular_law_exact_dimension_count(self, seed):
         rng = np.random.default_rng(seed)
@@ -147,10 +136,10 @@ class TestIntersectAgainstDeMorgan:
 
 class TestProject:
     def test_axis_projection(self):
-        assert np.allclose(project(orthonormalize([e(2, 0)]), np.array([3.0, 4.0])), [3, 0])
+        assert np.allclose(orthonormalize([e(2, 0)]).project(np.array([3.0, 4.0])), [3, 0])
 
     def test_rank_one_projector(self):
-        got = project(orthonormalize([np.array([1.0, 1.0])]), np.array([1.0, 0.0]))
+        got = orthonormalize([np.array([1.0, 1.0])]).project(np.array([1.0, 0.0]))
         assert np.allclose(got, [0.5, 0.5])
 
     @pytest.mark.parametrize("seed", range(20))
@@ -162,7 +151,7 @@ class TestProject:
         v = cvec(rng, n)
         coeff, *_ = np.linalg.lstsq(raw, v, rcond=None)
         fitted = raw @ coeff
-        assert np.linalg.norm(project(orthonormalize(raw), v) - fitted) < 1e-9
+        assert np.linalg.norm(orthonormalize(raw).project(v) - fitted) < 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
     def test_projector_idempotent_selfadjoint(self, seed):
@@ -176,15 +165,15 @@ class TestProject:
 class TestCompare:
     def test_full_space_equality(self):
         s = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        assert compare("equals", s, full_space(2))
+        assert subspace_equals(s, full_space(2))
 
     def test_containment(self):
-        assert compare("contains", full_space(2), orthonormalize([e(2, 0)]))
+        assert subspace_contains(full_space(2), orthonormalize([e(2, 0)]))
 
     def test_distinct_lines_differ(self):
         a = orthonormalize([np.array([1.0, 1.0])])
         b = orthonormalize([np.array([1.0, -1.0])])
-        assert not compare("equals", a, b)
+        assert not subspace_equals(a, b)
 
     def test_zero_subspace_contained_everywhere(self):
         assert subspace_contains(zero_space(3), zero_space(3))
@@ -197,6 +186,13 @@ class TestTolerance:
             Tolerance(abs_eps=-1.0)
         with pytest.raises(ValueError):
             Tolerance(rel_eps=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_components_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(abs_eps=value)
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(rel_eps=value)
 
     def test_rank_cut_follows_abs_eps(self):
         # a vector of norm below abs_eps is treated as zero

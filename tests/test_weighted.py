@@ -30,10 +30,12 @@ from relcalc import (
     w_companion,
     zero_space,
 )
+from relcalc import oracles
 
 from genutil import (
     cmat,
     cvec,
+    degenerate_subspace,
     random_psd,
     random_selfadjoint,
     random_subspace,
@@ -333,6 +335,25 @@ class TestKrein:
         if report.regular:
             assert report.nondegenerate
         assert report.pseudo_regular
+
+    def test_regularity_matches_the_gram_oracle(self):
+        # regular iff the Gram matrix B* J B is nonsingular; the CLI's
+        # --verify reads the same oracle
+        rng = np.random.default_rng(3950)
+        irregular = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 9))
+            j = random_symmetry(rng, n)
+            w = Weight(j, "symmetry")
+            indefinite = 0 < np.count_nonzero(np.linalg.eigvalsh(j) > 0) < n
+            if indefinite and rng.random() < 0.5:
+                s = degenerate_subspace(rng, j)
+            else:
+                s = random_subspace(rng, n)
+            regular = krein_classify(s, w).regular
+            assert oracles.krein_regular(w.matrix, s.basis, 1e-10) == regular
+            irregular += not regular
+        assert 200 <= irregular <= 400
 
 
 class TestPsdOperatorFacts:

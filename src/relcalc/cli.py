@@ -1,8 +1,11 @@
 """Command-line front end: JSON problem files in, machine-readable reports out.
 
 Every command is a thin wrapper around one library operation; the CLI does no
-mathematics of its own.  Exit codes: 0 success, 2 when the posed problem has
-no solution (a legitimate mathematical answer), 1 for operational errors.
+mathematics of its own.  The library runs its own second route on every
+answer; ``--verify`` adds an independent raw-numpy oracle from
+``relcalc.oracles`` and never reruns a library route.  Exit codes: 0 success,
+2 when the posed problem has no solution (a legitimate mathematical answer),
+1 for operational errors.
 """
 
 from __future__ import annotations
@@ -27,19 +30,15 @@ from .errors import (
 from .subspaces import Coset, Subspace, Tolerance, orthonormalize
 from .relations import (
     LinearRelation,
-    as_matrix,
-    compose,
     from_graph_basis,
     graph_of_matrix,
-    identity_minus,
     identity_on,
     parts,
     product_of_subspaces,
-    relation_equals,
     zero_on,
 )
 from .mvproj import assemble_representation, classify, make_pmn
-from .weighted import Weight, complementability, krein_classify, make_pws, shorted
+from .weighted import Weight, complementability, krein_classify, shorted
 from .lss import LssProblem, solve, w1w2_solve
 from .splines import SmoothingProblem, SplineProblem, smooth_solve, spline_solve
 from . import oracles
@@ -328,19 +327,17 @@ def _cmd_relation_analyze(pf, tol, verify):
     result = _ser_parts(rel, tol)
     diag = {}
     if verify:
-        diag["oracle_delta"] = _parts_oracle_delta(rel, tol)
+        p = parts(rel, tol)
+        ker, mul = oracles.kernel_and_mul_via_axes(rel.graph.basis, rel.dim_in, tol.abs_eps)
+        diag["oracle_delta"] = max(
+            _projector_delta(p.ker.basis, ker), _projector_delta(p.mul.basis, mul)
+        )
     return "ok", result, diag
 
 
-def _parts_oracle_delta(rel: LinearRelation, tol: Tolerance) -> float:
-    p = parts(rel, tol)
-    ker_alt, mul_alt = oracles.kernel_and_mul_via_axes(rel.graph.basis, rel.dim_in, tol.abs_eps)
-    return float(
-        max(
-            np.linalg.norm(p.ker.projector() - ker_alt @ ker_alt.conj().T),
-            np.linalg.norm(p.mul.projector() - mul_alt @ mul_alt.conj().T),
-        )
-    )
+def _projector_delta(basis: np.ndarray, other: np.ndarray) -> float:
+    """Distance between the orthogonal projectors onto two orthonormal bases."""
+    return float(np.linalg.norm(basis @ basis.conj().T - other @ other.conj().T))
 
 
 def _cmd_proj_build(pf, tol, verify):
@@ -353,29 +350,24 @@ def _cmd_proj_build(pf, tol, verify):
     result["is_mvproj"] = flags.is_mvproj
     diag = {}
     if verify:
-        squared = compose(proj, proj, tol)
-        diag["oracle_delta"] = _graph_delta(squared, proj)
+        graph = proj.graph.basis
+        squared = oracles.compose_by_cylinders(graph, graph, proj.dim_in, tol.abs_eps)
+        diag["oracle_delta"] = _projector_delta(squared, graph)
     return "ok", result, diag
-
-
-def _graph_delta(rel_a: LinearRelation, rel_b: LinearRelation) -> float:
-    return float(np.linalg.norm(rel_a.graph.projector() - rel_b.graph.projector()))
 
 
 def _cmd_proj_represent(pf, tol, verify):
     m = _subspace(pf, _need(pf, "range"), tol, "problem.range")
     n = _subspace(pf, _need(pf, "kernel"), tol, "problem.kernel")
+    # assemble_representation raises unless the blocks regenerate P(M, N)
     rep = assemble_representation(m, n, tol)
-    regenerated = rep.generate(tol)
-    direct = make_pmn(m, n, tol)
-    result = {
-        "splitter_dim": rep.splitter.dim,
-        "x_block": _ser_parts(rep.b, tol),
-        "regenerates": relation_equals(regenerated, direct, tol),
-    }
+    result = {"splitter_dim": rep.splitter.dim, "x_block": _ser_parts(rep.b, tol), "regenerates": True}
     diag = {}
     if verify:
-        diag["oracle_delta"] = _graph_delta(regenerated, direct)
+        blocks = [block.graph.basis for block in (rep.a, rep.b, rep.c, rep.d)]
+        regenerated = oracles.block_graph_by_cylinders(*blocks, m.ambient_dim, tol.abs_eps)
+        direct = oracles.pmn_graph(m.basis, n.basis, tol.abs_eps)
+        diag["oracle_delta"] = _projector_delta(regenerated, direct)
     return "ok", result, diag
 
 
@@ -412,16 +404,13 @@ def _cmd_w1w2_solve(pf, tol, verify):
     result = {"solution_set": _ser_coset(coset)}
     diag = {}
     if verify:
-        first = solve(LssProblem(rel, w1, b), tol)
-        point, flat = oracles.minimize_seminorm_over_coset(
-            w2.matrix, first.solution_set.point, first.solution_set.direction.basis
+        point, direction = oracles.w1w2_by_graph(
+            rel.graph.basis, rel.dim_in, w1.matrix, w2.matrix, b, tol.abs_eps
         )
-        direction = orthonormalize(flat, tol, ambient_dim=rel.dim_in)
-        delta = max(
-            np.linalg.norm(coset.direction.projector() - direction.projector()),
-            0.0 if coset.contains(point, tol) else 1.0,
+        offset = (point - coset.point) - coset.direction.project(point - coset.point)
+        diag["oracle_delta"] = max(
+            _projector_delta(coset.direction.basis, direction), float(np.linalg.norm(offset))
         )
-        diag["oracle_delta"] = float(delta)
     return "ok", result, diag
 
 
@@ -473,14 +462,8 @@ def _cmd_shorted(pf, tol, verify):
     mat = shorted(weight, s, tol)
     diag = {}
     if verify:
-        from .subspaces import subspace_complement
-
-        rel = compose(
-            graph_of_matrix(weight.matrix, tol),
-            identity_minus(make_pws(weight, subspace_complement(s, tol), tol), tol),
-            tol,
-        )
-        diag["oracle_delta"] = float(np.linalg.norm(mat - as_matrix(rel, tol)))
+        oracle = oracles.shorted_by_root(weight.matrix, s.basis, tol.abs_eps)
+        diag["oracle_delta"] = float(np.linalg.norm(mat - oracle))
     return "ok", {"shorted": _ser_complex(mat)}, diag
 
 
@@ -497,12 +480,11 @@ def _cmd_complementable(pf, tol, verify):
     }
     diag = {}
     if verify:
-        if report.pws_blocks is None:
-            diag["oracle_delta"] = 0.0
-        else:
-            diag["oracle_delta"] = _graph_delta(
-                report.pws_blocks.generate(tol), make_pws(weight, s, tol)
-            )
+        flag, domain = oracles.complementable_by_span(weight.matrix, s.basis, tol.abs_eps)
+        diag["oracle_delta"] = max(
+            0.0 if flag == report.is_complementable else 1.0,
+            _projector_delta(report.domain.basis, domain),
+        )
     return "ok", result, diag
 
 

@@ -47,6 +47,8 @@ class LssProblem:
                 f"weight size {self.W.ambient_dim} != relation dimension {self.A.dim_in}"
             )
         b = _as_vector(self.b, self.A.dim_in, "target vector b")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("target vector b must be finite")
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
 
@@ -158,8 +160,8 @@ def w1w2_solve(
     first = solve(LssProblem(A, W1, b), tol)
     if not first.exists:
         raise NoSolutionError("no W1 least-squares solution exists for this target")
-    kernel_pull = image(invert(A), null_space(W1.matrix, tol), tol)
-    reducer = identity_minus(make_pws(W2, kernel_pull, tol), tol)
+    # solve has checked these directions against A^{-1}(ker W1)
+    reducer = identity_minus(make_pws(W2, first.solution_set.direction, tol), tol)
     result = apply_to_coset(reducer, first.solution_set, tol)
     if result.is_empty:
         raise ConsistencyError("minimal-seminorm reduction produced an empty set")

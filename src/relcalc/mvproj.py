@@ -199,9 +199,12 @@ def coefficient_x(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> Lin
 
 
 def assemble_representation(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> BlockRep:
-    """Block form (identity-on-M, x; 0, 0) of the projection with range M, kernel N."""
+    """Block form (identity-on-M, x; 0, 0) of the projection with range M, kernel N.
+
+    The relation the four blocks generate must be P(M, N) itself.
+    """
     m_perp = subspace_complement(m, tol)
-    return BlockRep(
+    rep = BlockRep(
         splitter=m,
         co_splitter=m_perp,
         a=identity_on(m),
@@ -209,6 +212,9 @@ def assemble_representation(m: Subspace, n: Subspace, tol: Tolerance | None = No
         c=zero_on(m),
         d=zero_on(m_perp),
     )
+    if not relation_equals(rep.generate(tol), make_pmn(m, n, tol), tol):
+        raise ConsistencyError("block form failed to regenerate P(M, N)")
+    return rep
 
 
 def build_super(

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written against raw numpy least squares and
 pseudoinverses, away from the subspace/relation machinery, so that an oracle
-never shares a code path with the computation it checks.  Where the library
-adopts an oracle's formula, the oracle keeps the one the library dropped: the
-de Morgan intersection, the graph-and-axis route to the kernel and the
-multivalued part, and the cylinder intersections behind composition, the
-operator sum and restriction live on here.
+never shares a code path with the computation it checks.  The library never
+calls an oracle; the test suite and the CLI's ``--verify`` do.  Where the
+library adopts an oracle's formula, the oracle keeps the one the library
+dropped: the de Morgan intersection, the graph-and-axis route to the kernel
+and the multivalued part, and the cylinder intersections behind composition,
+the operator sum and restriction live on here.
 """
 
 from __future__ import annotations
@@ -113,11 +114,68 @@ def restrict_by_cylinders(
     return pairs, _span_basis(pairs[n:], atol)
 
 
+def block_graph_by_cylinders(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, n: int, atol: float = 1e-12
+) -> np.ndarray:
+    """Graph basis of the relation generated by the 2x2 block relations with
+    graph bases a, b, c, d on C^n: the componentwise sum of the operator sums
+    a + c and b + d."""
+    columns = np.hstack([op_sum_by_cylinders(a, c, n, atol), op_sum_by_cylinders(b, d, n, atol)])
+    return _span_basis(columns, atol)
+
+
+def pmn_graph(m: np.ndarray, k: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+    """Graph basis of the projection P(M, N) with range span(m) and kernel
+    span(k): the pairs (u, u) for u in M and (v, 0) for v in N."""
+    top = np.hstack([m, k])
+    bottom = np.hstack([m, np.zeros_like(k)])
+    return _span_basis(np.vstack([top, bottom]), atol)
+
+
 def krein_regular(J: np.ndarray, B: np.ndarray, atol: float = 1e-12) -> bool:
     """Whether span(B) is regular for the indefinite metric of the symmetry
     J: exactly when the Gram matrix B* J B of an orthonormal basis B is
     nonsingular."""
     return _null_basis(B.conj().T @ J @ B, atol=atol).shape[1] == 0
+
+
+def shorted_by_root(W: np.ndarray, S: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+    """Shorted operator of the psd W to span(S) by Anderson's formula
+    W^(1/2) (I - Q Q*) W^(1/2), with Q an orthonormal basis of W^(1/2) S-perp:
+    the quadratic form inf over y in S-perp of <W (x + y), x + y>."""
+    w_half = _sqrt_psd(W)
+    q = _span_basis(w_half @ _null_basis(S.conj().T, atol=atol), atol)
+    short = w_half @ (w_half - q @ (q.conj().T @ w_half))
+    return (short + short.conj().T) / 2
+
+
+def complementable_by_span(
+    W: np.ndarray, S: np.ndarray, atol: float = 1e-12
+) -> tuple[bool, np.ndarray]:
+    """Whether span(S) is W-complementable, and an orthonormal basis of the
+    sum S + {x : S* W x = 0} of S and its W-companion, the domain of the
+    weighted projection onto S.  Complementable exactly when that sum is the
+    whole space."""
+    domain = _span_basis(np.hstack([S, _null_basis(S.conj().T @ W, atol=atol)]), atol)
+    return domain.shape[1] == W.shape[0], domain
+
+
+def w1w2_by_graph(
+    graph: np.ndarray, n: int, W1: np.ndarray, W2: np.ndarray, b: np.ndarray, atol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal-W2-seminorm points among the W1-least-squares solutions of
+    b in A x, for A from C^n with graph basis ``graph``.
+
+    In graph coordinates c, (x, y) = (F c, H c); the W1 solutions are F times
+    the least-squares coset of W1^(1/2) H c = W1^(1/2) b, and the minimal W2
+    seminorm over that coset is a second least-squares problem.  Returns a
+    minimizer and an orthonormal basis of the argmin directions."""
+    F, H = graph[:n], graph[n:]
+    r1 = _sqrt_psd(W1)
+    coeff, *_ = np.linalg.lstsq(r1 @ H, r1 @ b, rcond=None)
+    flat_coords = _null_basis(r1 @ H, atol=atol)
+    point, flat = minimize_seminorm_over_coset(W2, F @ coeff, F @ flat_coords)
+    return point, _span_basis(flat, atol)
 
 
 def weighted_min_over_span(weight: np.ndarray, span: np.ndarray, b: np.ndarray) -> float:

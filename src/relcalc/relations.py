@@ -132,6 +132,8 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix must be finite")
     m, n = matrix.shape
     stacked = np.vstack([np.eye(n, dtype=complex), matrix])
     return LinearRelation(n, m, orthonormalize(stacked, tol))

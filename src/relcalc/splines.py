@@ -13,10 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .subspaces import Coset, Subspace, Tolerance, _tol, null_space
-from .relations import apply, identity_minus, parts
+from .subspaces import (
+    Coset,
+    Subspace,
+    Tolerance,
+    _phase_canonical,
+    _tol,
+    null_space,
+    orthonormalize,
+)
+from .relations import apply, identity_minus
 from .weighted import Weight, make_pws
-from . import oracles
+
+# Multiple of eps * max(shape) * (||S|| ||x|| + ||target||), the rounding error
+# of a least-squares solve with the stacked map S, that the smoothing checks
+# accept (the worst seen on Gaussian and ill-conditioned families was 15)
+BACKWARD_ERROR_FACTOR = 100
 
 
 @dataclass(frozen=True)
@@ -39,7 +51,9 @@ class SplineProblem:
             )
         if b.shape[0] != V.shape[0]:
             raise ValueError(f"b has length {b.shape[0]}, expected {V.shape[0]}")
-        if np.linalg.matrix_rank(V) < V.shape[0]:
+        if not all(np.all(np.isfinite(a)) for a in (T, V, b)):
+            raise ValueError("T, V and b must be finite")
+        if orthonormalize(V.conj().T).dim < V.shape[0]:
             raise ValueError("V must be surjective (full row rank)")
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "V", V)
@@ -93,12 +107,11 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
     x_feasible, *_ = np.linalg.lstsq(p.V, p.b, rcond=None)
     weight = Weight(p.T.conj().T @ p.T, "psd")
     ker_v = null_space(p.V, tol)
-    proj = make_pws(weight, ker_v, tol)
-    if not parts(proj, tol).dom.contains_vector(x_feasible, tol):
-        # a psd weight is always complementable here, so this cannot happen
-        raise ConsistencyError("feasible point escaped the projection domain")
-    reducer = identity_minus(proj, tol)
+    reducer = identity_minus(make_pws(weight, ker_v, tol), tol)
     spline_set = apply(reducer, x_feasible, tol)
+    if spline_set.is_empty:
+        # dom (I - P) = dom P, everything for a psd weight: cannot happen
+        raise ConsistencyError("feasible point escaped the projection domain")
     min_value = float(np.linalg.norm(p.T @ spline_set.point))
     if spline_set.direction.dim:
         second = spline_set.point + spline_set.direction.basis[:, 0]
@@ -128,44 +141,78 @@ def _check_interpolation(p: SplineProblem, spline_set: Coset, tol: Tolerance | N
 def smooth_solve(p: SmoothingProblem, tol: Tolerance | None = None) -> SmoothingSolution:
     """Minimize ||Tx||^2 + rho ||Vx - b||^2 by a rescaled orthogonal projection.
 
-    Stacking T over sqrt(rho) V turns the objective into a single Euclidean
-    distance, solved by least squares; the argmin set is a coset of
-    ker T cap ker V.  The stationarity route (T*T + rho V*V) x = rho V* b is
-    recomputed and must agree.
+    Stacking T over sqrt(rho) V into S turns the objective into the distance
+    from S x to the target (0, sqrt(rho) b).  One SVD of S, cut at the rank
+    cutoff, gives the minimizer x* = S^+ target, the argmin directions
+    ker T cap ker V and an orthonormal basis of the range pairs
+    {(Tx, sqrt(rho) Vx)}; ``_smoothing_minimum`` checks x* against them.
     """
+    tol = _tol(tol)
     T, V, b, rho = p.base.T, p.base.V, p.base.b, p.rho
-    root = np.sqrt(rho)
-    stacked = np.vstack([T, root * V])
-    target = np.concatenate([np.zeros(T.shape[0], dtype=complex), root * b])
-    x_star, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-    direction = null_space(stacked, tol)
-    min_value = float(np.linalg.norm(stacked @ x_star - target))
-    argmin = Coset.of(x_star, direction)
-
-    x_check = oracles.smoothing_normal_equations(T, V, b, rho)
-    check_value = float(np.linalg.norm(stacked @ x_check - target))
-    if abs(check_value - min_value) > 1e-8 * (1.0 + min_value):
-        raise ConsistencyError("stationarity route reaches a different objective value")
-    if not argmin.contains(x_check, tol):
-        raise ConsistencyError("stationarity solution lies outside the argmin set")
+    stacked = np.vstack([T, np.sqrt(rho) * V])
+    target = np.concatenate([np.zeros(T.shape[0], dtype=complex), np.sqrt(rho) * b])
+    u, sigma, vh = np.linalg.svd(stacked, full_matrices=True)
+    top = float(sigma[0]) if sigma.size else 0.0
+    rank = int(np.count_nonzero(sigma >= tol.rank_cutoff(top, stacked.shape)))
+    x_star = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / sigma[:rank])
+    min_value = _smoothing_minimum(stacked, target, x_star, u[:, :rank], sigma)
+    argmin = Coset.of(x_star, Subspace(_phase_canonical(vh[rank:].conj().T), validate=False))
     return SmoothingSolution(argmin_set=argmin, min_value=min_value)
+
+
+def _smoothing_minimum(
+    stacked: np.ndarray,
+    target: np.ndarray,
+    x_star: np.ndarray,
+    pairs: np.ndarray,
+    sigma: np.ndarray,
+) -> float:
+    """The objective ||S x* - target|| at the candidate minimizer, checked.
+
+    ``pairs`` is an orthonormal basis of the range pairs ran S, of which the
+    singular values ``sigma`` of S kept the first ``pairs.shape[1]``.  x* must
+    be stationary, S*(S x* - target) = 0, and the paper's projection of the
+    target onto the range pairs must leave the same distance.  Both hold up
+    to the rounding of a least-squares solve, eps ||S|| (||S|| ||x*|| +
+    ||target||) times a dimension factor; stationarity also allows what the
+    rank cut declared zero, the largest dropped singular value times
+    ||target||.  The bound has no condition-number factor.
+    """
+    rank = pairs.shape[1]
+    top = float(sigma[0]) if sigma.size else 0.0
+    dropped = float(sigma[rank]) if rank < sigma.size else 0.0
+    norm_target = float(np.linalg.norm(target))
+    rounding = BACKWARD_ERROR_FACTOR * max(stacked.shape) * np.finfo(float).eps
+    slack = rounding * (top * float(np.linalg.norm(x_star)) + norm_target)
+    residual = stacked @ x_star - target
+    if np.linalg.norm(stacked.conj().T @ residual) > top * slack + dropped * norm_target:
+        raise ConsistencyError("smoothing minimizer is not stationary")
+    min_value = float(np.linalg.norm(residual))
+    via_projection = float(np.linalg.norm(target - pairs @ (pairs.conj().T @ target)))
+    if abs(via_projection - min_value) > slack:
+        raise ConsistencyError(
+            "projection of the target onto the range pairs reaches a different minimum"
+        )
+    return min_value
 
 
 def projection_m(T: np.ndarray, V: np.ndarray, tol: Tolerance | None = None) -> ProjectionBlocks:
     """Blocks of the orthogonal projector onto the range pairs {(Tx, Vx)}.
 
-    Each block has the form (row) (T*T + V*V)^+ (column)*; the assembled
-    matrix is idempotent, selfadjoint and has the stacked column space of
-    (T; V) as its range.
+    The projector is Q Q* for an orthonormal basis Q of the stacked column
+    space of (T; V), rank decided by the tolerance; its blocks are the
+    row-block products of Q with itself, so the assembled matrix is
+    idempotent and selfadjoint with that column space as its range.
     """
     T = np.asarray(T, dtype=complex)
     V = np.asarray(V, dtype=complex)
     if T.ndim != 2 or V.ndim != 2 or T.shape[1] != V.shape[1]:
         raise ValueError("T and V must be matrices with a common domain")
-    core = np.linalg.pinv(T.conj().T @ T + V.conj().T @ V)
+    q = orthonormalize(np.vstack([T, V]), tol).basis
+    q_t, q_v = q[: T.shape[0]], q[T.shape[0] :]
     return ProjectionBlocks(
-        tt=T @ core @ T.conj().T,
-        tv=T @ core @ V.conj().T,
-        vt=V @ core @ T.conj().T,
-        vv=V @ core @ V.conj().T,
+        tt=q_t @ q_t.conj().T,
+        tv=q_t @ q_v.conj().T,
+        vt=q_v @ q_t.conj().T,
+        vv=q_v @ q_v.conj().T,
     )

@@ -64,6 +64,8 @@ class Weight:
             raise ValueError("weight must be a square matrix")
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("weight matrix must be finite")
         n = mat.shape[0]
         scale = max(1.0, float(np.linalg.norm(mat)))
         thresh = DEFAULT_WEIGHT_TOL.residual(scale, n) * 10

@@ -1,5 +1,6 @@
 """Command-line front end: parsing, golden reports, determinism, exit codes."""
 
+import dataclasses
 import io
 import json
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relcalc import ProblemFormatError, Tolerance
+import relcalc.cli
+from relcalc import ProblemFormatError, Tolerance, scale
 from relcalc.cli import COMMANDS, dispatch, emit, main, parse
 
 DATA = Path(__file__).parent / "data"
@@ -155,6 +157,86 @@ class TestCanonicalReports:
             assert np.copysign(1.0, x) == 1.0 or x != 0.0  # no -0.0
             assert x == float(f"{x:.12e}")  # at most 13 significant digits
         assert report["diagnostics"]["tolerance"]["abs_eps"] == abs_eps
+
+
+# a complementable psd instance, so complementable --verify sees the
+# assembled block form, which the fixture (not complementable) lacks
+PSD_COMPLEMENTABLE = {
+    "version": 1,
+    "matrices": {
+        "W": [[[2, 0], [1, 0], [0, 0]], [[1, 0], [2, 0], [1, 0]], [[0, 0], [1, 0], [2, 0]]]
+    },
+    "subspaces": {"S": {"ambient": 3, "span": [[[1, 0], [1, 0], [0, 0]]]}},
+    "weights": {"W": {"matrix": "W", "kind": "psd"}},
+    "problem": {"weight": "W", "subspace": "S"},
+}
+
+
+@pytest.fixture
+def rank_cutoffs(monkeypatch):
+    """A list that grows by one per library rank decision."""
+    calls = []
+    cutoff = Tolerance.rank_cutoff
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return cutoff(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tolerance, "rank_cutoff", counting)
+    return calls
+
+
+class TestVerifyOwnership:
+    """--verify reads only independent oracles: the library has run its own
+    second route already, and an oracle makes no library rank decision."""
+
+    @pytest.mark.parametrize(
+        "command,fixture", GOLDEN_CASES + [("complementable", "psd-complementable")]
+    )
+    def test_verify_adds_no_rank_decisions(self, rank_cutoffs, tmp_path, command, fixture):
+        if fixture == "psd-complementable":
+            path = _write_problem(tmp_path, PSD_COMPLEMENTABLE)
+        else:
+            path = DATA / fixture
+        counts = []
+        for verify in (False, True):
+            pf = parse(path)
+            rank_cutoffs.clear()
+            dispatch(command, pf, Tolerance(), verify=verify)
+            counts.append(len(rank_cutoffs))
+        assert counts[1] == counts[0] > 0
+
+    @pytest.mark.parametrize(
+        "command,name,wrong",
+        [
+            ("shorted", "shorted", lambda right: lambda w, s, tol: right(w, s, tol) + 1e-2),
+            (
+                "complementable",
+                "complementability",
+                lambda right: lambda w, s, tol: dataclasses.replace(
+                    right(w, s, tol), is_complementable=not right(w, s, tol).is_complementable
+                ),
+            ),
+            (
+                "w1w2-solve",
+                "w1w2_solve",
+                lambda right: lambda *args: right(*args).translate(np.full(2, 1e-2)),
+            ),
+            (
+                "proj-represent",
+                "assemble_representation",
+                lambda right: lambda m, n, tol: dataclasses.replace(
+                    right(m, n, tol), b=scale(right(m, n, tol).b, 2.0)
+                ),
+            ),
+        ],
+    )
+    def test_wrong_library_result_shows_in_delta(self, monkeypatch, command, name, wrong):
+        pf = parse(DATA / f"{command}.json")
+        assert dispatch(command, pf, Tolerance(), verify=True)["diagnostics"]["oracle_delta"] == 0.0
+        monkeypatch.setattr(relcalc.cli, name, wrong(getattr(relcalc.cli, name)))
+        report = dispatch(command, parse(DATA / f"{command}.json"), Tolerance(), verify=True)
+        assert report["diagnostics"]["oracle_delta"] >= 1e-3
 
 
 class TestExitCodes:

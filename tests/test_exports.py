@@ -1,6 +1,12 @@
-"""The package's export list: a deleted function must leave no stale name."""
+"""The package's export list and import graph: a deleted function must leave
+no stale name, and the library never calls the oracles it is checked against."""
+
+import ast
+from pathlib import Path
 
 import relcalc
+
+PACKAGE = Path(relcalc.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -10,3 +16,26 @@ def test_every_exported_name_resolves():
 
 def test_export_list_has_no_duplicates():
     assert len(relcalc.__all__) == len(set(relcalc.__all__))
+
+
+def _imports_oracles(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "oracles":
+                return True
+            if any(alias.name == "oracles" for alias in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[-1] == "oracles" for alias in node.names):
+                return True
+    return False
+
+
+def test_only_the_cli_imports_the_oracles():
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if _imports_oracles(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert importers == ["cli.py"]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import relcalc.mvproj
 from relcalc import (
+    ConsistencyError,
     NotRepresentableError,
     adjoint,
     apply,
@@ -26,12 +28,15 @@ from relcalc import (
     relation_contains,
     relation_equals,
     representable,
+    scale,
     subspace_complement,
     subspace_equals,
     subspace_intersect,
     subspace_sum,
     zero_space,
 )
+
+from relcalc import oracles
 
 from genutil import (
     cmat,
@@ -253,6 +258,28 @@ class TestAssembleRepresentation:
         m, k = random_subspace(rng, n), random_subspace(rng, n)
         rep = assemble_representation(m, k)
         assert relation_equals(rep.generate(), make_pmn(m, k))
+
+    def test_matches_the_cylinder_oracle(self):
+        # the route behind proj-represent --verify: the blocks regenerated by
+        # cylinder intersections against the raw graph span{(m, m), (k, 0)}
+        rng = np.random.default_rng(2550)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            m, k = random_subspace(rng, n), random_subspace(rng, n)
+            rep = assemble_representation(m, k)
+            blocks = [block.graph.basis for block in (rep.a, rep.b, rep.c, rep.d)]
+            regenerated = oracles.block_graph_by_cylinders(*blocks, n, 1e-10)
+            direct = oracles.pmn_graph(m.basis, k.basis, 1e-10)
+            gap = regenerated @ regenerated.conj().T - direct @ direct.conj().T
+            assert np.linalg.norm(gap) < 1e-9
+
+    def test_wrong_coefficient_raises(self, monkeypatch):
+        right = relcalc.mvproj.coefficient_x
+        monkeypatch.setattr(
+            relcalc.mvproj, "coefficient_x", lambda m, n, tol=None: scale(right(m, n, tol), 2.0)
+        )
+        with pytest.raises(ConsistencyError, match="regenerate"):
+            assemble_representation(E1, DIAG)
 
 
 class TestBuildSuper:

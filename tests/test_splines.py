@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from relcalc import (
+    ConsistencyError,
     SmoothingProblem,
     SplineProblem,
+    Tolerance,
     compose,
     graph_of_matrix,
     invert,
@@ -16,7 +18,7 @@ from relcalc import (
     spline_solve,
     subspace_equals,
 )
-from relcalc import oracles
+from relcalc import oracles, splines
 
 from genutil import cmat, cvec
 
@@ -53,6 +55,19 @@ class TestSplineSolve:
     def test_rejects_non_surjective_constraint(self):
         with pytest.raises(ValueError):
             SplineProblem(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 2.0]))
+
+    def test_surjectivity_uses_the_library_cutoff(self):
+        # a singular value of 1e-11 is under the 1e-10 rank cutoff, though
+        # numpy's own matrix_rank keeps it
+        with pytest.raises(ValueError, match="surjective"):
+            SplineProblem(np.eye(2), np.diag([1.0, 1e-11]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("where", ["T", "V", "b"])
+    def test_rejects_non_finite(self, where):
+        data = {"T": np.eye(2), "V": np.array([[1.0, 0.0]]), "b": np.array([1.0])}
+        data[where] = np.where(data[where] == 1.0, np.nan, data[where])
+        with pytest.raises(ValueError, match="finite"):
+            SplineProblem(data["T"], data["V"], data["b"])
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_constrained_least_squares_oracle(self, seed):
@@ -133,7 +148,40 @@ class TestSmoothSolve:
         assert abs(direct - sol.min_value) < 1e-10
 
 
+    def test_gaussian_family_raises_nothing(self):
+        # T 3 x 7, V 4 x 7, rho = 0.1: the pinv cross-check at the absolute
+        # tolerance raised on 129 of these 3000 (smallest singular value of
+        # the stacked map down to 3.5e-8)
+        rng = np.random.default_rng(601)
+        for _ in range(3000):
+            T, V = rng.standard_normal((3, 7)), rng.standard_normal((4, 7))
+            b = rng.standard_normal(4)
+            smooth_solve(SmoothingProblem(SplineProblem(T, V, b), 0.1))
+
+    def test_mutated_minimizer_is_not_stationary(self):
+        rng = np.random.default_rng(602)
+        T, V, b = rng.standard_normal((3, 7)), rng.standard_normal((4, 7)), rng.standard_normal(4)
+        stacked = np.vstack([T, V])
+        target = np.concatenate([np.zeros(3), b])
+        u, sigma, vh = np.linalg.svd(stacked, full_matrices=True)
+        x_star = np.linalg.pinv(stacked) @ target
+        pairs = u[:, : sigma.size]
+        sol = smooth_solve(SmoothingProblem(SplineProblem(T, V, b), 1.0))
+        check = splines._smoothing_minimum
+        assert abs(check(stacked, target, x_star, pairs, sigma) - sol.min_value) < 1e-12
+        # the stacked map is 7 x 7 and invertible, so the argmin set is {x*}
+        shifted = x_star + 1e-6 * np.linalg.norm(x_star) * vh[0].conj()
+        with pytest.raises(ConsistencyError, match="stationary"):
+            check(stacked, target, shifted, pairs, sigma)
+
+
 class TestProjectionBlocks:
+    def test_rank_follows_the_tolerance(self):
+        # the singular value 1e-7 is cut at abs_eps 1e-6 and kept by default
+        T, V = np.diag([1.0, 1e-7]), np.zeros((1, 2))
+        assert np.allclose(projection_m(T, V).tt, np.eye(2))
+        assert np.allclose(projection_m(T, V, Tolerance(abs_eps=1e-6)).tt, np.diag([1.0, 0.0]))
+
     def test_trivial_second_map(self):
         blocks = projection_m(np.eye(2), np.zeros((1, 2)))
         assert np.allclose(blocks.tt, np.eye(2))

@@ -67,6 +67,11 @@ class TestWeightValidation:
     def test_clean_psd_not_flagged(self):
         assert not Weight(np.eye(2), "psd").borderline
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Weight(np.array([[1.0, 0.0], [0.0, bad]]), "psd")
+
 
 class TestCompanion:
     def test_identity_weight_gives_complement(self):
@@ -204,7 +209,46 @@ class TestComplementability:
             assert parts(adjoint(p)).mul.dim == 0
 
 
+class TestComplementabilityAgainstSpan:
+    def test_matches_the_span_oracle(self):
+        # the oracle behind complementable --verify: complementable iff
+        # S + {x : S* W x = 0} is everything, with that sum as the domain
+        rng = np.random.default_rng(3600)
+        flags = []
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                w = random_psd(rng, n)
+            elif kind == 1:
+                w = random_selfadjoint(rng, n)
+            else:
+                w = random_symmetry(rng, n)
+            indefinite = 0 < np.count_nonzero(np.linalg.eigvalsh(w) > 0) < n
+            if kind == 2 and indefinite and rng.random() < 0.7:
+                s = degenerate_subspace(rng, w)
+            else:
+                s = random_subspace(rng, n)
+            report = complementability(Weight(w), s)
+            flag, domain = oracles.complementable_by_span(w, s.basis, 1e-10)
+            assert flag == report.is_complementable
+            assert np.linalg.norm(report.domain.projector() - domain @ domain.conj().T) < 1e-9
+            flags.append(flag)
+        assert 50 <= flags.count(False) <= 350
+
+
 class TestShorted:
+    def test_matches_the_root_oracle(self):
+        # Anderson's W^(1/2) (I - Q Q*) W^(1/2), the oracle behind
+        # shorted --verify, on psd weights that are singular half the time
+        rng = np.random.default_rng(3700)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            w = Weight(random_psd(rng, n), "psd")
+            s = random_subspace(rng, n)
+            gap = np.linalg.norm(shorted(w, s) - oracles.shorted_by_root(w.matrix, s.basis, 1e-10))
+            assert gap <= 1e-9 * max(1.0, np.linalg.norm(w.matrix))
+
     def test_identity_weight_gives_projector(self):
         got = shorted(Weight(np.eye(3), "psd"), orthonormalize(np.eye(3)[:, :2]))
         expected = np.diag([1.0, 1.0, 0.0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, NoSolutionError
-from .subspaces import Coset, Subspace, Tolerance, _as_vector, _tol, null_space, subspace_equals
+from .subspaces import Coset, Subspace, Tolerance, _as_vector, null_space, subspace_equals
 from .relations import (
     LinearRelation,
     adjoint,
@@ -75,7 +75,6 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     set is the inverse image of that coset, which must coincide with
     witness + A^{-1}(ker W).
     """
-    tol_ = _tol(tol)
     ran_a = parts(p.A, tol).ran
     proj = make_pws(p.W, ran_a, tol)
     outputs = apply(proj, p.b, tol)
@@ -88,17 +87,18 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
             solution_set=Coset.empty(n),
             minimizing_outputs=Coset.empty(n),
         )
-    w_half = psd_sqrt(p.W.matrix)
+    w_half = psd_sqrt(p.W.matrix, tol)
     min_value = _seminorm(w_half, outputs.point - p.b)
     if outputs.direction.dim:
         second = outputs.point + outputs.direction.basis[:, 0]
         other = _seminorm(w_half, second - p.b)
         if abs(other - min_value) > 1e-8 * (1.0 + min_value):
             raise ConsistencyError("minimum value varies across coset representatives")
-    solution_set = apply_to_coset(invert(p.A), outputs, tol)
+    inverse = invert(p.A)  # shares the parts of A computed above
+    solution_set = apply_to_coset(inverse, outputs, tol)
     if solution_set.is_empty:
         raise ConsistencyError("minimizing outputs fell outside ran A")
-    structural = image(invert(p.A), null_space(p.W.matrix, tol), tol)
+    structural = image(inverse, null_space(p.W.matrix, tol), tol)
     if not subspace_equals(solution_set.direction, structural, tol):
         raise ConsistencyError(
             "solution set directions differ from the inverse image of ker W"

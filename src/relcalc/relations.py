@@ -41,7 +41,7 @@ class LinearRelation:
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.graph = graph
-        self._parts: dict[Tolerance, RelationParts] = {}
+        self._parts: dict[Tolerance, _FactoredParts] = {}
 
     @property
     def in_block(self) -> np.ndarray:
@@ -89,13 +89,73 @@ class Restriction(NamedTuple):
     image: Subspace
 
 
-def _compute_parts(T: LinearRelation, tol: Tolerance) -> RelationParts:
+class _Factors(NamedTuple):
+    """The kept singular triplets of a graph block: block ~ u @ diag(s) @ vh."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+
+class _FactoredParts(NamedTuple):
+    """One cache entry of ``LinearRelation._parts``: the four parts and the
+    kept singular triplets of the input and output blocks they came from."""
+
+    parts: RelationParts
+    in_factors: _Factors
+    out_factors: _Factors
+
+    def swapped(self) -> "_FactoredParts":
+        """The entry of the inverse relation: dom<->ran, ker<->mul, F<->H."""
+        dom, ran, ker, mul = self.parts
+        return _FactoredParts(RelationParts(ran, dom, mul, ker), self.out_factors, self.in_factors)
+
+
+def _factor_block(block: np.ndarray, tol: Tolerance) -> tuple[_Factors, np.ndarray]:
+    """One full SVD of a graph block, cut at the tolerance's rank cutoff: the
+    kept triplets (compact copies) and the dropped right singular vectors,
+    the graph coordinates of the block's null space."""
+    q, k = block.shape
+    if q == 0 or k == 0:
+        empty = _Factors(np.zeros((q, 0), dtype=complex), np.zeros(0), np.zeros((0, k), dtype=complex))
+        return empty, np.eye(k, dtype=complex)
+    u, s, vh = np.linalg.svd(block, full_matrices=True)
+    rank = int(np.count_nonzero(s >= tol.rank_cutoff(float(s[0]), block.shape)))
+    kept = _Factors(u[:, :rank].copy(), s[:rank].copy(), vh[:rank].copy())
+    return kept, vh[rank:].conj().T
+
+
+# far below the 1e-8 a validated basis may be off, and above the rounding of
+# a product of orthonormal factors (under 1e-14 at n = 200)
+_ORTHONORMAL_GRAM_GAP = 1e-13
+
+
+def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subspace:
+    """The span of block @ coords, for coords an orthonormal basis of the
+    other graph block's null space.
+
+    The graph basis gives F*F + H*H = I, so these columns are orthonormal up
+    to the squares of the dropped singular values and need only a canonical
+    phase.  A graph basis accepted with a looser Gram matrix (``Subspace``
+    validates at 1e-8), or a cutoff coarse enough to show, is
+    re-orthonormalized under the same rank cutoff instead.
+    """
+    vecs = block @ coords
+    gram_gap = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max(initial=0.0)
+    if gram_gap > _ORTHONORMAL_GRAM_GAP:
+        return orthonormalize(vecs, tol, ambient_dim=block.shape[0])
+    return Subspace(_phase_canonical(vecs), validate=False)
+
+
+def _compute_parts(T: LinearRelation, tol: Tolerance) -> _FactoredParts:
     F, H = T.in_block, T.out_block
-    dom = orthonormalize(F, tol, ambient_dim=T.dim_in)
-    ran = orthonormalize(H, tol, ambient_dim=T.dim_out)
-    ker = orthonormalize(F @ null_space(H, tol).basis, tol, ambient_dim=T.dim_in)
-    mul = orthonormalize(H @ null_space(F, tol).basis, tol, ambient_dim=T.dim_out)
-    return RelationParts(dom, ran, ker, mul)
+    f, null_f = _factor_block(F, tol)
+    h, null_h = _factor_block(H, tol)
+    dom = Subspace(_phase_canonical(f.u), validate=False)
+    ran = Subspace(_phase_canonical(h.u), validate=False)
+    ker = _block_image(F, null_h, tol)
+    mul = _block_image(H, null_f, tol)
+    return _FactoredParts(RelationParts(dom, ran, ker, mul), f, h)
 
 
 def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
@@ -103,15 +163,17 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
 
     With the graph basis split into its input block F and output block H,
     dom and ran are the column spans of F and H, ker is F applied to the null
-    space of H, and mul is H applied to the null space of F.  The four parts
-    are cached on the relation per tolerance value; ``None`` and
-    ``Tolerance()`` share one entry.
+    space of H, and mul is H applied to the null space of F.  One full SVD of
+    each block gives both its span (kept left singular vectors) and its null
+    space (dropped right singular vectors): two SVDs in all.  The parts are
+    cached on the relation per tolerance value, with the kept singular
+    triplets for ``apply``; ``None`` and ``Tolerance()`` share one entry.
     """
     tol = _tol(tol)
     cached = T._parts.get(tol)
     if cached is None:
         cached = T._parts[tol] = _compute_parts(T, tol)
-    return cached
+    return cached.parts
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +225,15 @@ def product_of_subspaces(m: Subspace, n: Subspace) -> LinearRelation:
 
 
 def invert(T: LinearRelation) -> LinearRelation:
-    """{(y, x) : (x, y) in T}; dom and ran, ker and mul swap roles."""
+    """{(y, x) : (x, y) in T}; dom and ran, ker and mul swap roles.
+
+    The inverse starts with T's cached parts, swapped, so it makes no SVD of
+    its own for a tolerance T has already been analyzed at.
+    """
     swapped = np.vstack([T.out_block, T.in_block])
-    return LinearRelation(T.dim_out, T.dim_in, Subspace(swapped, validate=False))
+    inverse = LinearRelation(T.dim_out, T.dim_in, Subspace(swapped, validate=False))
+    inverse._parts.update((tol, entry.swapped()) for tol, entry in T._parts.items())
+    return inverse
 
 
 def adjoint(T: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
@@ -268,16 +336,19 @@ def image(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Subsp
 
 
 def apply(T: LinearRelation, x: np.ndarray, tol: Tolerance | None = None) -> Coset:
-    """The value T x = y + mul T, or the empty coset when x is outside dom T."""
+    """The value T x = y + mul T, or the empty coset when x is outside dom T.
+
+    The graph coefficients of x are V_r S_r^-1 U_r* x, from the input block's
+    kept singular triplets (U_r, S_r, V_r) that ``parts`` cut at the
+    tolerance.
+    """
     x = _as_vector(x, T.dim_in, "input vector")
     p = parts(T, tol)
     if not p.dom.contains_vector(x, tol):
         return Coset.empty(T.dim_out)
-    F, H = T.in_block, T.out_block
-    if F.shape[1] == 0:
-        return Coset.of(np.zeros(T.dim_out, dtype=complex), p.mul)
-    coeff, *_ = np.linalg.lstsq(F, x, rcond=None)
-    return Coset.of(H @ coeff, p.mul)
+    f = T._parts[_tol(tol)].in_factors
+    coeff = f.vh.conj().T @ ((f.u.conj().T @ x) / f.s)
+    return Coset.of(T.out_block @ coeff, p.mul)
 
 
 def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) -> Coset:

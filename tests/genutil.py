@@ -82,6 +82,34 @@ def relation_with_ker_and_mul(rng, n, m, tilt=1e-6):
     return LinearRelation(n, m, graph)
 
 
+def relation_near_output_axis(rng, n, m, tilt):
+    """Random pairs plus one pair (tilt * x, y) at a principal angle of about
+    ``tilt`` from the output axis.  The random pairs are orthogonal to x in
+    their inputs and to y in their outputs, so the input block's singular
+    value along x is tilt / sqrt(1 + tilt^2): y lies in mul T exactly when
+    tilt falls under the rank cutoff."""
+    d0 = int(rng.integers(0, min(n, m)))
+    x, y = cvec(rng, n), cvec(rng, m)
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+    pairs = cmat(rng, n + m, d0)
+    pairs[:n] -= np.outer(x, x.conj() @ pairs[:n])
+    pairs[n:] -= np.outer(y, y.conj() @ pairs[n:])
+    near = np.concatenate([tilt * x, y])[:, None]
+    graph = orthonormalize(np.hstack([pairs, near]), ambient_dim=n + m)
+    return LinearRelation(n, m, graph)
+
+
+def loosely_orthonormal_relation(rng, n, m, gram_gap=1e-9):
+    """``relation_with_ker_and_mul`` with its graph basis moved off
+    orthonormal within its span, by about ``gram_gap`` in the Gram matrix,
+    and accepted by ``Subspace(validate=True)``, which allows up to 1e-8."""
+    basis = relation_with_ker_and_mul(rng, n, m, tilt=1.0).graph.basis
+    k = basis.shape[1]
+    h = random_selfadjoint(rng, k)
+    loose = basis @ (np.eye(k) + gram_gap / 2 * h / np.abs(h).max())
+    return LinearRelation(n, m, Subspace(loose, validate=True))
+
+
 def random_psd(rng, n, force_singular=None):
     """Random psd matrix with well-separated spectrum; singular half the time."""
     if force_singular is None:

@@ -6,6 +6,7 @@ import pytest
 from relcalc import (
     Coset,
     DimensionMismatchError,
+    LinearRelation,
     Tolerance,
     adjoint,
     apply,
@@ -43,9 +44,11 @@ from relcalc import oracles
 from genutil import (
     cmat,
     cvec,
+    loosely_orthonormal_relation,
     projector_dist,
     random_relation,
     random_subspace,
+    relation_near_output_axis,
     relation_with_ker_and_mul,
 )
 
@@ -117,6 +120,73 @@ class TestParts:
         assert coarse is parts(t, Tolerance(abs_eps=1e-3)) and coarse is not parts(t)
         # at 1e-3 the tilted pair counts as a kernel direction
         assert coarse.ker.dim == parts(t).ker.dim + 1
+
+
+def _sizes(rng):
+    return int(rng.integers(1, 6)), int(rng.integers(1, 6))
+
+
+def _edge_relation(family, rng):
+    n, m = _sizes(rng)
+    if family == "empty input":
+        return LinearRelation(0, m, random_subspace(rng, m))
+    if family == "empty output":
+        return LinearRelation(n, 0, random_subspace(rng, n))
+    if family == "zero graph":
+        return LinearRelation(n, m, zero_space(n + m))
+    if family == "whole space":
+        return LinearRelation(n, m, full_space(n + m))
+    if family == "1e-11 off the output axis":
+        return relation_near_output_axis(rng, n, m, 1e-11)
+    if family == "1e-9 off the output axis":
+        return relation_near_output_axis(rng, n, m, 1e-9)
+    return loosely_orthonormal_relation(rng, n + 1, m + 1)
+
+
+class TestPartsEdgeShapes:
+    """parts on empty blocks, trivial graphs, pairs just under and just over
+    the rank cutoff from the output axis (abs_eps = 1e-10), and a graph basis
+    whose Gram matrix is about 1e-9 off: each relation plain, inverted after
+    its parts are cached, and inverted twice, against the raw-numpy
+    graph-and-axis route."""
+
+    FAMILIES = [
+        "empty input",
+        "empty output",
+        "zero graph",
+        "whole space",
+        "1e-11 off the output axis",
+        "1e-9 off the output axis",
+        "Gram matrix 1e-9 off",
+    ]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_against_the_axes_oracle(self, family):
+        rng = np.random.default_rng(2200 + self.FAMILIES.index(family))
+        worst = 0.0
+        for _ in range(60):
+            t = _edge_relation(family, rng)
+            parts(t)
+            for form in (t, invert(t), invert(invert(t))):
+                p = parts(form)
+                ker, mul = oracles.kernel_and_mul_via_axes(form.graph.basis, form.dim_in)
+                assert (p.ker.dim, p.mul.dim) == (ker.shape[1], mul.shape[1])
+                assert form.graph.dim == p.dom.dim + p.mul.dim == p.ran.dim + p.ker.dim
+                worst = max(worst, _basis_dist(p.ker.basis, ker), _basis_dist(p.mul.basis, mul))
+        assert worst <= 1e-9
+
+    def test_near_axis_pair_is_decided_at_the_cutoff(self):
+        rng = np.random.default_rng(2210)
+        under = relation_near_output_axis(rng, 3, 4, 1e-11)
+        over = relation_near_output_axis(rng, 3, 4, 1e-9)
+        assert parts(under).mul.dim == 1 and parts(over).mul.dim == 0
+        assert parts(invert(under)).ker.dim == 1 and parts(invert(over)).ker.dim == 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_loose_graph_parts_are_orthonormal(self, seed):
+        t = loosely_orthonormal_relation(np.random.default_rng(2220 + seed), 4, 3)
+        for s in parts(t):
+            assert np.allclose(s.basis.conj().T @ s.basis, np.eye(s.dim), atol=1e-13)
 
 
 class TestInvert:
@@ -294,6 +364,24 @@ class TestApply:
         pair = np.concatenate([x, c.point])
         resid = pair - t.graph.project(pair)
         assert np.linalg.norm(resid) < 1e-9 * max(1.0, np.linalg.norm(pair))
+
+    @pytest.mark.parametrize("tilt", [1e-11, 1e-9])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_value_near_the_output_axis(self, tilt, seed):
+        # under the cutoff the near pair's input is outside dom T; over it,
+        # a value is 1 / tilt large and must still lie on the graph
+        rng = np.random.default_rng(1120 + seed)
+        t = relation_near_output_axis(rng, *_sizes(rng), tilt)
+        for form in (t, invert(t)):
+            p = parts(form)
+            x = p.dom.basis @ cvec(rng, p.dom.dim)
+            c = apply(form, x)
+            pair = np.concatenate([x, c.point])
+            assert np.linalg.norm(pair - form.graph.project(pair)) <= 1e-12 * np.linalg.norm(pair)
+            assert c.direction is p.mul
+            if p.dom.dim < form.dim_in:
+                off = cvec(rng, form.dim_in)
+                assert apply(form, off - p.dom.project(off)).is_empty
 
 
 class TestApplyToCoset:

@@ -20,8 +20,8 @@ diag = orthonormalize([np.array([1.0, 1.0])])
 
 # the W-orthogonal companion replaces the orthogonal complement
 w = Weight(np.array([[1.0, 1.0], [1.0, 1.0]]), "psd")
-print("companion of e1 under a rank-one weight:",
-      np.round(w_companion(e1, w).basis.ravel(), 6))
+print("projector onto the companion of e1 under a rank-one weight:\n",
+      np.round(w_companion(e1, w).projector().real, 6))
 
 # the weighted projection may be multivalued and partially defined
 w_sing = Weight(np.diag([1.0, 0.0]), "psd")

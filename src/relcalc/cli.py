@@ -298,7 +298,7 @@ def _ser_complex(a: np.ndarray) -> np.ndarray:
 
 
 def _ser_subspace(s: Subspace) -> dict:
-    return {"ambient": s.ambient_dim, "dim": s.dim, "basis": _ser_complex(s.basis.T)}
+    return {"ambient": s.ambient_dim, "dim": s.dim, "basis": _ser_complex(_phase_canonical(s.basis).T)}
 
 
 def _ser_coset(c: Coset) -> dict:
@@ -445,7 +445,7 @@ def _cmd_smooth(pf, tol, verify):
     }
     diag = {}
     if verify:
-        x_check = oracles.smoothing_normal_equations(T, V, b, pf.rho)
+        x_check = oracles.smoothing_stacked_lstsq(T, V, b, pf.rho)
         value = float(
             np.sqrt(
                 np.linalg.norm(T @ x_check) ** 2
@@ -572,6 +572,22 @@ def _canonical_numbers(a: np.ndarray, eps: float) -> np.ndarray:
     with np.errstate(over="ignore"):  # in the branch np.where discards
         out[keep] = np.where(places >= 0, np.rint(v * scale) / scale, np.rint(v / scale) * scale)
     return out + 0.0  # adding +0.0 turns -0.0 into 0.0
+
+
+def _phase_canonical(basis: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first significant entry is real and positive.
+
+    A basis's column phases are not part of the subspace, and the library
+    leaves them as its SVDs return them; a report fixes them, so that its
+    bytes do not depend on the phases an SVD happens to pick.
+    """
+    if basis.shape[1] == 0:
+        return basis
+    mags = np.abs(basis)
+    significant = mags > 1e-6 * mags.max(axis=0, keepdims=True)
+    lead = significant.argmax(axis=0)  # first True per column
+    pivots = basis[lead, np.arange(basis.shape[1])]
+    return basis * (pivots.conj() / np.abs(pivots))
 
 
 def emit(report: dict, fmt: str = "json") -> bytes:

@@ -221,8 +221,11 @@ def spline_kkt(T: np.ndarray, V: np.ndarray, b: np.ndarray) -> tuple[float, np.n
     return float(np.linalg.norm(T @ minimizer)), minimizer, flat
 
 
-def smoothing_normal_equations(T: np.ndarray, V: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
-    """Stationarity solve (T*T + rho V*V) x = rho V* b via pseudoinverse."""
-    lhs = T.conj().T @ T + rho * (V.conj().T @ V)
-    rhs = rho * (V.conj().T @ b)
-    return np.linalg.pinv(lhs) @ rhs
+def smoothing_stacked_lstsq(T: np.ndarray, V: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """A minimizer of ||T x||^2 + rho ||V x - b||^2: numpy's least-squares
+    solve of [T; sqrt(rho) V] x = (0, sqrt(rho) b), which works on the
+    stacked map itself and does not square its condition number."""
+    stacked = np.vstack([T, np.sqrt(rho) * V])
+    target = np.concatenate([np.zeros(T.shape[0], dtype=complex), np.sqrt(rho) * b])
+    x, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+    return x

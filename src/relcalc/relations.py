@@ -18,7 +18,6 @@ from .subspaces import (
     Subspace,
     Tolerance,
     _as_vector,
-    _phase_canonical,
     _tol,
     matrix_preimage,
     null_space,
@@ -120,7 +119,7 @@ def _factor_block(block: np.ndarray, tol: Tolerance) -> tuple[_Factors, np.ndarr
         empty = _Factors(np.zeros((q, 0), dtype=complex), np.zeros(0), np.zeros((0, k), dtype=complex))
         return empty, np.eye(k, dtype=complex)
     u, s, vh = np.linalg.svd(block, full_matrices=True)
-    rank = int(np.count_nonzero(s >= tol.rank_cutoff(float(s[0]), block.shape)))
+    rank = tol.rank(s, block.shape)
     kept = _Factors(u[:, :rank].copy(), s[:rank].copy(), vh[:rank].copy())
     return kept, vh[rank:].conj().T
 
@@ -135,24 +134,24 @@ def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subsp
     other graph block's null space.
 
     The graph basis gives F*F + H*H = I, so these columns are orthonormal up
-    to the squares of the dropped singular values and need only a canonical
-    phase.  A graph basis accepted with a looser Gram matrix (``Subspace``
-    validates at 1e-8), or a cutoff coarse enough to show, is
-    re-orthonormalized under the same rank cutoff instead.
+    to the squares of the dropped singular values.  A graph basis accepted
+    with a looser Gram matrix (``Subspace`` validates at 1e-8), or a cutoff
+    coarse enough to show, is re-orthonormalized under the same rank cutoff
+    instead.
     """
     vecs = block @ coords
     gram_gap = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max(initial=0.0)
     if gram_gap > _ORTHONORMAL_GRAM_GAP:
         return orthonormalize(vecs, tol, ambient_dim=block.shape[0])
-    return Subspace(_phase_canonical(vecs), validate=False)
+    return Subspace(vecs, validate=False)
 
 
 def _compute_parts(T: LinearRelation, tol: Tolerance) -> _FactoredParts:
     F, H = T.in_block, T.out_block
     f, null_f = _factor_block(F, tol)
     h, null_h = _factor_block(H, tol)
-    dom = Subspace(_phase_canonical(f.u), validate=False)
-    ran = Subspace(_phase_canonical(h.u), validate=False)
+    dom = Subspace(f.u, validate=False)
+    ran = Subspace(h.u, validate=False)
     ker = _block_image(F, null_h, tol)
     mul = _block_image(H, null_f, tol)
     return _FactoredParts(RelationParts(dom, ran, ker, mul), f, h)
@@ -318,14 +317,14 @@ def restrict(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Re
 
     The graph coordinates a with F a in M form the preimage of M under the
     input block F; the graph basis times an orthonormal basis of them is
-    already orthonormal, so only the column phases are fixed afterwards.
+    already orthonormal.
     """
     if m.ambient_dim != T.dim_in:
         raise DimensionMismatchError(
             f"restriction subspace ambient {m.ambient_dim} != dim_in {T.dim_in}"
         )
     coords = matrix_preimage(T.in_block, m, tol).basis
-    graph = Subspace(_phase_canonical(T.graph.basis @ coords), validate=False)
+    graph = Subspace(T.graph.basis @ coords, validate=False)
     img = orthonormalize(T.out_block @ coords, tol, ambient_dim=T.dim_out)
     return Restriction(LinearRelation(T.dim_in, T.dim_out, graph), img)
 

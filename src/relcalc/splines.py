@@ -17,7 +17,6 @@ from .subspaces import (
     Coset,
     Subspace,
     Tolerance,
-    _phase_canonical,
     _tol,
     null_space,
     orthonormalize,
@@ -152,11 +151,10 @@ def smooth_solve(p: SmoothingProblem, tol: Tolerance | None = None) -> Smoothing
     stacked = np.vstack([T, np.sqrt(rho) * V])
     target = np.concatenate([np.zeros(T.shape[0], dtype=complex), np.sqrt(rho) * b])
     u, sigma, vh = np.linalg.svd(stacked, full_matrices=True)
-    top = float(sigma[0]) if sigma.size else 0.0
-    rank = int(np.count_nonzero(sigma >= tol.rank_cutoff(top, stacked.shape)))
+    rank = tol.rank(sigma, stacked.shape)
     x_star = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / sigma[:rank])
     min_value = _smoothing_minimum(stacked, target, x_star, u[:, :rank], sigma)
-    argmin = Coset.of(x_star, Subspace(_phase_canonical(vh[rank:].conj().T), validate=False))
+    argmin = Coset.of(x_star, Subspace(vh[rank:].conj().T, validate=False))
     return SmoothingSolution(argmin_set=argmin, min_value=min_value)
 
 

@@ -45,6 +45,13 @@ class Tolerance:
     def rank_cutoff(self, sigma_max: float, shape) -> float:
         return self._rel(max(shape)) * sigma_max + self.abs_eps
 
+    def rank(self, sigma: np.ndarray, shape) -> int:
+        """How many of the descending singular values ``sigma`` of a matrix
+        of the given shape survive the rank cut; 0 when there are none."""
+        if sigma.size == 0:
+            return 0
+        return int(np.count_nonzero(sigma >= self.rank_cutoff(float(sigma[0]), shape)))
+
     def residual(self, scale: float, dim: int) -> float:
         """Acceptance threshold for a residual norm at the given data scale."""
         return self._rel(dim) * scale + self.abs_eps
@@ -55,17 +62,6 @@ DEFAULT_TOL = Tolerance()
 
 def _tol(tol: Tolerance | None) -> Tolerance:
     return DEFAULT_TOL if tol is None else tol
-
-
-def _phase_canonical(basis: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real and positive."""
-    if basis.shape[1] == 0:
-        return basis
-    mags = np.abs(basis)
-    significant = mags > 1e-6 * mags.max(axis=0, keepdims=True)
-    lead = significant.argmax(axis=0)  # first True per column
-    pivots = basis[lead, np.arange(basis.shape[1])]
-    return basis * (pivots.conj() / np.abs(pivots))
 
 
 class Subspace:
@@ -171,8 +167,7 @@ def orthonormalize(vectors, tol: Tolerance | None = None, *, ambient_dim: int | 
     if mat.shape[1] == 0 or mat.shape[0] == 0:
         return Subspace(np.zeros((mat.shape[0], 0), dtype=complex), validate=False)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.count_nonzero(s >= tol.rank_cutoff(float(s[0]), mat.shape)))
-    return Subspace(_phase_canonical(u[:, :rank]), validate=False)
+    return Subspace(u[:, : tol.rank(s, mat.shape)], validate=False)
 
 
 def null_space(matrix: np.ndarray, tol: Tolerance | None = None) -> Subspace:
@@ -187,8 +182,7 @@ def null_space(matrix: np.ndarray, tol: Tolerance | None = None) -> Subspace:
     if q == 0:
         return full_space(p)
     _, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    rank = int(np.count_nonzero(s >= tol.rank_cutoff(float(s[0]), matrix.shape))) if s.size else 0
-    return Subspace(_phase_canonical(vh[rank:].conj().T), validate=False)
+    return Subspace(vh[tol.rank(s, matrix.shape) :].conj().T, validate=False)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Subspace:
@@ -213,7 +207,7 @@ def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None)
     singular values, so its null space holds the coordinates (in B) of the
     common directions: a direction is shared when its sine falls under the
     rank cutoff.  B times an orthonormal null-space basis is already
-    orthonormal, so only the column phases are fixed afterwards.
+    orthonormal.
     """
     _check_same_ambient(s1, s2)
     if s1.dim < s2.dim:
@@ -221,7 +215,7 @@ def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None)
     if s2.dim == 0:
         return s2
     coords = matrix_preimage(s2.basis, s1, tol)
-    return Subspace(_phase_canonical(s2.basis @ coords.basis), validate=False)
+    return Subspace(s2.basis @ coords.basis, validate=False)
 
 
 def subspace_contains(outer: Subspace, inner: Subspace, tol: Tolerance | None = None) -> bool:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatchError
 from .subspaces import (
+    DEFAULT_TOL,
     Subspace,
     Tolerance,
     _tol,
@@ -43,8 +44,6 @@ from .mvproj import BlockRep, canonical_blocks, make_pmn
 
 WEIGHT_KINDS = ("selfadjoint", "psd", "symmetry")
 
-DEFAULT_WEIGHT_TOL = Tolerance()
-
 
 @dataclass(frozen=True)
 class Weight:
@@ -68,7 +67,7 @@ class Weight:
             raise ValueError("weight matrix must be finite")
         n = mat.shape[0]
         scale = max(1.0, float(np.linalg.norm(mat)))
-        thresh = DEFAULT_WEIGHT_TOL.residual(scale, n) * 10
+        thresh = DEFAULT_TOL.residual(scale, n) * 10
         if np.linalg.norm(mat - mat.conj().T) > thresh:
             raise ValueError("weight matrix is not selfadjoint")
         mat = (mat + mat.conj().T) / 2
@@ -246,7 +245,7 @@ def krein_classify(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Krei
     regular = nondegenerate and subspace_equals(
         subspace_sum(s, companion, tol), full_space(w.ambient_dim), tol
     )
-    pws = make_pws(w, s, tol)
+    pws = make_pmn(s, companion, tol)
     p = parts(pws, tol)
     via_projection = p.mul.dim == 0 and subspace_equals(
         p.dom, full_space(w.ambient_dim), tol

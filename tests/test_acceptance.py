@@ -406,11 +406,11 @@ def test_criterion_8_two_weights_splines_smoothing():
             ok = False
         failures += not ok
 
-        # smoothing against the stationarity oracle for each rho
+        # smoothing against the stacked least-squares oracle for each rho
         for rho in (0.1, 1.0, 10.0):
             try:
                 smooth = smooth_solve(SmoothingProblem(SplineProblem(T, V, bs), rho))
-                x = oracles.smoothing_normal_equations(T, V, bs, rho)
+                x = oracles.smoothing_stacked_lstsq(T, V, bs, rho)
                 value = float(
                     np.sqrt(
                         np.linalg.norm(T @ x) ** 2

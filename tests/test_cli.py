@@ -136,6 +136,18 @@ def _floats(value):
             yield from _floats(item)
 
 
+def _bases(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "basis":
+                yield item
+            else:
+                yield from _bases(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _bases(item)
+
+
 class TestCanonicalReports:
     @pytest.mark.parametrize(
         "golden", sorted(p.name for p in (DATA / "pre_canonical").glob("*.golden.json"))
@@ -157,6 +169,13 @@ class TestCanonicalReports:
             assert np.copysign(1.0, x) == 1.0 or x != 0.0  # no -0.0
             assert x == float(f"{x:.12e}")  # at most 13 significant digits
         assert report["diagnostics"]["tolerance"]["abs_eps"] == abs_eps
+        # the report writer's phase convention: each basis vector leads
+        # with a real positive entry
+        for basis in _bases(report["result"]):
+            for vector in basis:
+                entries = np.array([re + 1j * im for re, im in vector])
+                lead = entries[np.abs(entries) > 1e-6 * np.abs(entries).max()][0]
+                assert lead.imag == 0.0 and lead.real > 0
 
 
 # a complementable psd instance, so complementable --verify sees the

@@ -39,3 +39,25 @@ def test_only_the_cli_imports_the_oracles():
         if _imports_oracles(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert importers == ["cli.py"]
+
+
+def _names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_the_cli_fixes_basis_phases():
+    # column phases are a report convention, not part of a subspace
+    users = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "_phase_canonical" in _names(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert users == ["cli.py"]

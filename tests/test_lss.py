@@ -18,6 +18,7 @@ from relcalc import (
     graph_of_matrix,
     identity_minus,
     invert,
+    krein_classify,
     make_pws,
     null_space,
     orthonormalize,
@@ -38,9 +39,11 @@ from relcalc import oracles
 from genutil import (
     cmat,
     cvec,
+    degenerate_subspace,
     random_psd,
     random_relation,
     random_subspace,
+    random_symmetry,
     relation_with_ker_and_mul,
 )
 
@@ -372,6 +375,25 @@ class TestRankDecisionCount:
             counts.append(svd_calls.count("svd"))
         assert np.mean(counts) <= 9
         assert max(counts) <= 10
+
+    def test_svd_calls_per_krein_classify(self, svd_calls):
+        # the weighted projection is built on the companion already computed;
+        # make_pws recomputed the companion, 4 SVDs more (mean 12.1 / max 13)
+        rng = np.random.default_rng(5)
+        counts = []
+        for i in range(300):
+            n = int(rng.integers(2, 9))
+            j = random_symmetry(rng, n)
+            if i % 2:
+                s = degenerate_subspace(rng, j)
+            else:
+                s = random_subspace(rng, n, dim=int(rng.integers(1, n + 1)))
+            w = Weight(j, "symmetry")
+            svd_calls.clear()
+            krein_classify(s, w)
+            counts.append(svd_calls.count("svd"))
+        assert np.mean(counts) <= 8.5
+        assert max(counts) <= 9
 
     def test_parts_is_two_svds(self, svd_calls):
         # one full SVD per graph block gives its span and its null space; it

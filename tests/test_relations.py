@@ -100,7 +100,7 @@ class TestParts:
         assert t.graph.dim == p.dom.dim + p.mul.dim
         assert t.graph.dim == p.ran.dim + p.ker.dim
 
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", range(1000))
     def test_kernel_and_mul_with_a_near_kernel_pair(self, seed):
         # x' lies 1e-6 off the kernel: both routes keep it out
         rng = np.random.default_rng(430 + seed)
@@ -109,8 +109,28 @@ class TestParts:
         p = parts(t)
         ker_alt, mul_alt = oracles.kernel_and_mul_via_axes(t.graph.basis, n)
         assert p.ker.dim == ker_alt.shape[1] >= 1 and p.mul.dim == mul_alt.shape[1] >= 1
-        assert projector_dist(p.ker, orthonormalize(ker_alt, ambient_dim=n)) < 1e-9
-        assert projector_dist(p.mul, orthonormalize(mul_alt, ambient_dim=m)) < 1e-9
+        # the kernel and the multivalued part are fixed only to about
+        # eps / sigma_gap, the smallest singular value the cuts of the two
+        # graph blocks keep (about the tilt of the near pair): the worst
+        # ratio of the gap to eps (n + m) / sigma_gap over these 1000 seeds
+        # is 1.3
+        tol = Tolerance()
+        sigma_gap = min(
+            s[: tol.rank(s, block.shape)].min()
+            for block in (t.in_block, t.out_block)
+            for s in [np.linalg.svd(block, compute_uv=False)]
+        )
+        bound = 10 * np.finfo(float).eps * (n + m) / sigma_gap
+        assert projector_dist(p.ker, orthonormalize(ker_alt, ambient_dim=n)) <= bound
+        assert projector_dist(p.mul, orthonormalize(mul_alt, ambient_dim=m)) <= bound
+        # while the pairs (k, 0) and (0, y) of both routes lie on the graph
+        graph = t.graph.projector()
+        for k in (p.ker.basis, ker_alt):
+            pairs = np.vstack([k, np.zeros((m, k.shape[1]))])
+            assert np.linalg.norm(pairs - graph @ pairs, axis=0).max() <= 1e-13
+        for y in (p.mul.basis, mul_alt):
+            pairs = np.vstack([np.zeros((n, y.shape[1])), y])
+            assert np.linalg.norm(pairs - graph @ pairs, axis=0).max() <= 1e-13
         assert t.graph.dim == p.dom.dim + p.mul.dim == p.ran.dim + p.ker.dim
 
     def test_cache_is_per_tolerance(self):

@@ -134,7 +134,7 @@ class TestSmoothSolve:
         rng = np.random.default_rng(6100 + seed)
         p = random_spline_problem(rng)
         sol = smooth_solve(SmoothingProblem(p, rho))
-        x = oracles.smoothing_normal_equations(p.T, p.V, p.b, rho)
+        x = oracles.smoothing_stacked_lstsq(p.T, p.V, p.b, rho)
         value = np.sqrt(
             np.linalg.norm(p.T @ x) ** 2 + rho * np.linalg.norm(p.V @ x - p.b) ** 2
         )
@@ -151,12 +151,17 @@ class TestSmoothSolve:
     def test_gaussian_family_raises_nothing(self):
         # T 3 x 7, V 4 x 7, rho = 0.1: the pinv cross-check at the absolute
         # tolerance raised on 129 of these 3000 (smallest singular value of
-        # the stacked map down to 3.5e-8)
+        # the stacked map down to 3.5e-8), and a pinv oracle of
+        # T*T + rho V*V, which squares that condition number, missed the
+        # minimum by up to 0.118
         rng = np.random.default_rng(601)
         for _ in range(3000):
             T, V = rng.standard_normal((3, 7)), rng.standard_normal((4, 7))
             b = rng.standard_normal(4)
-            smooth_solve(SmoothingProblem(SplineProblem(T, V, b), 0.1))
+            sol = smooth_solve(SmoothingProblem(SplineProblem(T, V, b), 0.1))
+            x = oracles.smoothing_stacked_lstsq(T, V, b, 0.1)
+            value = np.sqrt(np.linalg.norm(T @ x) ** 2 + 0.1 * np.linalg.norm(V @ x - b) ** 2)
+            assert abs(sol.min_value - value) <= 1e-8
 
     def test_mutated_minimizer_is_not_stationary(self):
         rng = np.random.default_rng(602)

@@ -304,7 +304,11 @@ def _ser_subspace(s: Subspace) -> dict:
 def _ser_coset(c: Coset) -> dict:
     if c.is_empty:
         return {"empty": True}
-    return {"empty": False, "point": _ser_complex(c.point), "direction": _ser_subspace(c.direction)}
+    return {
+        "empty": False,
+        "point": _ser_complex(c.min_norm_point()),
+        "direction": _ser_subspace(c.direction),
+    }
 
 
 def _ser_parts(rel: LinearRelation, tol: Tolerance) -> dict:

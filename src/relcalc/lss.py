@@ -3,7 +3,9 @@
 For a relation A, a psd weight W and a vector b, a solution is any x0 in
 dom A some of whose values come W-seminorm-closest to b among all of ran A.
 Existence, the minimum, the attainment set and the full solution coset all
-come out of the weighted projection onto ran A.
+come out of the weighted projection P onto ran A, taken from the paper's
+block form: along S = ran A, P is (I, a^-1 b; 0, 0) with a = P_S W|_S, so
+one eigendecomposition of the Hermitian corner a = U*WU decides P b.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, NoSolutionError
-from .subspaces import Coset, Subspace, Tolerance, _as_vector, null_space, subspace_equals
+from .subspaces import Coset, Tolerance, _as_vector, null_space, subspace_equals
 from .relations import (
     LinearRelation,
     adjoint,
@@ -21,12 +23,11 @@ from .relations import (
     apply_to_coset,
     compose,
     graph_of_matrix,
-    identity_minus,
     image,
     invert,
     parts,
 )
-from .weighted import Weight, make_pws, psd_sqrt
+from .weighted import Weight, _project_by_blocks, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,18 @@ def _seminorm(w_half: np.ndarray, v: np.ndarray) -> float:
 def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     """Solve the weighted inclusion problem; non-existence is data, not an error.
 
-    When solvable: the minimizing outputs are the coset P b of the weighted
-    projection P onto ran A, the minimum is the W-seminorm of any residual
-    representative (checked constant across representatives), and the solution
-    set is the inverse image of that coset, which must coincide with
-    witness + A^{-1}(ker W).
+    The minimizing outputs are the coset P b of the weighted projection P
+    onto ran A, from its block form on an orthonormal basis U of ran A (see
+    ``weighted._project_by_blocks``): they exist exactly when U*W b lies in
+    the range of a = U*WU, up to the allowance a psd W leaves for the
+    eigenvalues the cut dropped; P b is empty when W is not psd beyond that.
+    When solvable, the minimum is the W-seminorm of any residual
+    representative (checked constant across representatives), and the
+    solution set is the inverse image of that coset, which must coincide
+    with witness + A^{-1}(ker W).
     """
-    ran_a = parts(p.A, tol).ran
-    proj = make_pws(p.W, ran_a, tol)
-    outputs = apply(proj, p.b, tol)
+    w_half = psd_sqrt(p.W.matrix, tol)
+    outputs = _project_by_blocks(p.W.matrix, w_half, parts(p.A, tol).ran.basis, p.b, tol)
     n = p.A.dim_in
     if outputs.is_empty:
         return LssSolution(
@@ -87,7 +91,6 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
             solution_set=Coset.empty(n),
             minimizing_outputs=Coset.empty(n),
         )
-    w_half = psd_sqrt(p.W.matrix, tol)
     min_value = _seminorm(w_half, outputs.point - p.b)
     if outputs.direction.dim:
         second = outputs.point + outputs.direction.basis[:, 0]
@@ -151,8 +154,9 @@ def w1w2_solve(
 ) -> Coset:
     """Among the W1-least-squares solutions, those of minimal W2 seminorm.
 
-    Computed as (I - Q) applied to the W1 solution set, where Q is the
-    weighted projection (weight W2) onto A^{-1}(ker W1).
+    With x0 + D the W1 solution set, D = A^{-1}(ker W1), the answer is
+    (I - Q) x0 + (D cap ker W2) for the weighted projection Q (weight W2)
+    onto D, taken from its block form on an orthonormal basis of D.
     """
     if W1.kind != "psd" or W2.kind != "psd":
         raise ValueError("both weights must be psd")
@@ -161,8 +165,8 @@ def w1w2_solve(
     if not first.exists:
         raise NoSolutionError("no W1 least-squares solution exists for this target")
     # solve has checked these directions against A^{-1}(ker W1)
-    reducer = identity_minus(make_pws(W2, first.solution_set.direction, tol), tol)
-    result = apply_to_coset(reducer, first.solution_set, tol)
-    if result.is_empty:
+    x0, directions = first.solution_set.point, first.solution_set.direction
+    projected = _project_by_blocks(W2.matrix, psd_sqrt(W2.matrix, tol), directions.basis, x0, tol)
+    if projected.is_empty:
         raise ConsistencyError("minimal-seminorm reduction produced an empty set")
-    return result
+    return Coset.of(x0 - projected.point, projected.direction)

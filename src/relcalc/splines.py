@@ -1,7 +1,8 @@
 """Abstract splines (minimal ||Tx|| under V x = b) and the associated
 quadratic smoothing trade-off min ||Tx||^2 + rho ||Vx - b||^2.
 
-The interpolation problem reduces to a weighted inclusion with weight T*T;
+The interpolation problem reduces to the weighted projection with weight
+T*T onto ker V, taken from its block form with T as the root of the weight;
 the smoothing problem is an orthogonal projection onto the range pairs
 {(Tx, Vx)} after rescaling the second slot by sqrt(rho).
 """
@@ -21,8 +22,7 @@ from .subspaces import (
     null_space,
     orthonormalize,
 )
-from .relations import apply, identity_minus
-from .weighted import Weight, make_pws
+from .weighted import Weight, _project_by_blocks
 
 # Multiple of eps * max(shape) * (||S|| ||x|| + ||target||), the rounding error
 # of a least-squares solve with the stacked map S, that the smoothing checks
@@ -99,18 +99,17 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
     """Interpolating splines as the reduction of a feasible point.
 
     Take any x~ with V x~ = b; the spline set is (I - P) x~ for the weighted
-    projection P with weight T*T onto ker V.  The result must not depend on
-    the feasible point chosen, the objective must be constant on the set, and
-    every member must still interpolate -- all three are checked.
+    projection P with weight T*T onto ker V, from its block form on an
+    orthonormal basis K of ker V: the point x~ - K a^-1 K* T*T x~ with
+    a = K* T*T K, and the direction ker V cap ker T.  The result must not
+    depend on the feasible point chosen, the objective must be constant on
+    the set, and every member must still interpolate -- all three are
+    checked.
     """
     x_feasible, *_ = np.linalg.lstsq(p.V, p.b, rcond=None)
     weight = Weight(p.T.conj().T @ p.T, "psd")
     ker_v = null_space(p.V, tol)
-    reducer = identity_minus(make_pws(weight, ker_v, tol), tol)
-    spline_set = apply(reducer, x_feasible, tol)
-    if spline_set.is_empty:
-        # dom (I - P) = dom P, everything for a psd weight: cannot happen
-        raise ConsistencyError("feasible point escaped the projection domain")
+    spline_set = _reduce(p, weight, ker_v, x_feasible, tol)
     min_value = float(np.linalg.norm(p.T @ spline_set.point))
     if spline_set.direction.dim:
         second = spline_set.point + spline_set.direction.basis[:, 0]
@@ -119,10 +118,19 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
             raise ConsistencyError("objective varies across the spline set")
     _check_interpolation(p, spline_set, tol)
     if ker_v.dim:
-        alternative = apply(reducer, x_feasible + ker_v.basis[:, 0], tol)
+        alternative = _reduce(p, weight, ker_v, x_feasible + ker_v.basis[:, 0], tol)
         if not spline_set.equals(alternative, tol):
             raise ConsistencyError("spline set depends on the feasible point chosen")
     return SplineSolution(exists=True, spline_set=spline_set, min_value=min_value)
+
+
+def _reduce(p: SplineProblem, weight: Weight, ker_v: Subspace, x: np.ndarray, tol: Tolerance | None) -> Coset:
+    """(I - P) x for the weighted projection P with weight T*T onto ker V."""
+    projected = _project_by_blocks(weight.matrix, p.T, ker_v.basis, x, tol)
+    if projected.is_empty:
+        # dom (I - P) = dom P, everything for a psd weight: cannot happen
+        raise ConsistencyError("feasible point escaped the projection domain")
+    return Coset.of(x - projected.point, projected.direction)
 
 
 def _check_interpolation(p: SplineProblem, spline_set: Coset, tol: Tolerance | None):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConsistencyError, DimensionMismatchError
 from .subspaces import (
     DEFAULT_TOL,
+    Coset,
     Subspace,
     Tolerance,
     _tol,
@@ -107,16 +108,16 @@ class KreinClassification:
     note: str = "pseudo-regularity is automatic: every subspace sum is closed in finite dimensions"
 
 
-def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian part, eigenvalues below the rank cutoff
-    flushed to exact zero."""
+def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part, ascending, and the mask of the
+    eigenvalues that are positive and at or above the rank cutoff."""
     tol = _tol(tol)
     matrix = np.asarray(matrix, dtype=complex)
     sym = (matrix + matrix.conj().T) / 2
     eigs, vecs = np.linalg.eigh(sym)
     top = float(eigs[-1]) if eigs.size else 0.0
-    eigs = np.where(eigs >= tol.rank_cutoff(max(top, 0.0), sym.shape), eigs, 0.0)
-    return eigs, vecs
+    keep = (eigs >= tol.rank_cutoff(max(top, 0.0), sym.shape)) & (eigs > 0)
+    return eigs, vecs, keep
 
 
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
@@ -126,8 +127,8 @@ def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     otherwise rounding noise of size eps would surface as sqrt(eps) and the
     root would no longer share the kernel of its square.
     """
-    eigs, vecs = _psd_eigh(matrix, tol)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
+    eigs, vecs, keep = _psd_eigh(matrix, tol)
+    return (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T
 
 
 def w_companion(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Subspace:
@@ -147,6 +148,59 @@ def w_companion(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Subspac
 def make_pws(w: Weight, s: Subspace, tol: Tolerance | None = None) -> LinearRelation:
     """The weighted projection: range S, kernel the W-orthogonal companion of S."""
     return make_pmn(s, w_companion(s, w, tol), tol)
+
+
+def _project_by_blocks(
+    w: np.ndarray,
+    root: np.ndarray,
+    u: np.ndarray,
+    b: np.ndarray,
+    tol: Tolerance | None = None,
+) -> Coset:
+    """P b for the W-weighted projection P onto S = span(u), from its block form.
+
+    ``u`` has orthonormal columns and ``root`` is any R with R*R = W.  Along
+    S the projection is (I, a^-1 b; 0, 0) for the blocks a = P_S W|_S and
+    b = P_S W|_(S-perp) of W, so a vector x lies in dom P exactly when
+    U*W x lies in ran a.  One eigh of the Hermitian k x k corner a = U*WU,
+    cut as ``_psd_eigh`` cuts, decides everything for the target ``b``:
+
+    - existence: g = U*W b must lie in the span Q of the kept eigenvectors.
+      A psd W puts at most sqrt(mu) ||R b|| of g on an eigenvector of a with
+      eigenvalue mu (Cauchy-Schwarz), so the part of g off Q may reach
+      sqrt(mu) ||R b|| for mu the largest dropped eigenvalue, plus the
+      residual tolerance;
+    - the point U Q L^-1 Q* g, for L the kept eigenvalues;
+    - the direction U times the dropped eigenvectors, S cap ker W = mul P,
+      already orthonormal.
+
+    The point is checked against the normal equation U*W(point - b) = 0,
+    evaluated on the ambient vectors: it may miss by the existence allowance
+    plus the rounding of the solve, 100 n eps (||a|| ||c|| + ||g||).
+    """
+    tol = _tol(tol)
+    n = u.shape[0]
+    eigs, vecs, keep = _psd_eigh(u.conj().T @ w @ u, tol)
+    g = u.conj().T @ (w @ b)
+    q = vecs[:, keep]
+    dropped = eigs[~keep]
+    mu = max(float(dropped[-1]), 0.0) if dropped.size else 0.0
+    norm_g = float(np.linalg.norm(g))
+    allowance = np.sqrt(mu) * float(np.linalg.norm(root @ b)) + tol.residual(max(1.0, norm_g), n)
+    coeffs = q.conj().T @ g
+    if np.linalg.norm(g - q @ coeffs) > allowance:
+        return Coset.empty(n)
+    c = q @ (coeffs / eigs[keep])
+    point = u @ c
+    norm_a = float(np.abs(eigs).max(initial=0.0))
+    rounding = 100 * n * np.finfo(float).eps * (norm_a * float(np.linalg.norm(c)) + norm_g)
+    gap = float(np.linalg.norm(u.conj().T @ (w @ (point - b))))
+    if gap > allowance + rounding:
+        raise ConsistencyError(
+            "block-form point fails the normal equation U*W(x - b) = 0 on the ambient "
+            f"vectors (gap {gap:.3e} > threshold {allowance + rounding:.3e})"
+        )
+    return Coset.of(point, Subspace(u @ vecs[:, ~keep], validate=False))
 
 
 def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> ComplementabilityReport:
@@ -214,8 +268,8 @@ def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
     c = u_perp.conj().T @ w.matrix @ u_perp
     # pseudo-inverse of c under psd_sqrt's rank cutoff: an eigenvalue at
     # rounding level is dropped, not inverted into a huge spurious term
-    eigs, vecs = _psd_eigh(c, tol)
-    c_pinv = (vecs * np.divide(1.0, eigs, out=np.zeros_like(eigs), where=eigs > 0)) @ vecs.conj().T
+    eigs, vecs, keep = _psd_eigh(c, tol)
+    c_pinv = (vecs * np.divide(1.0, eigs, out=np.zeros_like(eigs), where=keep)) @ vecs.conj().T
     inner = a - b @ c_pinv @ b.conj().T
     schur = u @ inner @ u.conj().T
     schur = (schur + schur.conj().T) / 2

@@ -122,6 +122,35 @@ def random_psd(rng, n, force_singular=None):
     return (w + w.conj().T) / 2
 
 
+def psd_with_tiny_eigenvalues(rng, n):
+    """Random psd matrix with 1 to n - 1 eigenvalues drawn from 10^U(-13, -7),
+    around the default rank cutoff, and the rest from U(0.2, 2.5)."""
+    k = int(rng.integers(1, n))
+    eigs = np.concatenate([10.0 ** rng.uniform(-13, -7, k), rng.uniform(0.2, 2.5, n - k)])
+    rng.shuffle(eigs)
+    q = random_unitary(rng, n)
+    w = (q * eigs) @ q.conj().T
+    return (w + w.conj().T) / 2
+
+
+def rotated_borderline_problem(rng, n, eps):
+    """The lss-no-solution fixture in C^n, rotated by a random unitary Q.
+
+    A projects onto e1, W is [[0, eps], [eps, 1]] plus the identity on the
+    other coordinates (psd up to its eigenvalue -eps^2) and b = e2: ran A is
+    W-neutral yet W pairs it with b, so no weighted least-squares solution
+    exists.  Returns the rotated (A, W, b)."""
+    a = np.zeros((n, n))
+    a[0, 0] = 1.0
+    w = np.eye(n)
+    w[:2, :2] = [[0.0, eps], [eps, 1.0]]
+    b = np.zeros(n)
+    b[1] = 1.0
+    q = random_unitary(rng, n)
+    w = q @ w @ q.conj().T
+    return q @ a @ q.conj().T, (w + w.conj().T) / 2, q @ b
+
+
 def random_selfadjoint(rng, n):
     h = cmat(rng, n, n)
     return (h + h.conj().T) / 2

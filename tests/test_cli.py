@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import relcalc.cli
-from relcalc import ProblemFormatError, Tolerance, scale
+from relcalc import Coset, ProblemFormatError, Tolerance, scale
 from relcalc.cli import COMMANDS, dispatch, emit, main, parse
+
+from genutil import rotated_borderline_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,6 +180,58 @@ class TestCanonicalReports:
                 assert lead.imag == 0.0 and lead.real > 0
 
 
+def _with_matrix(fixture, name, entries):
+    """A fixture problem with one named matrix replaced (real entries)."""
+    doc = json.loads((DATA / fixture).read_text())
+    doc["matrices"][name] = [[[x, 0] for x in row] for row in entries]
+    return doc
+
+
+# each problem's answer holds a coset with a nontrivial direction: e2 is in
+# the kernel of T and of V, of the second weight, or of A
+COSET_REPORTS = [
+    ("lss-solve", json.loads((DATA / "lss-solve.json").read_text()), "solve"),
+    ("spline", _with_matrix("spline.json", "T", [[1, 0], [0, 0]]), "spline_solve"),
+    ("smooth", _with_matrix("smooth.json", "T", [[1, 0], [0, 0]]), "smooth_solve"),
+    ("w1w2-solve", _with_matrix("w1w2-solve.json", "W2", [[1, 0], [0, 0]]), "w1w2_solve"),
+]
+
+
+def _moved_along_directions(value, moved):
+    """The solver's answer with every coset's point moved along its direction."""
+    if isinstance(value, Coset):
+        if value.is_empty or value.direction.dim == 0:
+            return value
+        moved.append(value)
+        return value.translate(value.direction.basis @ np.full(value.direction.dim, 2.5 - 1.5j))
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(
+            value,
+            **{f.name: _moved_along_directions(getattr(value, f.name), moved)
+               for f in dataclasses.fields(value) if f.init},
+        )
+    return value
+
+
+class TestCosetReports:
+    @pytest.mark.parametrize("command,doc,solver", COSET_REPORTS, ids=[c[0] for c in COSET_REPORTS])
+    def test_point_does_not_depend_on_the_representative(
+        self, monkeypatch, tmp_path, command, doc, solver
+    ):
+        # a coset is written by its min-norm point, so a route that returns
+        # another representative of the same coset writes the same bytes
+        path = _write_problem(tmp_path, doc)
+        _, expected = run_cli([command, str(path)])
+        moved = []
+        right = getattr(relcalc.cli, solver)
+        monkeypatch.setattr(
+            relcalc.cli, solver, lambda *args: _moved_along_directions(right(*args), moved)
+        )
+        _, payload = run_cli([command, str(path)])
+        assert moved
+        assert payload == expected
+
+
 # a complementable psd instance, so complementable --verify sees the
 # assembled block form, which the fixture (not complementable) lacks
 PSD_COMPLEMENTABLE = {
@@ -268,6 +322,21 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(payload)["status"] == "no-solution"
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-7])
+    def test_rotated_no_solution_is_two(self, tmp_path, eps):
+        # the same fixture in random coordinates; the relation route exited
+        # 1 on 363 of these 666 copies, mostly because its companion's two
+        # routes disagreed, and 0 on 10
+        rng = np.random.default_rng(7100 + int(eps == 1e-7))
+        doc = json.loads((DATA / "lss-no-solution.json").read_text())
+        for _ in range(333):
+            a, w, b = rotated_borderline_problem(rng, int(rng.integers(2, 5)), eps)
+            doc["matrices"] = {"A": _complex_json(a), "W": _complex_json(w)}
+            doc["vectors"] = {"b": _complex_json(b)}
+            code, payload = run_cli(["lss-solve", str(_write_problem(tmp_path, doc))])
+            assert code == 2
+            assert json.loads(payload)["status"] == "no-solution"
+
     def test_dimension_error_is_one(self, capsys):
         code, _ = run_cli(["lss-solve", str(DATA / "malformed-vector.json")])
         assert code == 1
@@ -289,6 +358,11 @@ class TestExitCodes:
         assert code == 1
         code, _ = run_cli(["lss-solve", str(DATA / "lss-solve.json"), "--batch", str(DATA)])
         assert code == 1
+
+
+def _complex_json(a):
+    """A complex array as nested [re, im] pairs."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _write_problem(tmp_path, doc):

@@ -61,3 +61,22 @@ def test_only_the_cli_fixes_basis_phases():
         if "_phase_canonical" in _names(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert users == ["cli.py"]
+
+
+def test_weighted_solvers_take_the_block_form():
+    # solve, w1w2_solve (lss.py) and spline_solve (splines.py) project
+    # through the paper's block form, which weighted.py alone defines; the
+    # relation route (make_pws, identity_minus) is a test-only cross-check
+    # for them
+    for module in ("lss.py", "splines.py"):
+        names = set(_names(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))))
+        assert not names & {"make_pws", "identity_minus"}, module
+    definers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name == "_project_by_blocks"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert definers == ["weighted.py"]

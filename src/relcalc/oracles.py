@@ -6,8 +6,10 @@ never shares a code path with the computation it checks.  The library never
 calls an oracle; the test suite and the CLI's ``--verify`` do.  Where the
 library adopts an oracle's formula, the oracle keeps the one the library
 dropped: the de Morgan intersection, the graph-and-axis route to the kernel
-and the multivalued part, and the cylinder intersections behind composition,
-the operator sum and restriction live on here.
+and the multivalued part, the cylinder intersections behind composition,
+the operator sum and restriction, and the companion route to Krein
+regularity (S meets its J-companion in 0 and with it spans everything)
+live on here.
 """
 
 from __future__ import annotations
@@ -134,9 +136,12 @@ def pmn_graph(m: np.ndarray, k: np.ndarray, atol: float = 1e-12) -> np.ndarray:
 
 def krein_regular(J: np.ndarray, B: np.ndarray, atol: float = 1e-12) -> bool:
     """Whether span(B) is regular for the indefinite metric of the symmetry
-    J: exactly when the Gram matrix B* J B of an orthonormal basis B is
-    nonsingular."""
-    return _null_basis(B.conj().T @ J @ B, atol=atol).shape[1] == 0
+    J: exactly when S = span(B) meets its J-companion {x : B* J x = 0} only
+    in 0 and the two together span the whole space."""
+    companion = _null_basis(B.conj().T @ J, atol=atol)
+    if intersect_de_morgan(B, companion, atol).shape[1]:
+        return False
+    return _span_basis(np.hstack([B, companion]), atol).shape[1] == J.shape[0]
 
 
 def shorted_by_root(W: np.ndarray, S: np.ndarray, atol: float = 1e-12) -> np.ndarray:

@@ -4,7 +4,11 @@ shorted operators, and the indefinite-metric subspace classification.
 A selfadjoint weight W replaces the inner product by <Wx, y>.  The weighted
 projection onto a subspace S is the multivalued projection with range S and
 kernel the W-orthogonal companion of S; its domain need not be everything,
-and that defect is exactly what complementability measures.
+and that defect is exactly what complementability measures.  The solvers'
+``_project_by_blocks``, ``complementability``, ``shorted`` and
+``krein_classify`` read the block split of W along S, the corner U*WU on an
+orthonormal basis U of S; ``make_pws`` builds the same projection by the
+relation calculus, and the tests compare them with it.
 """
 
 from __future__ import annotations
@@ -20,28 +24,16 @@ from .subspaces import (
     Subspace,
     Tolerance,
     _tol,
-    full_space,
     matrix_image,
     matrix_preimage,
+    null_space,
+    orthonormalize,
     subspace_complement,
-    subspace_contains,
     subspace_equals,
     subspace_intersect,
-    subspace_sum,
 )
-from .relations import (
-    LinearRelation,
-    as_matrix,
-    compose,
-    graph_of_matrix,
-    identity_minus,
-    identity_on,
-    invert,
-    parts,
-    relation_equals,
-    zero_on,
-)
-from .mvproj import BlockRep, canonical_blocks, make_pmn
+from .relations import LinearRelation, identity_on, zero_on
+from .mvproj import BlockRep, make_pmn
 
 WEIGHT_KINDS = ("selfadjoint", "psd", "symmetry")
 
@@ -120,6 +112,18 @@ def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np
     return eigs, vecs, keep
 
 
+def _signed_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part, ascending, and the mask of the
+    eigenvalues at or above the rank cutoff in absolute value: a corner of
+    an indefinite weight has eigenvalues of both signs."""
+    tol = _tol(tol)
+    sym = (matrix + matrix.conj().T) / 2
+    eigs, vecs = np.linalg.eigh(sym)
+    mags = np.abs(eigs)
+    keep = (mags >= tol.rank_cutoff(float(mags.max(initial=0.0)), sym.shape)) & (mags > 0)
+    return eigs, vecs, keep
+
+
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Hermitian square root of a psd matrix.
 
@@ -131,13 +135,17 @@ def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     return (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T
 
 
-def w_companion(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Subspace:
-    """Vectors W-orthogonal to S: the complement of W S, equal to the
-    W-preimage of the complement of S.  Both routes are computed and must agree."""
+def _check_ambient(w: Weight, s: Subspace):
     if s.ambient_dim != w.ambient_dim:
         raise DimensionMismatchError(
             f"subspace ambient {s.ambient_dim} != weight size {w.ambient_dim}"
         )
+
+
+def w_companion(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Subspace:
+    """Vectors W-orthogonal to S: the complement of W S, equal to the
+    W-preimage of the complement of S.  Both routes are computed and must agree."""
+    _check_ambient(w, s)
     via_image = subspace_complement(matrix_image(w.matrix, s, tol), tol)
     via_preimage = matrix_preimage(w.matrix, subspace_complement(s, tol), tol)
     if not subspace_equals(via_image, via_preimage, tol):
@@ -206,19 +214,23 @@ def _project_by_blocks(
 def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> ComplementabilityReport:
     """Whether S plus its W-companion fills the space, decided two ways.
 
-    The direct route checks dom of the weighted projection against the whole
-    space; the block route splits W along S and checks ran b <= ran a.  The
-    two answers must agree.  When complementable, the (I, a^-1 b; 0, 0)
-    block form is assembled -- a^-1 is the relation inverse of a possibly
-    singular corner -- and must regenerate the weighted projection.
+    One eigh of the corner a = U*WU of W along S = span(U), cut on |lambda|
+    since W may be indefinite, gives the weighted projection P its domain
+    {x : U*W x in ran a} and mul P = U ker a, as in ``_project_by_blocks``;
+    S is complementable when dom P is everything.  The paper's criterion
+    ran b <= ran a, that is rank U*W = rank a, must agree.  When
+    complementable, the off-diagonal block a^-1 b of the block form
+    (I, a^-1 b; 0, 0) is the span of {(x, U a^+ U*W x) : x in S-perp} and
+    {0} x U ker a: a^-1 is the relation inverse of a possibly singular a.
     """
-    pws = make_pws(w, s, tol)
-    p = parts(pws, tol)
-    n = w.ambient_dim
-    by_domain = subspace_equals(p.dom, full_space(n), tol)
-    w_blocks = canonical_blocks(graph_of_matrix(w.matrix, tol), s, tol)
-    a, b = w_blocks.a, w_blocks.b
-    by_blocks = subspace_contains(parts(a, tol).ran, parts(b, tol).ran, tol)
+    _check_ambient(w, s)
+    n, u = w.ambient_dim, s.basis
+    g = u.conj().T @ w.matrix
+    eigs, vecs, keep = _signed_eigh(g @ u, tol)
+    q, ker_a = vecs[:, keep], u @ vecs[:, ~keep]
+    domain = null_space(g - q @ (q.conj().T @ g), tol)
+    by_domain = domain.dim == n
+    by_blocks = orthonormalize(g.conj().T, tol).dim == q.shape[1]
     if by_domain != by_blocks:
         raise ConsistencyError(
             f"domain criterion ({by_domain}) disagrees with block criterion ({by_blocks})"
@@ -226,20 +238,14 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     blocks = None
     if by_domain:
         s_perp = subspace_complement(s, tol)
-        blocks = BlockRep(
-            splitter=s,
-            co_splitter=s_perp,
-            a=identity_on(s),
-            b=compose(invert(a), b, tol),
-            c=zero_on(s),
-            d=zero_on(s_perp),
-        )
-        if not relation_equals(blocks.generate(tol), pws, tol):
-            raise ConsistencyError("block form failed to regenerate the weighted projection")
+        quotient = u @ (q @ ((q.conj().T @ (g @ s_perp.basis)) / eigs[keep][:, None]))
+        pairs = np.block([[s_perp.basis, np.zeros_like(ker_a)], [quotient, ker_a]])
+        x = LinearRelation(n, n, orthonormalize(pairs, tol, ambient_dim=2 * n))
+        blocks = BlockRep(s, s_perp, identity_on(s), x, zero_on(s), zero_on(s_perp))
     return ComplementabilityReport(
         is_complementable=by_domain,
-        domain=p.dom,
-        mul=p.mul,
+        domain=domain,
+        mul=Subspace(ker_a, validate=False),
         criterion_ab=by_blocks,
         pws_blocks=blocks,
         borderline_weight=w.borderline,
@@ -249,17 +255,13 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
 def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
     """Largest psd matrix below W with range inside S.
 
-    Primary route: Schur complement of the block of W on the complement of S,
-    placed back in ambient coordinates.  Cross-checked against the relation
-    product W (I - P) with P the weighted projection onto the complement,
-    realized as an everywhere-defined operator.
+    The Schur complement of the block of W on the complement of S, placed
+    back in ambient coordinates, so that its range lies inside S; checked
+    against the sandwich 0 <= Sigma <= W on the smallest eigenvalues.
     """
     if w.kind != "psd":
         raise ValueError("shorted operator needs a psd weight")
-    if s.ambient_dim != w.ambient_dim:
-        raise DimensionMismatchError(
-            f"subspace ambient {s.ambient_dim} != weight size {w.ambient_dim}"
-        )
+    _check_ambient(w, s)
     tol_ = _tol(tol)
     s_perp = subspace_complement(s, tol)
     u, u_perp = s.basis, s_perp.basis
@@ -274,41 +276,37 @@ def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
     schur = u @ inner @ u.conj().T
     schur = (schur + schur.conj().T) / 2
 
-    rel = compose(
-        graph_of_matrix(w.matrix, tol), identity_minus(make_pws(w, s_perp, tol), tol), tol
-    )
-    via_relation = as_matrix(rel, tol)
     scale = max(1.0, float(np.linalg.norm(w.matrix)))
-    if np.linalg.norm(schur - via_relation) > max(1e-8 * scale, tol_.residual(scale, w.ambient_dim)):
-        raise ConsistencyError("Schur-complement route disagrees with the relation route")
+    floor = -max(1e-8 * scale, tol_.residual(scale, w.ambient_dim))
+    lowest = min(np.linalg.eigvalsh(m).min(initial=0.0) for m in (schur, w.matrix - schur))
+    if lowest < floor:
+        raise ConsistencyError(
+            f"Schur complement leaves 0 <= Sigma <= W (eigenvalue {lowest:.3e} < {floor:.3e})"
+        )
     return schur
 
 
 def krein_classify(s: Subspace, w: Weight, tol: Tolerance | None = None) -> KreinClassification:
     """Isotropic part and the regularity ladder for an indefinite metric.
 
-    The flags are computed from subspace geometry and cross-checked against
-    the projection dictionary: regular subspaces are exactly those whose
-    weighted projection is an everywhere-defined operator.
+    The isotropic part S cap S^[perp] is U ker(U*JU) for S = span(U), from
+    one eigh cut on |lambda|, and must equal S cap ker(U*J), an intersection
+    ranked by principal angles.  J is invertible, so dim S^[perp] =
+    n - dim S and S + S^[perp] is everything exactly when S cap S^[perp] = 0:
+    regular and nondegenerate are one flag.
     """
     if w.kind != "symmetry":
         raise ValueError("classification needs a symmetry weight (W^2 = I)")
-    companion = w_companion(s, w, tol)
-    isotropic = subspace_intersect(s, companion, tol)
+    _check_ambient(w, s)
+    u = s.basis
+    h = u.conj().T @ w.matrix
+    _, vecs, keep = _signed_eigh(h @ u, tol)
+    isotropic = Subspace(u @ vecs[:, ~keep], validate=False)
+    by_intersection = subspace_intersect(s, null_space(h, tol), tol)
+    if not subspace_equals(by_intersection, isotropic, tol):
+        raise ConsistencyError(
+            f"isotropic part from the Gram matrix (dim {isotropic.dim}) disagrees with "
+            f"the intersection of S and ker U*J (dim {by_intersection.dim})"
+        )
     nondegenerate = isotropic.dim == 0
-    regular = nondegenerate and subspace_equals(
-        subspace_sum(s, companion, tol), full_space(w.ambient_dim), tol
-    )
-    pws = make_pmn(s, companion, tol)
-    p = parts(pws, tol)
-    via_projection = p.mul.dim == 0 and subspace_equals(
-        p.dom, full_space(w.ambient_dim), tol
-    )
-    if via_projection != regular:
-        raise ConsistencyError("regularity flags from geometry and projection disagree")
-    return KreinClassification(
-        isotropic=isotropic,
-        nondegenerate=nondegenerate,
-        pseudo_regular=True,
-        regular=regular,
-    )
+    return KreinClassification(isotropic, nondegenerate, pseudo_regular=True, regular=nondegenerate)

@@ -165,6 +165,25 @@ def random_symmetry(rng, n):
     return (w + w.conj().T) / 2
 
 
+def weight_and_subspace(rng):
+    """A psd, selfadjoint or symmetry weight matrix on C^n, n in 2..8, and a
+    subspace; for an indefinite symmetry, usually one holding a vector that
+    is also in its companion, so that about a quarter of the pairs are not
+    complementable."""
+    n = int(rng.integers(2, 9))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        w = random_psd(rng, n)
+    elif kind == 1:
+        w = random_selfadjoint(rng, n)
+    else:
+        w = random_symmetry(rng, n)
+    indefinite = 0 < np.count_nonzero(np.linalg.eigvalsh(w) > 0) < n
+    if kind == 2 and indefinite and rng.random() < 0.7:
+        return w, degenerate_subspace(rng, w)
+    return w, random_subspace(rng, n)
+
+
 def degenerate_subspace(rng, j):
     """A neutral vector x (x* J x = 0, J indefinite) plus random vectors
     J-orthogonal to it, so that x lies in S and in its J-companion."""

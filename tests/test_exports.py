@@ -65,12 +65,16 @@ def test_only_the_cli_fixes_basis_phases():
 
 def test_weighted_solvers_take_the_block_form():
     # solve, w1w2_solve (lss.py) and spline_solve (splines.py) project
-    # through the paper's block form, which weighted.py alone defines; the
-    # relation route (make_pws, identity_minus) is a test-only cross-check
-    # for them
+    # through the paper's block form, which weighted.py alone defines, and
+    # complementability, shorted and krein_classify (weighted.py) read the
+    # same block split; the relation route (make_pws, identity_minus, the
+    # calculus) is a test-only cross-check for all six
     for module in ("lss.py", "splines.py"):
         names = set(_names(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))))
         assert not names & {"make_pws", "identity_minus"}, module
+    names = set(_names(ast.parse((PACKAGE / "weighted.py").read_text(encoding="utf-8"))))
+    calculus = {"compose", "parts", "invert", "canonical_blocks", "relation_equals", "as_matrix"}
+    assert not names & calculus
     definers = sorted(
         path.name
         for path in PACKAGE.glob("*.py")
@@ -80,3 +84,30 @@ def test_weighted_solvers_take_the_block_form():
         )
     )
     assert definers == ["weighted.py"]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; names listed in ``__all__``
+    count as read, and ``from __future__`` imports are exempt."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unused == {}

@@ -28,6 +28,7 @@ from relcalc import (
     parts,
     product_of_subspaces,
     psd_sqrt,
+    shorted,
     smooth_solve,
     solve,
     spline_solve,
@@ -50,6 +51,7 @@ from genutil import (
     random_symmetry,
     relation_with_ker_and_mul,
     rotated_borderline_problem,
+    weight_and_subspace,
 )
 
 E2_LINE = orthonormalize([np.array([0.0, 1.0])])
@@ -408,8 +410,11 @@ class TestRankDecisionCount:
             assert svd_calls.count("eigh") <= 2
 
     def test_svd_calls_per_krein_classify(self, svd_calls):
-        # the weighted projection is built on the companion already computed;
-        # make_pws recomputed the companion, 4 SVDs more (mean 12.1 / max 13)
+        # one eigh of the Gram matrix U*JU, and for the cross-check the null
+        # space of U*J and its intersection with S, one SVD each (the
+        # relation route through the companion, its intersection and sum
+        # with S and the parts of P made 8.1 / 9, and 12.1 / 13 when
+        # make_pws recomputed the companion)
         rng = np.random.default_rng(5)
         counts = []
         for i in range(300):
@@ -423,8 +428,39 @@ class TestRankDecisionCount:
             svd_calls.clear()
             krein_classify(s, w)
             counts.append(svd_calls.count("svd"))
-        assert np.mean(counts) <= 8.5
-        assert max(counts) <= 9
+            assert svd_calls.count("eigh") == 1
+        assert max(counts) <= 2
+
+    def test_svd_calls_per_complementability(self, svd_calls):
+        # one eigh of the corner U*WU; the domain's null space and rank U*W,
+        # and when complementable S-perp and the span of the off-diagonal
+        # block (the relation route through make_pws, parts,
+        # canonical_blocks and the regeneration made 33.0 / 38)
+        rng = np.random.default_rng(3600)
+        counts = []
+        for _ in range(400):
+            w, s = weight_and_subspace(rng)
+            w = Weight(w)
+            svd_calls.clear()
+            complementability(w, s)
+            counts.append(svd_calls.count("svd"))
+            assert svd_calls.count("eigh") == 1
+        assert np.mean(counts) <= 3.1
+        assert max(counts) <= 4
+
+    def test_svd_calls_per_shorted(self, svd_calls):
+        # S-perp is the one SVD; one eigh for the pseudo-inverse of the
+        # complement block and two eigvalsh for the sandwich 0 <= Sigma <= W
+        # (the relation route W (I - P) made 10.9 / 12)
+        rng = np.random.default_rng(3700)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            w = Weight(random_psd(rng, n), "psd")
+            s = random_subspace(rng, n)
+            svd_calls.clear()
+            shorted(w, s)
+            assert svd_calls.count("svd") <= 1
+            assert svd_calls.count("eigh") + svd_calls.count("eigvalsh") == 3
 
     def test_parts_is_two_svds(self, svd_calls):
         # one full SVD per graph block gives its span and its null space; it

@@ -5,6 +5,7 @@ import pytest
 
 from relcalc import (
     ConsistencyError,
+    Subspace,
     Weight,
     adjoint,
     apply,
@@ -26,20 +27,24 @@ from relcalc import (
     shorted,
     subspace_complement,
     subspace_equals,
+    subspace_intersect,
     subspace_sum,
     w_companion,
     zero_space,
 )
-from relcalc import oracles
+from relcalc import oracles, weighted
 
 from genutil import (
     cmat,
     cvec,
     degenerate_subspace,
+    graph_dist,
+    projector_dist,
     random_psd,
     random_selfadjoint,
     random_subspace,
     random_symmetry,
+    weight_and_subspace,
 )
 
 E1 = orthonormalize([np.array([1.0, 0.0])])
@@ -216,25 +221,27 @@ class TestComplementabilityAgainstSpan:
         rng = np.random.default_rng(3600)
         flags = []
         for _ in range(400):
-            n = int(rng.integers(2, 9))
-            kind = int(rng.integers(0, 3))
-            if kind == 0:
-                w = random_psd(rng, n)
-            elif kind == 1:
-                w = random_selfadjoint(rng, n)
-            else:
-                w = random_symmetry(rng, n)
-            indefinite = 0 < np.count_nonzero(np.linalg.eigvalsh(w) > 0) < n
-            if kind == 2 and indefinite and rng.random() < 0.7:
-                s = degenerate_subspace(rng, w)
-            else:
-                s = random_subspace(rng, n)
+            w, s = weight_and_subspace(rng)
             report = complementability(Weight(w), s)
             flag, domain = oracles.complementable_by_span(w, s.basis, 1e-10)
             assert flag == report.is_complementable
             assert np.linalg.norm(report.domain.projector() - domain @ domain.conj().T) < 1e-9
             flags.append(flag)
         assert 50 <= flags.count(False) <= 350
+
+    def test_matches_the_relation_route(self):
+        # the route complementability took through the calculus: the parts
+        # of make_pws, and for every kind of weight the block form must
+        # regenerate make_pws
+        rng = np.random.default_rng(3600)
+        for _ in range(400):
+            w, s = weight_and_subspace(rng)
+            report = complementability(Weight(w), s)
+            pws = make_pws(Weight(w), s)
+            assert projector_dist(report.domain, parts(pws).dom) < 1e-9
+            assert projector_dist(report.mul, parts(pws).mul) < 1e-9
+            if report.is_complementable:
+                assert graph_dist(report.pws_blocks.generate(), pws) < 1e-9
 
 
 class TestShorted:
@@ -380,9 +387,11 @@ class TestKrein:
             assert report.nondegenerate
         assert report.pseudo_regular
 
-    def test_regularity_matches_the_gram_oracle(self):
-        # regular iff the Gram matrix B* J B is nonsingular; the CLI's
-        # --verify reads the same oracle
+    def test_regularity_matches_the_companion_oracle(self):
+        # regular iff S meets its J-companion only in 0 and the two span
+        # everything; the CLI's --verify reads the same oracle.  The flags
+        # also match the relation route krein_classify took: the companion
+        # by w_companion, its intersection with S and its sum with S
         rng = np.random.default_rng(3950)
         irregular = 0
         for _ in range(600):
@@ -394,8 +403,13 @@ class TestKrein:
                 s = degenerate_subspace(rng, j)
             else:
                 s = random_subspace(rng, n)
-            regular = krein_classify(s, w).regular
+            report = krein_classify(s, w)
+            regular = report.regular
             assert oracles.krein_regular(w.matrix, s.basis, 1e-10) == regular
+            companion = w_companion(s, w)
+            assert projector_dist(report.isotropic, subspace_intersect(s, companion)) < 1e-9
+            spans = subspace_equals(subspace_sum(s, companion), full_space(n))
+            assert regular == (report.isotropic.dim == 0 and spans)
             irregular += not regular
         assert 200 <= irregular <= 400
 
@@ -415,3 +429,62 @@ class TestPsdOperatorFacts:
         mat = as_matrix(wp)
         assert np.linalg.norm(mat - mat.conj().T) < 1e-8
         assert np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] > -1e-8
+
+
+class TestSecondRoutes:
+    """Each function's own second route raises when its first route answers
+    wrong; the wrong route is patched in."""
+
+    def test_shorted_sandwich_catches_an_inverted_rounding_eigenvalue(self, monkeypatch):
+        # a Schur pseudo-inverse that inverts every nonzero eigenvalue of the
+        # complement block, rounding-level ones included: on rank-one weights
+        # about half of its answers are wrong, and each of those must raise
+        right = weighted._psd_eigh
+
+        def inverting_every_eigenvalue(matrix, tol):
+            eigs, vecs, _ = right(matrix, tol)
+            return eigs, vecs, eigs != 0
+
+        monkeypatch.setattr(weighted, "_psd_eigh", inverting_every_eigenvalue)
+        rng = np.random.default_rng(1300)
+        raised = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            v = cmat(rng, n, 1)
+            s = orthonormalize(cmat(rng, n, int(rng.integers(1, n))))
+            w = Weight(v @ v.conj().T, "psd")
+            try:
+                sigma = shorted(w, s)
+            except ConsistencyError:
+                raised += 1
+                continue
+            gap = np.linalg.norm(sigma - oracles.shorted_by_root(w.matrix, s.basis, 1e-10))
+            assert gap <= 1e-9 * max(1.0, np.linalg.norm(w.matrix))
+        assert raised >= 100
+
+    @pytest.mark.parametrize(
+        "w,s", [(Weight(np.diag([1.0, -1.0]), "symmetry"), DIAG), (Weight(np.eye(2), "psd"), E1)]
+    )
+    def test_complementability_catches_a_wrong_rank(self, monkeypatch, w, s):
+        # rank U*W one short flips the block criterion, whichever way the
+        # domain decides
+        right = weighted.orthonormalize
+
+        def one_short(vectors, tol=None, **kwargs):
+            return Subspace(right(vectors, tol, **kwargs).basis[:, :-1], validate=False)
+
+        monkeypatch.setattr(weighted, "orthonormalize", one_short)
+        with pytest.raises(ConsistencyError, match="disagrees with block criterion"):
+            complementability(w, s)
+
+    @pytest.mark.parametrize(
+        "s,wrong",
+        [
+            (DIAG, lambda s1, s2, tol=None: zero_space(s1.ambient_dim)),  # loses the neutral line
+            (E1, lambda s1, s2, tol=None: s1),  # claims all of a definite line
+        ],
+    )
+    def test_krein_classify_catches_a_wrong_intersection(self, monkeypatch, s, wrong):
+        monkeypatch.setattr(weighted, "subspace_intersect", wrong)
+        with pytest.raises(ConsistencyError, match="isotropic part"):
+            krein_classify(s, Weight(np.diag([1.0, -1.0]), "symmetry"))

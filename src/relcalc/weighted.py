@@ -6,9 +6,9 @@ projection onto a subspace S is the multivalued projection with range S and
 kernel the W-orthogonal companion of S; its domain need not be everything,
 and that defect is exactly what complementability measures.  The solvers'
 ``_project_by_blocks``, ``complementability``, ``shorted`` and
-``krein_classify`` read the block split of W along S, the corner U*WU on an
-orthonormal basis U of S; ``make_pws`` builds the same projection by the
-relation calculus, and the tests compare them with it.
+``krein_classify`` read the block split of W along S = span(U), U orthonormal,
+through U*WU or U*W; ``make_pws`` builds the same projection by the relation
+calculus, and the tests compare them with it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .subspaces import (
     subspace_complement,
     subspace_equals,
     subspace_intersect,
+    subspace_sum,
 )
 from .relations import LinearRelation, identity_on, zero_on
 from .mvproj import BlockRep, make_pmn
@@ -100,28 +101,21 @@ class KreinClassification:
     note: str = "pseudo-regularity is automatic: every subspace sum is closed in finite dimensions"
 
 
-def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian part, ascending, and the mask of the
-    eigenvalues that are positive and at or above the rank cutoff."""
-    tol = _tol(tol)
-    matrix = np.asarray(matrix, dtype=complex)
-    sym = (matrix + matrix.conj().T) / 2
-    eigs, vecs = np.linalg.eigh(sym)
-    top = float(eigs[-1]) if eigs.size else 0.0
-    keep = (eigs >= tol.rank_cutoff(max(top, 0.0), sym.shape)) & (eigs > 0)
-    return eigs, vecs, keep
-
-
 def _signed_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of the Hermitian part, ascending, and the mask of the
-    eigenvalues at or above the rank cutoff in absolute value: a corner of
-    an indefinite weight has eigenvalues of both signs."""
-    tol = _tol(tol)
-    sym = (matrix + matrix.conj().T) / 2
-    eigs, vecs = np.linalg.eigh(sym)
+    eigenvalues at or above the rank cutoff in absolute value, zeros never:
+    the one eigenvalue cut of this module."""
+    matrix = np.asarray(matrix, dtype=complex)
+    eigs, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
     mags = np.abs(eigs)
-    keep = (mags >= tol.rank_cutoff(float(mags.max(initial=0.0)), sym.shape)) & (mags > 0)
-    return eigs, vecs, keep
+    cutoff = _tol(tol).rank_cutoff(float(mags.max(initial=0.0)), matrix.shape)
+    return eigs, vecs, (mags >= cutoff) & (mags > 0)
+
+
+def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_signed_eigh`` keeping the positive eigenvalues only."""
+    eigs, vecs, keep = _signed_eigh(matrix, tol)
+    return eigs, vecs, keep & (eigs > 0)
 
 
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
@@ -214,23 +208,28 @@ def _project_by_blocks(
 def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> ComplementabilityReport:
     """Whether S plus its W-companion fills the space, decided two ways.
 
-    One eigh of the corner a = U*WU of W along S = span(U), cut on |lambda|
-    since W may be indefinite, gives the weighted projection P its domain
-    {x : U*W x in ran a} and mul P = U ker a, as in ``_project_by_blocks``;
-    S is complementable when dom P is everything.  The paper's criterion
-    ran b <= ran a, that is rank U*W = rank a, must agree.  When
-    complementable, the off-diagonal block a^-1 b of the block form
-    (I, a^-1 b; 0, 0) is the span of {(x, U a^+ U*W x) : x in S-perp} and
-    {0} x U ker a: a^-1 is the relation inverse of a possibly singular a.
+    P is (I, a^-1 b; 0, 0) along S = span(U), with a = U*WU and b = U*W on
+    S-perp.  Both share the factor U*W = V D R*, cut at the rank of W U, so
+    a = V D M for M = R*U, whose singular values are the sines of the
+    angles between S and its companion (W S)-perp: rank a is decided on the
+    scale of the angles, not on that of a, which is quadratic in W.  mul P
+    = U ker M, and the paper's criterion ran b <= ran a reads rank a =
+    rank U*W; the second route, S complementable when S + (W S)-perp is
+    everything, must agree.  Then a^-1 b is the span of
+    {(x, U M^+ R* x) : x in S-perp} and {0} x U ker a.
     """
     _check_ambient(w, s)
     n, u = w.ambient_dim, s.basis
-    g = u.conj().T @ w.matrix
-    eigs, vecs, keep = _signed_eigh(g @ u, tol)
-    q, ker_a = vecs[:, keep], u @ vecs[:, ~keep]
-    domain = null_space(g - q @ (q.conj().T @ g), tol)
-    by_domain = domain.dim == n
-    by_blocks = orthonormalize(g.conj().T, tol).dim == q.shape[1]
+    wu = w.matrix @ u
+    left, sigma, _ = np.linalg.svd(wu)
+    r = _tol(tol).rank(sigma, wu.shape)
+    w_s, companion = left[:, :r], Subspace(left[:, r:], validate=False)
+    cosines = w_s.conj().T @ u
+    m_left, m_sigma, m_right_h = np.linalg.svd(cosines)
+    rank_a = _tol(tol).rank(m_sigma, cosines.shape)
+    ker_a = u @ m_right_h[rank_a:].conj().T
+    domain = subspace_sum(s, companion, tol)
+    by_domain, by_blocks = domain.dim == n, rank_a == r
     if by_domain != by_blocks:
         raise ConsistencyError(
             f"domain criterion ({by_domain}) disagrees with block criterion ({by_blocks})"
@@ -238,7 +237,8 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     blocks = None
     if by_domain:
         s_perp = subspace_complement(s, tol)
-        quotient = u @ (q @ ((q.conj().T @ (g @ s_perp.basis)) / eigs[keep][:, None]))
+        step = (m_left[:, :rank_a].conj().T @ (w_s.conj().T @ s_perp.basis)) / m_sigma[:rank_a, None]
+        quotient = u @ (m_right_h[:rank_a].conj().T @ step)
         pairs = np.block([[s_perp.basis, np.zeros_like(ker_a)], [quotient, ker_a]])
         x = LinearRelation(n, n, orthonormalize(pairs, tol, ambient_dim=2 * n))
         blocks = BlockRep(s, s_perp, identity_on(s), x, zero_on(s), zero_on(s_perp))
@@ -257,12 +257,12 @@ def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
 
     The Schur complement of the block of W on the complement of S, placed
     back in ambient coordinates, so that its range lies inside S; checked
-    against the sandwich 0 <= Sigma <= W on the smallest eigenvalues.
+    against the sandwich 0 <= Sigma <= W on the smallest eigenvalues, which
+    bounds Sigma but does not test that it is the largest.
     """
     if w.kind != "psd":
         raise ValueError("shorted operator needs a psd weight")
     _check_ambient(w, s)
-    tol_ = _tol(tol)
     s_perp = subspace_complement(s, tol)
     u, u_perp = s.basis, s_perp.basis
     a = u.conj().T @ w.matrix @ u
@@ -277,7 +277,7 @@ def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
     schur = (schur + schur.conj().T) / 2
 
     scale = max(1.0, float(np.linalg.norm(w.matrix)))
-    floor = -max(1e-8 * scale, tol_.residual(scale, w.ambient_dim))
+    floor = -max(1e-8 * scale, _tol(tol).residual(scale, w.ambient_dim))
     lowest = min(np.linalg.eigvalsh(m).min(initial=0.0) for m in (schur, w.matrix - schur))
     if lowest < floor:
         raise ConsistencyError(
@@ -290,10 +290,11 @@ def krein_classify(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Krei
     """Isotropic part and the regularity ladder for an indefinite metric.
 
     The isotropic part S cap S^[perp] is U ker(U*JU) for S = span(U), from
-    one eigh cut on |lambda|, and must equal S cap ker(U*J), an intersection
-    ranked by principal angles.  J is invertible, so dim S^[perp] =
-    n - dim S and S + S^[perp] is everything exactly when S cap S^[perp] = 0:
-    regular and nondegenerate are one flag.
+    one eigh cut on |lambda|, the sine of the angle between U v and
+    S^[perp] = (J S)-perp for a unit eigenvector v as J is unitary; it must
+    equal S cap ker(U*J), ranked by principal angles.  As J is invertible,
+    dim S^[perp] = n - dim S and S + S^[perp] is everything exactly when
+    S cap S^[perp] = 0: regular and nondegenerate are one flag.
     """
     if w.kind != "symmetry":
         raise ValueError("classification needs a symmetry weight (W^2 = I)")

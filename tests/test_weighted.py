@@ -19,6 +19,7 @@ from relcalc import (
     make_pmn,
     make_pws,
     matrix_image,
+    null_space,
     orthonormalize,
     parts,
     psd_sqrt,
@@ -40,10 +41,12 @@ from genutil import (
     degenerate_subspace,
     graph_dist,
     projector_dist,
+    psd_with_tiny_eigenvalues,
     random_psd,
     random_selfadjoint,
     random_subspace,
     random_symmetry,
+    random_unitary,
     weight_and_subspace,
 )
 
@@ -228,6 +231,51 @@ class TestComplementabilityAgainstSpan:
             assert np.linalg.norm(report.domain.projector() - domain @ domain.conj().T) < 1e-9
             flags.append(flag)
         assert 50 <= flags.count(False) <= 350
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8])
+    def test_a_line_close_to_the_kernel_of_w(self, delta):
+        # W U keeps its singular value delta, far above the cutoff, while the
+        # corner a = U*WU is about delta^2, under it: S is complementable,
+        # with mul P = 0 and P e1 = (1, 1/delta)
+        w = np.diag([1.0, 0.0])
+        s = orthonormalize([np.array([delta, 1.0])])
+        report = complementability(Weight(w, "psd"), s)
+        flag, _ = oracles.complementable_by_span(w, s.basis, 1e-10)
+        assert flag and report.is_complementable and report.criterion_ab
+        assert report.mul.dim == 0 and report.domain.dim == 2
+        image = apply(report.pws_blocks.generate(), np.array([1.0, 0.0]))
+        assert np.linalg.norm(image.point - [1.0, 1.0 / delta]) <= 1e-6 / delta
+
+    @pytest.mark.parametrize(
+        "family,mul_bound",
+        # W U keeps singular values down to the cutoff 1e-10 on the tiny-
+        # eigenvalue family, where its singular vectors, and so mul, are
+        # fixed only to about eps / 1e-10 = 2e-6
+        [("tiny eigenvalues", 1e-5), ("rotated line near the kernel", 1e-9)],
+    )
+    def test_matches_the_span_oracle_near_the_cutoff(self, family, mul_bound):
+        # psd weights whose eigenvalues or whose angles to S sit around the
+        # default cutoff: flags and domain against the span oracle, mul
+        # against S cap {x : S* W x = 0} ranked by principal angles
+        rng = np.random.default_rng(4100 if family == "tiny eigenvalues" else 4200)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            if family == "tiny eigenvalues":
+                w = psd_with_tiny_eigenvalues(rng, n)
+                s = random_subspace(rng, n, dim=int(rng.integers(1, n + 1)))
+            else:
+                q = random_unitary(rng, n)
+                w = (q * np.r_[np.ones(n - 1), 0.0]) @ q.conj().T
+                w = (w + w.conj().T) / 2
+                line = np.r_[10.0 ** rng.uniform(-9.5, -3), np.zeros(n - 2), 1.0]
+                s = orthonormalize(q @ np.column_stack([line, np.eye(n)[:, 1 : int(rng.integers(1, n))]]))
+            report = complementability(Weight(w, "psd"), s)
+            flag, domain = oracles.complementable_by_span(w, s.basis, 1e-10)
+            assert flag == report.is_complementable == report.criterion_ab
+            assert np.linalg.norm(report.domain.projector() - domain @ domain.conj().T) < 1e-9
+            mul = subspace_intersect(s, null_space(s.basis.conj().T @ w))
+            assert mul.dim == report.mul.dim
+            assert projector_dist(report.mul, mul) < mul_bound
 
     def test_matches_the_relation_route(self):
         # the route complementability took through the calculus: the parts
@@ -463,17 +511,17 @@ class TestSecondRoutes:
         assert raised >= 100
 
     @pytest.mark.parametrize(
-        "w,s", [(Weight(np.diag([1.0, -1.0]), "symmetry"), DIAG), (Weight(np.eye(2), "psd"), E1)]
+        "w,s,wrong",
+        [
+            # claims all of the plane for a neutral line, which is not complementable
+            (Weight(np.diag([1.0, -1.0]), "symmetry"), DIAG, lambda s1, s2, tol=None: full_space(2)),
+            # loses the companion of a complementable line
+            (Weight(np.eye(2), "psd"), E1, lambda s1, s2, tol=None: s1),
+        ],
     )
-    def test_complementability_catches_a_wrong_rank(self, monkeypatch, w, s):
-        # rank U*W one short flips the block criterion, whichever way the
-        # domain decides
-        right = weighted.orthonormalize
-
-        def one_short(vectors, tol=None, **kwargs):
-            return Subspace(right(vectors, tol, **kwargs).basis[:, :-1], validate=False)
-
-        monkeypatch.setattr(weighted, "orthonormalize", one_short)
+    def test_complementability_catches_a_wrong_domain(self, monkeypatch, w, s, wrong):
+        # the domain S + (W S)-perp flips against rank a = rank U*W
+        monkeypatch.setattr(weighted, "subspace_sum", wrong)
         with pytest.raises(ConsistencyError, match="disagrees with block criterion"):
             complementability(w, s)
 

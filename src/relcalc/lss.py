@@ -5,7 +5,9 @@ dom A some of whose values come W-seminorm-closest to b among all of ran A.
 Existence, the minimum, the attainment set and the full solution coset all
 come out of the weighted projection P onto ran A, taken from the paper's
 block form: along S = ran A, P is (I, a^-1 b; 0, 0) with a = P_S W|_S, so
-one eigendecomposition of the Hermitian corner a = U*WU decides P b.
+one eigendecomposition of the Hermitian corner a = U*WU decides P b.  The
+normal equation 0 in A* W (A x0 - b) reads on the same basis U of ran A:
+(z, 0) lies in A* exactly when U* z = 0, so ``check_normal`` works on U*W.
 """
 
 from __future__ import annotations
@@ -15,19 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, NoSolutionError
-from .subspaces import Coset, Tolerance, _as_vector, null_space, subspace_equals
-from .relations import (
-    LinearRelation,
-    adjoint,
-    apply,
-    apply_to_coset,
-    compose,
-    graph_of_matrix,
-    image,
-    invert,
-    parts,
-)
-from .weighted import Weight, _project_by_blocks, psd_sqrt
+from .subspaces import Coset, Tolerance, _as_vector, _tol, subspace_equals, subspace_intersect
+from .relations import LinearRelation, apply, apply_to_coset, invert, parts
+from .weighted import Weight, _project_by_blocks, _psd_root, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -76,12 +68,15 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     the range of a = U*WU, up to the allowance a psd W leaves for the
     eigenvalues the cut dropped; P b is empty when W is not psd beyond that.
     When solvable, the minimum is the W-seminorm of any residual
-    representative (checked constant across representatives), and the
-    solution set is the inverse image of that coset, which must coincide
-    with witness + A^{-1}(ker W).
+    representative (checked constant across representatives), the output
+    directions must be ran A cap ker W, with ker W from the eigendecomposition
+    that gives W^1/2, and the solution set is the inverse image of the
+    output coset.  The check runs before A^-1, which would scale any gap
+    between the two by up to 1 / sigma_min(A).
     """
-    w_half = psd_sqrt(p.W.matrix, tol)
-    outputs = _project_by_blocks(p.W.matrix, w_half, parts(p.A, tol).ran.basis, p.b, tol)
+    w_half, ker_w = _psd_root(p.W.matrix, tol)
+    ran = parts(p.A, tol).ran
+    outputs = _project_by_blocks(p.W.matrix, w_half, ran.basis, p.b, tol)
     n = p.A.dim_in
     if outputs.is_empty:
         return LssSolution(
@@ -97,20 +92,19 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
         other = _seminorm(w_half, second - p.b)
         if abs(other - min_value) > 1e-8 * (1.0 + min_value):
             raise ConsistencyError("minimum value varies across coset representatives")
-    inverse = invert(p.A)  # shares the parts of A computed above
-    solution_set = apply_to_coset(inverse, outputs, tol)
+    structural = subspace_intersect(ran, ker_w, tol)
+    if not subspace_equals(outputs.direction, structural, tol):
+        raise ConsistencyError(
+            f"minimizing output directions (dim {outputs.direction.dim}) differ from "
+            f"ran A cap ker W (dim {structural.dim})"
+        )
+    solution_set = apply_to_coset(invert(p.A), outputs, tol)  # shares the parts of A
     if solution_set.is_empty:
         raise ConsistencyError("minimizing outputs fell outside ran A")
-    structural = image(inverse, null_space(p.W.matrix, tol), tol)
-    if not subspace_equals(solution_set.direction, structural, tol):
-        raise ConsistencyError(
-            "solution set directions differ from the inverse image of ker W"
-        )
-    witness = solution_set.min_norm_point()
     return LssSolution(
         exists=True,
         min_value=min_value,
-        witness=witness,
+        witness=solution_set.min_norm_point(),
         solution_set=solution_set,
         minimizing_outputs=outputs,
     )
@@ -119,30 +113,27 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
 def check_normal(p: LssProblem, x0: np.ndarray, tol: Tolerance | None = None) -> bool:
     """Normal-equation test: zero must be a value of A* W (A x0 - b).
 
-    Also evaluates the set form A* W (A x - b) = A* W (mul A); the two
-    verdicts are equivalent and checked against each other.  True exactly for
-    the weighted least-squares solutions.
+    (z, 0) lies in A* exactly when U* z = 0, for U the orthonormal basis of
+    ran A that ``parts`` cut.  With A x0 = y0 + mul A and M the basis of
+    mul A, zero is a value when some y0 + M c - b has U*W (y0 + M c - b) = 0:
+    when g = U*W (y0 - b) lies in the range of K = U*W M.  One SVD of the
+    small matrix K, cut at the rank cutoff (none when mul A = 0), and a
+    residual test at the scale of g decide it.  True exactly for the weighted
+    least-squares solutions.
     """
-    x0 = _as_vector(x0, p.A.dim_in, "candidate x0")
-    pa = parts(p.A, tol)
-    if not pa.dom.contains_vector(x0, tol):
+    tol = _tol(tol)
+    value = apply(p.A, _as_vector(x0, p.A.dim_in, "candidate x0"), tol)
+    if value.is_empty:
         raise ValueError("candidate lies outside dom A")
-    aw = compose(adjoint(p.A, tol), graph_of_matrix(p.W.matrix, tol), tol)
-    residual_set = apply(p.A, x0, tol).translate(-p.b)
-    pushed = apply_to_coset(aw, residual_set, tol)
-    zero = np.zeros(p.A.dim_in, dtype=complex)
-    by_membership = pushed.contains(zero, tol)
-    rhs = image(aw, pa.mul, tol)
-    by_set_form = (
-        not pushed.is_empty
-        and subspace_equals(pushed.direction, rhs, tol)
-        and rhs.contains_vector(pushed.point, tol)
-    )
-    if by_membership != by_set_form:
-        raise ConsistencyError(
-            f"normal-equation tests disagree: membership {by_membership}, set form {by_set_form}"
-        )
-    return by_membership
+    uw = parts(p.A, tol).ran.basis.conj().T @ p.W.matrix
+    g = uw @ (value.point - p.b)
+    threshold = tol.residual(max(1.0, float(np.linalg.norm(g))), p.A.dim_in)
+    k = uw @ value.direction.basis
+    if k.size:
+        left, sigma, _ = np.linalg.svd(k, full_matrices=False)
+        kept = left[:, : tol.rank(sigma, k.shape)]
+        g = g - kept @ (kept.conj().T @ g)
+    return float(np.linalg.norm(g)) <= threshold
 
 
 def w1w2_solve(

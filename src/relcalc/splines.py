@@ -22,7 +22,7 @@ from .subspaces import (
     null_space,
     orthonormalize,
 )
-from .weighted import Weight, _project_by_blocks
+from .weighted import _project_by_blocks
 
 # Multiple of eps * max(shape) * (||S|| ||x|| + ||target||), the rounding error
 # of a least-squares solve with the stacked map S, that the smoothing checks
@@ -107,9 +107,9 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
     checked.
     """
     x_feasible, *_ = np.linalg.lstsq(p.V, p.b, rcond=None)
-    weight = Weight(p.T.conj().T @ p.T, "psd")
+    gram = p.T.conj().T @ p.T
     ker_v = null_space(p.V, tol)
-    spline_set = _reduce(p, weight, ker_v, x_feasible, tol)
+    spline_set = _reduce(p, gram, ker_v, x_feasible, tol)
     min_value = float(np.linalg.norm(p.T @ spline_set.point))
     if spline_set.direction.dim:
         second = spline_set.point + spline_set.direction.basis[:, 0]
@@ -118,15 +118,16 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
             raise ConsistencyError("objective varies across the spline set")
     _check_interpolation(p, spline_set, tol)
     if ker_v.dim:
-        alternative = _reduce(p, weight, ker_v, x_feasible + ker_v.basis[:, 0], tol)
+        alternative = _reduce(p, gram, ker_v, x_feasible + ker_v.basis[:, 0], tol)
         if not spline_set.equals(alternative, tol):
             raise ConsistencyError("spline set depends on the feasible point chosen")
     return SplineSolution(exists=True, spline_set=spline_set, min_value=min_value)
 
 
-def _reduce(p: SplineProblem, weight: Weight, ker_v: Subspace, x: np.ndarray, tol: Tolerance | None) -> Coset:
-    """(I - P) x for the weighted projection P with weight T*T onto ker V."""
-    projected = _project_by_blocks(weight.matrix, p.T, ker_v.basis, x, tol)
+def _reduce(p: SplineProblem, gram: np.ndarray, ker_v: Subspace, x: np.ndarray, tol: Tolerance | None) -> Coset:
+    """(I - P) x for the weighted projection P with weight gram = T*T onto
+    ker V; T*T is psd by construction, so it needs no certificate."""
+    projected = _project_by_blocks(gram, p.T, ker_v.basis, x, tol)
     if projected.is_empty:
         # dom (I - P) = dom P, everything for a psd weight: cannot happen
         raise ConsistencyError("feasible point escaped the projection domain")

@@ -23,9 +23,9 @@ class Tolerance:
     """Mixed absolute/relative thresholds for rank cuts and subspace comparisons.
 
     A singular value survives the rank cut when
-    ``sigma >= rel_eps * sigma_max + abs_eps``.  When ``rel_eps`` is None it
-    defaults to ``REL_EPS_PER_DIM`` times the larger matrix dimension, so the
-    relative part scales with the problem size.
+    ``sigma >= rel_eps * sigma_max + abs_eps`` and ``sigma > 0``.  When
+    ``rel_eps`` is None it defaults to ``REL_EPS_PER_DIM`` times the larger
+    matrix dimension, so the relative part scales with the problem size.
     """
 
     abs_eps: float = DEFAULT_ABS_EPS
@@ -47,10 +47,12 @@ class Tolerance:
 
     def rank(self, sigma: np.ndarray, shape) -> int:
         """How many of the descending singular values ``sigma`` of a matrix
-        of the given shape survive the rank cut; 0 when there are none."""
+        of the given shape survive the rank cut; 0 when there are none.  A
+        zero never survives, even at a zero cutoff."""
         if sigma.size == 0:
             return 0
-        return int(np.count_nonzero(sigma >= self.rank_cutoff(float(sigma[0]), shape)))
+        cutoff = self.rank_cutoff(float(sigma[0]), shape)
+        return int(np.count_nonzero((sigma >= cutoff) & (sigma > 0)))
 
     def residual(self, scale: float, dim: int) -> float:
         """Acceptance threshold for a residual norm at the given data scale."""

@@ -118,15 +118,22 @@ def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np
     return eigs, vecs, keep & (eigs > 0)
 
 
-def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Hermitian square root of a psd matrix.
+def _psd_root(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, Subspace]:
+    """Hermitian square root of a psd matrix and its kernel, from one eigh.
 
     Eigenvalues below the rank cutoff are flushed to exact zero first;
     otherwise rounding noise of size eps would surface as sqrt(eps) and the
-    root would no longer share the kernel of its square.
+    root would no longer share the kernel of its square.  The dropped
+    eigenvectors are an orthonormal basis of that kernel.
     """
     eigs, vecs, keep = _psd_eigh(matrix, tol)
-    return (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T
+    root = (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T
+    return root, Subspace(vecs[:, ~keep], validate=False)
+
+
+def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
+    """Hermitian square root of a psd matrix, rank-cut as ``_psd_root`` cuts."""
+    return _psd_root(matrix, tol)[0]
 
 
 def _check_ambient(w: Weight, s: Subspace):

@@ -492,5 +492,18 @@ class TestFrozenResults:
         assert result["dom"]["dim"] == 1 and result["ran"]["dim"] == 2
         assert result["ker"]["dim"] == 0 and result["mul"]["dim"] == 1
 
+    def test_zero_tolerance_reads_a_zero_matrix_as_zero(self, tmp_path):
+        # at --tol 0 the rank cutoff of the zero output block is 0 itself; it
+        # kept the block's zero singular values and reported ran 2, ker 0
+        zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+        doc = {"version": 1, "field": "complex", "relations": {"R": {"matrix": zero}},
+               "problem": {"relation": "R"}}
+        path = _write_problem(tmp_path, doc)
+        code, payload = run_cli(["relation-analyze", str(path), "--tol", "0"])
+        result = json.loads(payload)["result"]
+        assert code == 0
+        assert result["dom"]["dim"] == 2 and result["ran"]["dim"] == 0
+        assert result["ker"]["dim"] == 2 and result["mul"]["dim"] == 0
+
     def test_every_command_is_registered(self):
         assert sorted(COMMANDS) == sorted(c for c, _ in GOLDEN_CASES)

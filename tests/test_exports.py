@@ -67,11 +67,14 @@ def test_weighted_solvers_take_the_block_form():
     # solve, w1w2_solve (lss.py) and spline_solve (splines.py) project
     # through the paper's block form, which weighted.py alone defines, and
     # complementability, shorted and krein_classify (weighted.py) read the
-    # same block split; the relation route (make_pws, identity_minus, the
-    # calculus) is a test-only cross-check for all six
+    # same block split; check_normal (lss.py) reads the normal equation on
+    # U*W for the basis U of ran A; the relation route (make_pws,
+    # identity_minus, the calculus) is a test-only cross-check for all seven
     for module in ("lss.py", "splines.py"):
         names = set(_names(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))))
         assert not names & {"make_pws", "identity_minus"}, module
+    names = set(_names(ast.parse((PACKAGE / "lss.py").read_text(encoding="utf-8"))))
+    assert not names & {"adjoint", "compose", "graph_of_matrix", "image", "null_space"}
     names = set(_names(ast.parse((PACKAGE / "weighted.py").read_text(encoding="utf-8"))))
     calculus = {"compose", "parts", "invert", "canonical_blocks", "relation_equals", "as_matrix"}
     assert not names & calculus

@@ -21,6 +21,7 @@ from relcalc import (
     full_space,
     graph_of_matrix,
     identity_on,
+    invert,
     make_pmn,
     orthonormalize,
     parts,
@@ -28,6 +29,7 @@ from relcalc import (
     relation_contains,
     relation_equals,
     representable,
+    restrict,
     scale,
     subspace_complement,
     subspace_equals,
@@ -41,6 +43,7 @@ from relcalc import oracles
 from genutil import (
     cmat,
     cvec,
+    graph_dist,
     random_mv_projection,
     random_representable,
     random_subspace,
@@ -235,6 +238,22 @@ class TestCoefficientX:
         assert subspace_equals(p.mul, subspace_intersect(m, k))
         # composing with the overlap projection changes nothing
         assert relation_equals(compose(make_pmn(m, subspace_intersect(m, k)), x), x)
+
+    def test_matches_the_composed_form(self):
+        # -P_M ((I - P_M)|_N)^(-1) through the calculus, the construction the
+        # isometric graph basis replaced
+        rng = np.random.default_rng(2450)
+        worst = 0.0
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            m, k = random_subspace(rng, n), random_subspace(rng, n)
+            x = coefficient_x(m, k)
+            assert np.allclose(x.graph.basis.conj().T @ x.graph.basis, np.eye(k.dim), atol=1e-13)
+            proj = m.projector()
+            restricted = restrict(graph_of_matrix(np.eye(n) - proj), k).relation
+            composed = compose(scale(graph_of_matrix(proj), -1.0), invert(restricted))
+            worst = max(worst, graph_dist(x, composed))
+        assert worst <= 1e-9
 
 
 class TestAssembleRepresentation:

@@ -205,6 +205,12 @@ class TestTolerance:
         kept = orthonormalize([np.array([1e-13, 0.0])], Tolerance(abs_eps=1e-15))
         assert kept.dim == 1
 
+    @pytest.mark.parametrize("tol", [Tolerance(0.0), Tolerance(0.0, rel_eps=0.0)])
+    def test_a_zero_cutoff_keeps_no_zero_singular_value(self, tol):
+        # at abs_eps = 0 the cutoff of an all-zero matrix is 0 itself
+        assert orthonormalize(np.zeros((3, 2)), tol).dim == 0
+        assert tol.rank(np.array([1.0, 0.0]), (2, 2)) == 1
+
 
 class TestCoset:
     def test_membership(self):

@@ -35,6 +35,7 @@ from .relations import (
     identity_on,
     parts,
     product_of_subspaces,
+    range_space,
     zero_on,
 )
 from .mvproj import assemble_representation, classify, make_pmn
@@ -389,7 +390,7 @@ def _cmd_lss_solve(pf, tol, verify):
     }
     diag = {}
     if verify and sol.exists:
-        ran_basis = parts(rel, tol).ran.basis
+        ran_basis = range_space(rel, tol).basis
         diag["oracle_delta"] = abs(
             sol.min_value - oracles.weighted_min_over_span(weight.matrix, ran_basis, b)
         )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NoSolutionError
 from .subspaces import Coset, Tolerance, _as_vector, _tol, subspace_equals, subspace_intersect
-from .relations import LinearRelation, apply, apply_to_coset, invert, parts
+from .relations import LinearRelation, apply, apply_to_coset, invert, parts, range_space
 from .weighted import Weight, _project_by_blocks, _psd_root, psd_sqrt
 
 
@@ -72,10 +72,13 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     directions must be ran A cap ker W, with ker W from the eigendecomposition
     that gives W^1/2, and the solution set is the inverse image of the
     output coset.  The check runs before A^-1, which would scale any gap
-    between the two by up to 1 / sigma_min(A).
+    between the two by up to 1 / sigma_min(A).  Both steps read only A's
+    output block H: ran A and the point of A^-1 come from H's kept singular
+    triplets, the solution directions from a preimage under H; the input
+    block is never factored.
     """
     w_half, ker_w = _psd_root(p.W.matrix, tol)
-    ran = parts(p.A, tol).ran
+    ran = range_space(p.A, tol)
     outputs = _project_by_blocks(p.W.matrix, w_half, ran.basis, p.b, tol)
     n = p.A.dim_in
     if outputs.is_empty:
@@ -98,7 +101,7 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
             f"minimizing output directions (dim {outputs.direction.dim}) differ from "
             f"ran A cap ker W (dim {structural.dim})"
         )
-    solution_set = apply_to_coset(invert(p.A), outputs, tol)  # shares the parts of A
+    solution_set = apply_to_coset(invert(p.A), outputs, tol)  # reads A's output half
     if solution_set.is_empty:
         raise ConsistencyError("minimizing outputs fell outside ran A")
     return LssSolution(

@@ -24,7 +24,6 @@ from .subspaces import (
     orthonormalize,
     subspace_contains,
     subspace_equals,
-    subspace_intersect,
     subspace_sum,
 )
 
@@ -40,7 +39,9 @@ class LinearRelation:
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.graph = graph
-        self._parts: dict[Tolerance, _FactoredParts] = {}
+        # one cache per graph block (input F, output H), keyed by tolerance
+        self._halves: tuple[dict[Tolerance, _Half], dict[Tolerance, _Half]] = ({}, {})
+        self._parts: dict[Tolerance, RelationParts] = {}
 
     @property
     def in_block(self) -> np.ndarray:
@@ -56,19 +57,19 @@ class LinearRelation:
 
     @property
     def dom(self) -> Subspace:
-        return parts(self).dom
+        return _half(self, None, _IN).span
 
     @property
     def ran(self) -> Subspace:
-        return parts(self).ran
+        return _half(self, None, _OUT).span
 
     @property
     def ker(self) -> Subspace:
-        return parts(self).ker
+        return _half(self, None, _OUT).null_image
 
     @property
     def mul(self) -> Subspace:
-        return parts(self).mul
+        return _half(self, None, _IN).null_image
 
     def __repr__(self):
         return (
@@ -88,40 +89,19 @@ class Restriction(NamedTuple):
     image: Subspace
 
 
-class _Factors(NamedTuple):
-    """The kept singular triplets of a graph block: block ~ u @ diag(s) @ vh."""
+class _Half(NamedTuple):
+    """What one full SVD of a graph block decides, cut at one tolerance: the
+    block's span (dom for the input block F, ran for the output block H), the
+    other block applied to its null space (mul = H null(F), ker = F null(H))
+    and the block's kept singular triplets, block ~ span.basis @ diag(s) @ vh."""
 
-    u: np.ndarray
+    span: Subspace
+    null_image: Subspace
     s: np.ndarray
     vh: np.ndarray
 
 
-class _FactoredParts(NamedTuple):
-    """One cache entry of ``LinearRelation._parts``: the four parts and the
-    kept singular triplets of the input and output blocks they came from."""
-
-    parts: RelationParts
-    in_factors: _Factors
-    out_factors: _Factors
-
-    def swapped(self) -> "_FactoredParts":
-        """The entry of the inverse relation: dom<->ran, ker<->mul, F<->H."""
-        dom, ran, ker, mul = self.parts
-        return _FactoredParts(RelationParts(ran, dom, mul, ker), self.out_factors, self.in_factors)
-
-
-def _factor_block(block: np.ndarray, tol: Tolerance) -> tuple[_Factors, np.ndarray]:
-    """One full SVD of a graph block, cut at the tolerance's rank cutoff: the
-    kept triplets (compact copies) and the dropped right singular vectors,
-    the graph coordinates of the block's null space."""
-    q, k = block.shape
-    if q == 0 or k == 0:
-        empty = _Factors(np.zeros((q, 0), dtype=complex), np.zeros(0), np.zeros((0, k), dtype=complex))
-        return empty, np.eye(k, dtype=complex)
-    u, s, vh = np.linalg.svd(block, full_matrices=True)
-    rank = tol.rank(s, block.shape)
-    kept = _Factors(u[:, :rank].copy(), s[:rank].copy(), vh[:rank].copy())
-    return kept, vh[rank:].conj().T
+_IN, _OUT = 0, 1
 
 
 # far below the 1e-8 a validated basis may be off, and above the rounding of
@@ -146,15 +126,31 @@ def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subsp
     return Subspace(vecs, validate=False)
 
 
-def _compute_parts(T: LinearRelation, tol: Tolerance) -> _FactoredParts:
-    F, H = T.in_block, T.out_block
-    f, null_f = _factor_block(F, tol)
-    h, null_h = _factor_block(H, tol)
-    dom = Subspace(f.u, validate=False)
-    ran = Subspace(h.u, validate=False)
-    ker = _block_image(F, null_h, tol)
-    mul = _block_image(H, null_f, tol)
-    return _FactoredParts(RelationParts(dom, ran, ker, mul), f, h)
+def _factor_half(block: np.ndarray, other: np.ndarray, tol: Tolerance) -> _Half:
+    """One full SVD of a graph block, cut at the tolerance's rank cutoff: the
+    kept triplets, and the other block applied to the dropped right singular
+    vectors, the graph coordinates of the block's null space."""
+    q, k = block.shape
+    if q == 0 or k == 0:
+        span = Subspace(np.zeros((q, 0), dtype=complex), validate=False)
+        null_image = _block_image(other, np.eye(k, dtype=complex), tol)
+        return _Half(span, null_image, np.zeros(0), np.zeros((0, k), dtype=complex))
+    u, s, vh = np.linalg.svd(block, full_matrices=True)
+    rank = tol.rank(s, block.shape)
+    null_image = _block_image(other, vh[rank:].conj().T, tol)
+    return _Half(Subspace(u[:, :rank], validate=False), null_image, s[:rank].copy(), vh[:rank].copy())
+
+
+def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
+    """The cached half of the parts that the block on ``side`` (``_IN`` or
+    ``_OUT``) decides at the tolerance; one SVD the first time."""
+    tol = _tol(tol)
+    cache = T._halves[side]
+    half = cache.get(tol)
+    if half is None:
+        block, other = (T.in_block, T.out_block) if side == _IN else (T.out_block, T.in_block)
+        half = cache[tol] = _factor_half(block, other, tol)
+    return half
 
 
 def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
@@ -163,16 +159,27 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
     With the graph basis split into its input block F and output block H,
     dom and ran are the column spans of F and H, ker is F applied to the null
     space of H, and mul is H applied to the null space of F.  One full SVD of
-    each block gives both its span (kept left singular vectors) and its null
-    space (dropped right singular vectors): two SVDs in all.  The parts are
-    cached on the relation per tolerance value, with the kept singular
-    triplets for ``apply``; ``None`` and ``Tolerance()`` share one entry.
+    a block gives both its span (kept left singular vectors) and its null
+    space (dropped right singular vectors), so each block decides one half of
+    the parts: F gives dom and mul, H gives ran and ker.  Each half is cached
+    on the relation per block and tolerance value, with the block's kept
+    singular triplets for ``apply``; ``parts`` assembles both halves (two
+    SVDs in all) and caches the tuple too.  ``None`` and ``Tolerance()``
+    share one entry.  ``range_space`` and the ``dom``/``ran``/``ker``/``mul``
+    properties read one half only.
     """
     tol = _tol(tol)
     cached = T._parts.get(tol)
     if cached is None:
-        cached = T._parts[tol] = _compute_parts(T, tol)
-    return cached.parts
+        f, h = _half(T, tol, _IN), _half(T, tol, _OUT)
+        cached = T._parts[tol] = RelationParts(f.span, h.span, h.null_image, f.null_image)
+    return cached
+
+
+def range_space(T: LinearRelation, tol: Tolerance | None = None) -> Subspace:
+    """ran T from one SVD of the output block alone, the half of ``parts``
+    it shares: the input block is not factored."""
+    return _half(T, tol, _OUT).span
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +233,14 @@ def product_of_subspaces(m: Subspace, n: Subspace) -> LinearRelation:
 def invert(T: LinearRelation) -> LinearRelation:
     """{(y, x) : (x, y) in T}; dom and ran, ker and mul swap roles.
 
-    The inverse starts with T's cached parts, swapped, so it makes no SVD of
-    its own for a tolerance T has already been analyzed at.
+    The inverse's input block is T's output block and the other way round,
+    so it shares T's two per-block caches in swapped order: its input half
+    is exactly T's output half, and a half either relation factors serves
+    both.
     """
     swapped = np.vstack([T.out_block, T.in_block])
     inverse = LinearRelation(T.dim_out, T.dim_in, Subspace(swapped, validate=False))
-    inverse._parts.update((tol, entry.swapped()) for tol, entry in T._parts.items())
+    inverse._halves = T._halves[::-1]
     return inverse
 
 
@@ -337,21 +346,32 @@ def image(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Subsp
 def apply(T: LinearRelation, x: np.ndarray, tol: Tolerance | None = None) -> Coset:
     """The value T x = y + mul T, or the empty coset when x is outside dom T.
 
-    The graph coefficients of x are V_r S_r^-1 U_r* x, from the input block's
-    kept singular triplets (U_r, S_r, V_r) that ``parts`` cut at the
-    tolerance.
+    Reads the input block's half of the parts only: the graph coefficients
+    of x are V_r S_r^-1 U_r* x, from the kept singular triplets
+    (U_r, S_r, V_r) of the input block cut at the tolerance.
     """
     x = _as_vector(x, T.dim_in, "input vector")
-    p = parts(T, tol)
-    if not p.dom.contains_vector(x, tol):
+    f = _half(T, tol, _IN)
+    if not f.span.contains_vector(x, tol):
         return Coset.empty(T.dim_out)
-    f = T._parts[_tol(tol)].in_factors
-    coeff = f.vh.conj().T @ ((f.u.conj().T @ x) / f.s)
-    return Coset.of(T.out_block @ coeff, p.mul)
+    coeff = f.vh.conj().T @ ((f.span.basis.conj().T @ x) / f.s)
+    return Coset.of(T.out_block @ coeff, f.null_image)
 
 
 def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) -> Coset:
-    """Image of an affine set under the relation: {y : (x, y) in T, x in c}."""
+    """Image of an affine set under the relation: {y : (x, y) in T, x in c}.
+
+    For the coset p + span D, one SVD of the off-dom part R = (I - P_dom) D,
+    cut at the rank cutoff, decides both questions about dom T: its kept
+    triplets give the least-squares shift of p into dom T, and its dropped
+    right singular vectors the coordinates of the feasible directions
+    X = D cap dom T.  dom T and the shifted point's value come from the input
+    block's half of the parts, through ``apply``; T(X) comes from ``image``,
+    whose rank decision weighs unit graph vectors.  Mapping X through the
+    input block's triplets instead, H V_r S_r^-1 U_r* X, would scale the
+    rounding of X by up to 1 / sigma_min(F), enough to turn a direction of
+    X in ker T into a spurious image direction.
+    """
     if c.ambient_dim != T.dim_in:
         raise DimensionMismatchError(
             f"coset ambient {c.ambient_dim} != dim_in {T.dim_in}"
@@ -360,21 +380,18 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
         return Coset.empty(T.dim_out)
     if c.direction.dim == 0:
         return apply(T, c.point, tol)
-    dom = parts(T, tol).dom
-    # feasible representative: least-squares shift of the point into dom T
-    proj = dom.projector()
-    lhs = c.direction.basis - proj @ c.direction.basis
-    rhs = -(c.point - proj @ c.point)
-    t, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    y1 = c.point + c.direction.basis @ t
-    resid = float(np.linalg.norm(y1 - proj @ y1))
-    if resid > _tol(tol).residual(max(1.0, float(np.linalg.norm(y1))), T.dim_in):
-        return Coset.empty(T.dim_out)
-    value = apply(T, y1, tol)
+    f = _half(T, tol, _IN)
+    dom, d = f.span.basis, c.direction.basis
+    off_dom = d - dom @ (dom.conj().T @ d)
+    u, s, vh = np.linalg.svd(off_dom, full_matrices=False)
+    rank = _tol(tol).rank(s, off_dom.shape)
+    point_off_dom = c.point - dom @ (dom.conj().T @ c.point)
+    shift = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ point_off_dom) / s[:rank])
+    value = apply(T, c.point - d @ shift, tol)
     if value.is_empty:
         return value
-    feasible_dir = subspace_intersect(c.direction, dom, tol)
-    return Coset.of(value.point, image(T, feasible_dir, tol))
+    feasible = Subspace(d @ vh[rank:].conj().T, validate=False)
+    return Coset.of(value.point, image(T, feasible, tol))
 
 
 def relation_contains(outer: LinearRelation, inner: LinearRelation, tol: Tolerance | None = None) -> bool:

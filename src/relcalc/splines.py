@@ -19,7 +19,6 @@ from .subspaces import (
     Subspace,
     Tolerance,
     _tol,
-    null_space,
     orthonormalize,
 )
 from .weighted import _project_by_blocks
@@ -101,14 +100,18 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
     Take any x~ with V x~ = b; the spline set is (I - P) x~ for the weighted
     projection P with weight T*T onto ker V, from its block form on an
     orthonormal basis K of ker V: the point x~ - K a^-1 K* T*T x~ with
-    a = K* T*T K, and the direction ker V cap ker T.  The result must not
-    depend on the feasible point chosen, the objective must be constant on
-    the set, and every member must still interpolate -- all three are
+    a = K* T*T K, and the direction ker V cap ker T.  One full SVD of V,
+    cut at the rank cutoff, gives both x~ = V_r S_r^-1 U_r* b from its kept
+    triplets and K from its dropped right singular vectors.  The result must
+    not depend on the feasible point chosen, the objective must be constant
+    on the set, and every member must still interpolate -- all three are
     checked.
     """
-    x_feasible, *_ = np.linalg.lstsq(p.V, p.b, rcond=None)
+    u, sigma, vh = np.linalg.svd(p.V, full_matrices=True)
+    rank = _tol(tol).rank(sigma, p.V.shape)
+    x_feasible = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ p.b) / sigma[:rank])
+    ker_v = Subspace(vh[rank:].conj().T, validate=False)
     gram = p.T.conj().T @ p.T
-    ker_v = null_space(p.V, tol)
     spline_set = _reduce(p, gram, ker_v, x_feasible, tol)
     min_value = float(np.linalg.norm(p.T @ spline_set.point))
     if spline_set.direction.dim:

@@ -221,5 +221,15 @@ def projector_dist(a: Subspace, b: Subspace) -> float:
     return float(np.linalg.norm(a.projector() - b.projector()))
 
 
+def coset_gap(new, old):
+    """Distance between two nonempty cosets of equal direction dimension:
+    the min-norm points (relative to the old one's norm) and the direction
+    projectors."""
+    point_gap = np.linalg.norm(new.min_norm_point() - old.min_norm_point()) / max(
+        1.0, np.linalg.norm(old.min_norm_point())
+    )
+    return max(point_gap, np.linalg.norm(new.direction.projector() - old.direction.projector()))
+
+
 def graph_dist(t: LinearRelation, s: LinearRelation) -> float:
     return projector_dist(t.graph, s.graph)

@@ -43,10 +43,12 @@ from relcalc import oracles
 
 from genutil import (
     cmat,
+    coset_gap,
     cvec,
     loosely_orthonormal_relation,
     projector_dist,
     random_relation,
+    random_unitary,
     random_subspace,
     relation_near_output_axis,
     relation_with_ker_and_mul,
@@ -426,6 +428,67 @@ class TestApplyToCoset:
         c = Coset.of(np.array([0.0, 1.0, 0.0]), orthonormalize([np.eye(3)[0], np.eye(3)[1]]))
         out = apply_to_coset(t, c)
         assert not out.is_empty and np.allclose(out.point, 0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_keeps_what_the_relation_shrinks_beside_what_it_stretches(self, seed):
+        # singular values from 1e-6 to 1e6: the image of the whole space is
+        # ran T.  The image is cut on unit graph vectors; a cut relative to
+        # the largest image vector would drop the directions T (or its
+        # inverse) shrinks beside the ones it stretches
+        rng = np.random.default_rng(12100 + seed)
+        n = int(rng.integers(2, 7))
+        sigma = np.geomspace(1e-6, 1e6, n)
+        t = graph_of_matrix(random_unitary(rng, n) @ np.diag(sigma) @ random_unitary(rng, n))
+        for form in (t, invert(t)):
+            out = apply_to_coset(form, Coset.of(cvec(rng, n), full_space(n)))
+            assert out.direction.dim == parts(form).ran.dim == n
+
+    @pytest.mark.parametrize(
+        "family,bound", [(random_relation, 1e-9), (relation_with_ker_and_mul, 1e-7)]
+    )
+    def test_against_the_intersection_route(self, family, bound):
+        # one SVD of the off-dom part of the directions gives the shift into
+        # dom T and the feasible directions; the route it replaced shifted
+        # the point by lstsq at numpy's cutoff and intersected the
+        # directions with dom T in a separate SVD.  relation_with_ker_and_mul
+        # has a 1e-6 singular value, so its images are fixed only to about
+        # eps / 1e-6
+        rng = np.random.default_rng(12000 + (family is relation_with_ker_and_mul))
+        worst, nonempty = 0.0, 0
+        for i in range(2000):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            t = family(rng, n, m)
+            dom = parts(t).dom
+            direction = random_subspace(rng, n, dim=int(rng.integers(1, n + 1)))
+            # generic points, and points of dom T moved along the directions
+            point = cvec(rng, n)
+            if i % 2:
+                point = dom.basis @ cvec(rng, dom.dim) + direction.basis @ cvec(rng, direction.dim)
+            c = Coset.of(point, direction)
+            got, old = apply_to_coset(t, c), _apply_to_coset_by_intersection(t, c)
+            assert got.is_empty == old.is_empty
+            if old.is_empty:
+                continue
+            nonempty += 1
+            assert got.direction.dim == old.direction.dim
+            worst = max(worst, coset_gap(got, old))
+        assert worst <= bound
+        assert 0 < nonempty < 2000
+
+
+def _apply_to_coset_by_intersection(t, c):
+    """The image of a coset by its former route: a least-squares shift of
+    the point into dom T at numpy's lstsq cutoff, then the image of the
+    directions' intersection with dom T through ``restrict``."""
+    dom = parts(t).dom
+    proj = dom.projector()
+    shift, *_ = np.linalg.lstsq(
+        c.direction.basis - proj @ c.direction.basis, proj @ c.point - c.point, rcond=None
+    )
+    value = apply(t, c.point + c.direction.basis @ shift)
+    if value.is_empty:
+        return value
+    return Coset.of(value.point, image(t, subspace_intersect(c.direction, dom)))
 
 
 def _basis_dist(a, b):

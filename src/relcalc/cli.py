@@ -16,6 +16,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +77,45 @@ def _finite_float(value, where: str) -> float:
     return x
 
 
+def _number(value, where: str) -> float:
+    """A scalar field that must be a JSON number: bools and strings are refused."""
+    if type(value) not in (int, float):
+        raise ProblemFormatError(f"{where}: expected a number, got {value!r}")
+    return _finite_float(value, where)
+
+
+def _size(value, where: str) -> int:
+    """A size field that must be a nonnegative JSON integer: bools, floats and
+    strings are refused."""
+    if type(value) is not int or value < 0:
+        raise ProblemFormatError(f"{where}: expected a nonnegative integer, got {value!r}")
+    return value
+
+
+# Numeric sections are read as whole arrays; the per-entry walk below runs
+# only when that fails, and its job is to name the first bad entry.
+
+
+def _pair_array(raw, ndim: int) -> np.ndarray | None:
+    """``raw`` as a complex array with ``ndim`` axes, or None if any entry is bad.
+
+    Accepted only when one ``np.array`` call gives a finite boolean, integer
+    or float array of the right rank whose last axis holds the [re, im]
+    pairs; the float pairs are then reinterpreted in place as complex
+    numbers, which keeps every bit (``-0.0`` included).
+    """
+    try:
+        arr = np.array(raw)
+    except (ValueError, TypeError, OverflowError):  # ragged nesting, for one
+        return None
+    if arr.dtype.kind not in "biuf" or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        return None
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        return None
+    return arr.view(complex)[..., 0]
+
+
 def _complex_entry(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -85,16 +126,16 @@ def _complex_entry(value, where: str) -> complex:
     return complex(_finite_float(value[0], where), _finite_float(value[1], where))
 
 
-def _parse_vector(raw, where: str) -> np.ndarray:
+def _walk_vector(raw, where: str) -> np.ndarray:
     if not isinstance(raw, list):
         raise ProblemFormatError(f"{where}: expected a list of [re, im] pairs")
     return np.array([_complex_entry(v, f"{where}[{i}]") for i, v in enumerate(raw)], dtype=complex)
 
 
-def _parse_matrix(raw, where: str) -> np.ndarray:
+def _walk_matrix(raw, where: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise ProblemFormatError(f"{where}: expected a nonempty list of rows")
-    rows = [_parse_vector(row, f"{where} row {i}") for i, row in enumerate(raw)]
+    rows = [_walk_vector(row, f"{where} row {i}") for i, row in enumerate(raw)]
     width = rows[0].shape[0]
     for i, row in enumerate(rows):
         if row.shape[0] != width:
@@ -102,6 +143,32 @@ def _parse_matrix(raw, where: str) -> np.ndarray:
                 f"{where} row {i} has {row.shape[0]} entries, expected {width}"
             )
     return np.vstack(rows)
+
+
+def _parse_vector(raw, where: str) -> np.ndarray:
+    arr = _pair_array(raw, 1)
+    return _walk_vector(raw, where) if arr is None else arr
+
+
+def _parse_matrix(raw, where: str) -> np.ndarray:
+    arr = _pair_array(raw, 2)
+    return _walk_matrix(raw, where) if arr is None else arr
+
+
+def _parse_span(raw, where: str, length: int, expected: str) -> list:
+    """A list of spanning vectors, each of the given length."""
+    if not isinstance(raw, list):
+        raise ProblemFormatError(f"{where}: expected a list of vectors")
+    arr = _pair_array(raw, 2)
+    if arr is not None and arr.shape[1] == length:
+        return list(arr)
+    span = [_walk_vector(v, f"{where}[{i}]") for i, v in enumerate(raw)]
+    for i, v in enumerate(span):
+        if v.shape[0] != length:
+            raise ProblemFormatError(
+                f"{where}[{i}] has length {v.shape[0]}, expected {expected}"
+            )
+    return span
 
 
 def parse(path: str | Path) -> ProblemFile:
@@ -132,10 +199,10 @@ def parse(path: str | Path) -> ProblemFile:
         if not isinstance(spec, dict):
             raise ProblemFormatError("tolerance: expected an object")
         tolerance = Tolerance(
-            abs_eps=_finite_float(spec.get("abs_eps", 1e-10), "tolerance.abs_eps"),
+            abs_eps=_number(spec.get("abs_eps", 1e-10), "tolerance.abs_eps"),
             rel_eps=None
             if spec.get("rel_eps") is None
-            else _finite_float(spec["rel_eps"], "tolerance.rel_eps"),
+            else _number(spec["rel_eps"], "tolerance.rel_eps"),
         )
 
     pf = ProblemFile(version=version, field_kind=field_kind, tolerance=tolerance)
@@ -154,22 +221,15 @@ def parse(path: str | Path) -> ProblemFile:
         raise ProblemFormatError("problem: expected an object")
     pf.problem = problem
     if "rho" in data:
-        pf.rho = _finite_float(data["rho"], "rho")
+        pf.rho = _number(data["rho"], "rho")
     return pf
 
 
 def _validate_subspace_spec(raw, where: str) -> dict:
     if not isinstance(raw, dict) or "ambient" not in raw:
         raise ProblemFormatError(f"{where}: expected an object with an 'ambient' field")
-    ambient = int(raw["ambient"])
-    span = [
-        _parse_vector(v, f"{where}.span[{i}]") for i, v in enumerate(raw.get("span", []))
-    ]
-    for i, v in enumerate(span):
-        if v.shape[0] != ambient:
-            raise ProblemFormatError(
-                f"{where}.span[{i}] has length {v.shape[0]}, expected ambient {ambient}"
-            )
+    ambient = _size(raw["ambient"], f"{where}.ambient")
+    span = _parse_span(raw.get("span", []), f"{where}.span", ambient, f"ambient {ambient}")
     return {"ambient": ambient, "span": span}
 
 
@@ -190,16 +250,9 @@ def _validate_relation_spec(raw, where: str) -> dict:
     elif kind == "graph_span":
         if "dim_in" not in raw or "dim_out" not in raw:
             raise ProblemFormatError(f"{where}: graph_span needs dim_in and dim_out")
-        n, m = int(raw["dim_in"]), int(raw["dim_out"])
-        span = [
-            _parse_vector(v, f"{where}.graph_span[{i}]")
-            for i, v in enumerate(raw["graph_span"])
-        ]
-        for i, v in enumerate(span):
-            if v.shape[0] != n + m:
-                raise ProblemFormatError(
-                    f"{where}.graph_span[{i}] has length {v.shape[0]}, expected {n + m}"
-                )
+        n = _size(raw["dim_in"], f"{where}.dim_in")
+        m = _size(raw["dim_out"], f"{where}.dim_out")
+        span = _parse_span(raw["graph_span"], f"{where}.graph_span", n + m, str(n + m))
         spec.update(dim_in=n, dim_out=m, span=span)
     elif kind == "product_of":
         pair = raw["product_of"]
@@ -596,14 +649,88 @@ def _phase_canonical(basis: np.ndarray) -> np.ndarray:
 
 
 def emit(report: dict, fmt: str = "json") -> bytes:
-    """Serialize a report; json output is stable-key-ordered and deterministic."""
+    """Serialize a report; json output is stable-key-ordered and deterministic.
+
+    The json bytes are those of ``json.dumps(report, sort_keys=True,
+    indent=2)``, written by ``_json_at`` without the pure-Python encoder.
+    """
     if fmt == "json":
-        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return (_json_at(report, 0) + "\n").encode("utf-8")
     if fmt == "text":
         lines: list[str] = []
         _render_text(report, "", lines)
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
+
+
+_SCALAR_TYPES = frozenset({int, float, bool, type(None)})
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_at(value, level: int) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` would
+    write it at nesting ``level``.
+
+    Strings go through the C string encoder and finite numbers through
+    ``repr``, as in ``json``; a rectangular nest of numeric lists goes
+    through the C encoder whole (``_numeric_nest``). Anything else
+    (non-finite floats, tuples, dicts with non-string keys) takes the
+    pure-Python encoder, shifted to the level.
+    """
+    kind = type(value)
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        items = (_json_string(key) + ": " + _json_at(value[key], level + 1) for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        depth = _nest_depth(value)
+        if depth:
+            return _numeric_nest(value, depth, level)
+        inner = "\n" + "  " * (level + 1)
+        items = (_json_at(item, level + 1) for item in value)
+        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+    if kind is str:
+        return _json_string(value)
+    if value is None or kind is bool:
+        return _JSON_CONSTANTS[value]
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _nest_depth(value: list) -> int:
+    """Depth of a rectangular nest of nonempty lists of non-string scalars, else 0."""
+    row, depth = value, 1
+    while True:
+        kinds = set(map(type, row))
+        if kinds <= _SCALAR_TYPES:
+            return depth
+        if kinds != {list} or len(set(map(len, row))) != 1 or not row[0]:
+            return 0
+        row = list(chain.from_iterable(row))
+        depth += 1
+
+
+def _numeric_nest(value: list, depth: int, level: int) -> str:
+    """A rectangular numeric nest laid out from one C-encoded ``json.dumps``.
+
+    Between two numbers the compact text has ``]`` * j, ``", "``, ``[`` * j
+    when j lists close; each such run becomes its indented form, longest
+    first, since a shorter run is contained in a longer one.
+    """
+    pad = ["\n" + "  " * (level + k) for k in range(depth + 1)]
+    text = json.dumps(value)[depth:-depth]
+    for j in range(depth - 1, -1, -1):
+        closing = "".join(pad[depth - 1 - i] + "]" for i in range(j))
+        opening = "".join("[" + pad[depth - j + 1 + i] for i in range(j))
+        text = text.replace("]" * j + ", " + "[" * j, closing + "," + pad[depth - j] + opening)
+    head = "".join("[" + pad[k + 1] for k in range(depth))
+    tail = "".join(pad[k] + "]" for k in range(depth - 1, -1, -1))
+    return head + text + tail
 
 
 def _render_text(value, prefix: str, lines: list[str]):

@@ -171,6 +171,14 @@ def _parse_span(raw, where: str, length: int, expected: str) -> list:
     return span
 
 
+def _section(data: dict, key: str) -> dict:
+    """A top-level section of the file, which must be an object; empty when absent."""
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ProblemFormatError(f"{key}: expected an object")
+    return section
+
+
 def parse(path: str | Path) -> ProblemFile:
     """Load and validate a problem file; all shape checks happen here."""
     path = Path(path)
@@ -206,20 +214,17 @@ def parse(path: str | Path) -> ProblemFile:
         )
 
     pf = ProblemFile(version=version, field_kind=field_kind, tolerance=tolerance)
-    for name, raw in data.get("matrices", {}).items():
+    for name, raw in _section(data, "matrices").items():
         pf.matrices[name] = _parse_matrix(raw, f"matrices.{name}")
-    for name, raw in data.get("vectors", {}).items():
+    for name, raw in _section(data, "vectors").items():
         pf.vectors[name] = _parse_vector(raw, f"vectors.{name}")
-    for name, raw in data.get("subspaces", {}).items():
+    for name, raw in _section(data, "subspaces").items():
         pf.subspaces[name] = _validate_subspace_spec(raw, f"subspaces.{name}")
-    for name, raw in data.get("relations", {}).items():
+    for name, raw in _section(data, "relations").items():
         pf.relations[name] = _validate_relation_spec(raw, f"relations.{name}")
-    for name, raw in data.get("weights", {}).items():
+    for name, raw in _section(data, "weights").items():
         pf.weights[name] = _validate_weight_spec(raw, f"weights.{name}")
-    problem = data.get("problem", {})
-    if not isinstance(problem, dict):
-        raise ProblemFormatError("problem: expected an object")
-    pf.problem = problem
+    pf.problem = _section(data, "problem")
     if "rho" in data:
         pf.rho = _number(data["rho"], "rho")
     return pf

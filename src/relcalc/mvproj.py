@@ -6,6 +6,13 @@ dom E; it is determined by its range M and kernel N through
 ``P(M, N) = I_M cw+ (N x {0})``.  Block representations split a square
 relation along a subspace S into four corner relations whose generated
 relation reproduces the original.
+
+Each object here is read off the graph blocks F (inputs) over H (outputs)
+of a relation: a corner P_out T|_in is one span of the pairs (F c, P_out H c),
+the super-idempotent generated by the block form is one span, and the fixed
+points ker(I - E) are F times the null space of F - H.  The relation
+calculus routes they replace (projector graphs, ``restrict``, products and
+``identity_minus``) are test-only cross-checks.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from .errors import ConsistencyError, NotRepresentableError
 from .subspaces import (
     Subspace,
     Tolerance,
+    matrix_preimage,
+    null_space,
     orthonormalize,
     subspace_complement,
     subspace_contains,
@@ -28,10 +37,9 @@ from .subspaces import (
 )
 from .relations import (
     LinearRelation,
+    _block_image,
     compose,
     cw_sum,
-    graph_of_matrix,
-    identity_minus,
     identity_on,
     image,
     op_sum,
@@ -39,7 +47,6 @@ from .relations import (
     product_of_subspaces,
     relation_contains,
     relation_equals,
-    restrict,
     zero_on,
 )
 
@@ -87,6 +94,14 @@ class SuperIdempotent:
     is_idempotent: bool
 
 
+def _fixed_points(E: LinearRelation, tol: Tolerance | None) -> Subspace:
+    """ker(I - E) = {x : (x, x) in E}, F times the null space of F - H for
+    the graph blocks F over H of E: one SVD.  For a unit c there, (F c, F c)
+    is a unit graph vector, so sqrt(2) F c is already orthonormal."""
+    coords = null_space(E.in_block - E.out_block, tol).basis
+    return _block_image(np.sqrt(2.0) * E.in_block, coords, tol)
+
+
 def make_pmn(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> LinearRelation:
     """The multivalued projection with range M and kernel N.
 
@@ -111,7 +126,7 @@ def classify(E: LinearRelation, tol: Tolerance | None = None) -> Classification:
     is_mvproj = is_idem and subspace_contains(p.dom, p.ran, tol)
     canonical = None
     if is_super:
-        m = parts(identity_minus(E, tol), tol).ker
+        m = _fixed_points(E, tol)
         n, s = p.ker, p.mul
         rebuilt = cw_sum(
             make_pmn(m, n, tol), product_of_subspaces(zero_space(E.dim_in), s), tol
@@ -156,22 +171,24 @@ def representable(T: LinearRelation, s: Subspace, tol: Tolerance | None = None) 
 
 
 def canonical_blocks(T: LinearRelation, s: Subspace, tol: Tolerance | None = None) -> BlockRep:
-    """The four corner relations P_S T|_S, P_S T|_{S-perp}, and so on."""
+    """The four corner relations P_S T|_S, P_S T|_{S-perp}, and so on.
+
+    With T's graph basis split into F over H and c an orthonormal basis of
+    the coordinates with F c in the input subspace (one preimage SVD per
+    input side), the corner P_out T|_in is the span of the pairs
+    (F c, P_out H c): one SVD per corner.
+    """
     if not representable(T, s, tol):
         raise NotRepresentableError("relation admits no block splitting along this subspace")
     s_perp = subspace_complement(s, tol)
-    proj_s = graph_of_matrix(s.projector(), tol)
-    proj_p = graph_of_matrix(s_perp.projector(), tol)
-    on_s = restrict(T, s, tol).relation
-    on_p = restrict(T, s_perp, tol).relation
-    return BlockRep(
-        splitter=s,
-        co_splitter=s_perp,
-        a=compose(proj_s, on_s, tol),
-        b=compose(proj_s, on_p, tol),
-        c=compose(proj_p, on_s, tol),
-        d=compose(proj_p, on_p, tol),
-    )
+    on_s, on_p = (matrix_preimage(T.in_block, side, tol).basis for side in (s, s_perp))
+
+    def corner(out: Subspace, coords: np.ndarray) -> LinearRelation:
+        outputs = out.basis @ (out.basis.conj().T @ (T.out_block @ coords))
+        pairs = np.vstack([T.in_block @ coords, outputs])
+        return LinearRelation(T.dim_in, T.dim_in, orthonormalize(pairs, tol, ambient_dim=2 * T.dim_in))
+
+    return BlockRep(s, s_perp, corner(s, on_s), corner(s, on_p), corner(s_perp, on_s), corner(s_perp, on_p))
 
 
 def coefficient_x(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> LinearRelation:
@@ -210,6 +227,18 @@ def assemble_representation(m: Subspace, n: Subspace, tol: Tolerance | None = No
     return rep
 
 
+def _generated_super(m: Subspace, s1: Subspace, s2: Subspace, x: LinearRelation,
+                     tol: Tolerance | None) -> LinearRelation:
+    """The relation generated by (identity-on-M, x cw+ {0}xS1; {0}xS2, 0)
+    along M.  As dom x lies in the complement of M, it is
+    I_M + x + {0} x (S1 + S2): one span of the graph blocks
+    [[M, F, 0, 0], [M, H, S1, S2]] for x's graph basis F over H."""
+    dim = m.ambient_dim
+    lower = np.hstack([s1.basis, s2.basis])
+    pairs = np.hstack([identity_on(m).graph.basis, x.graph.basis, np.vstack([np.zeros_like(lower), lower])])
+    return LinearRelation(dim, dim, orthonormalize(pairs, tol, ambient_dim=2 * dim))
+
+
 def build_super(
     m: Subspace,
     s1: Subspace,
@@ -220,9 +249,12 @@ def build_super(
     """Super-idempotent generated by (identity-on-M, x cw+ {0}xS1; {0}xS2-padded 0, 0).
 
     Requires S1 inside M, S2 inside the complement of M, and x mapping the
-    complement into M.  Idempotency is decided by the containment
-    x(S2) <= S1 + mul x and cross-checked against literal graph squaring;
-    disagreement raises instead of picking a side.
+    complement into M.  The relation the blocks generate is one span of its
+    graph blocks (``_generated_super``).  Its canonical triple has a closed
+    form, checked against the fixed points ker(I - E) and the kernel and
+    multivalued part of the relation.  Idempotency is decided by the
+    containment x(S2) <= S1 + mul x and cross-checked against literal graph
+    squaring; disagreement raises instead of picking a side.
     """
     dim = m.ambient_dim
     m_perp = subspace_complement(m, tol)
@@ -236,11 +268,7 @@ def build_super(
     if not subspace_contains(m_perp, px.dom, tol):
         raise ValueError("dom x must be contained in the complement of the base subspace")
 
-    nothing = zero_space(dim)
-    b_block = cw_sum(x, product_of_subspaces(nothing, s1), tol)
-    c_block = cw_sum(zero_on(m), product_of_subspaces(nothing, s2), tol)
-    rep = BlockRep(m, m_perp, identity_on(m), b_block, c_block, zero_on(m_perp))
-    E = rep.generate(tol)
+    E = _generated_super(m, s1, s2, x, tol)
 
     # closed-form canonical triple.  The first component only absorbs the part
     # of S2 on which x takes a value inside S1 (mod mul x); on the rest the
@@ -248,18 +276,19 @@ def build_super(
     anchored = subspace_intersect(x.graph, product_of_subspaces(s2, s1).graph, tol)
     anchored_dom = orthonormalize(anchored.basis[:dim], tol, ambient_dim=dim)
     neg_x = orthonormalize(x.in_block - x.out_block, tol, ambient_dim=dim)
+    s1_mul = subspace_sum(s1, px.mul, tol)
     canonical = (
         subspace_sum(m, anchored_dom, tol),
-        subspace_sum(neg_x, subspace_intersect(s1, m, tol), tol),
-        subspace_sum(subspace_sum(s1, px.mul, tol), s2, tol),
+        subspace_sum(neg_x, s1, tol),
+        subspace_sum(s1_mul, s2, tol),
     )
     pe = parts(E, tol)
-    direct = (parts(identity_minus(E, tol), tol).ker, pe.ker, pe.mul)
+    direct = (_fixed_points(E, tol), pe.ker, pe.mul)
     for closed_form, computed in zip(canonical, direct):
         if not subspace_equals(closed_form, computed, tol):
             raise ConsistencyError("closed-form canonical triple disagrees with ker/mul data")
 
-    criterion = subspace_contains(subspace_sum(s1, px.mul, tol), image(x, s2, tol), tol)
+    criterion = subspace_contains(s1_mul, image(x, s2, tol), tol)
     squared = relation_equals(compose(E, E, tol), E, tol)
     if criterion != squared:
         raise ConsistencyError(

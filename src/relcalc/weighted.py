@@ -7,8 +7,11 @@ kernel the W-orthogonal companion of S; its domain need not be everything,
 and that defect is exactly what complementability measures.  The solvers'
 ``_project_by_blocks``, ``complementability``, ``shorted`` and
 ``krein_classify`` read the block split of W along S = span(U), U orthonormal,
-through U*WU or U*W; ``make_pws`` builds the same projection by the relation
-calculus, and the tests compare them with it.
+through U*WU or U*W, and ``complementability`` takes its off-diagonal block
+from ``coefficient_x``.  ``make_pws`` builds the same projection by the
+relation calculus.  No library function calls it or the calculus routes the
+block form replaced (``canonical_blocks``, ``identity_minus``, ``apply``):
+they are the tests' cross-checks.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from .subspaces import (
     matrix_image,
     matrix_preimage,
     null_space,
-    orthonormalize,
     subspace_complement,
     subspace_equals,
     subspace_intersect,
     subspace_sum,
 )
 from .relations import LinearRelation, identity_on, zero_on
-from .mvproj import BlockRep, make_pmn
+from .mvproj import BlockRep, coefficient_x, make_pmn
 
 WEIGHT_KINDS = ("selfadjoint", "psd", "symmetry")
 
@@ -222,8 +224,9 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     scale of the angles, not on that of a, which is quadratic in W.  mul P
     = U ker M, and the paper's criterion ran b <= ran a reads rank a =
     rank U*W; the second route, S complementable when S + (W S)-perp is
-    everything, must agree.  Then a^-1 b is the span of
-    {(x, U M^+ R* x) : x in S-perp} and {0} x U ker a.
+    everything, must agree.  Then (W S)-perp, the dropped left singular
+    vectors of W U, is the kernel of P, and the off-diagonal block a^-1 b is
+    ``coefficient_x`` of S and that kernel, with no further rank decision.
     """
     _check_ambient(w, s)
     n, u = w.ambient_dim, s.basis
@@ -232,7 +235,7 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     r = _tol(tol).rank(sigma, wu.shape)
     w_s, companion = left[:, :r], Subspace(left[:, r:], validate=False)
     cosines = w_s.conj().T @ u
-    m_left, m_sigma, m_right_h = np.linalg.svd(cosines)
+    _, m_sigma, m_right_h = np.linalg.svd(cosines)
     rank_a = _tol(tol).rank(m_sigma, cosines.shape)
     ker_a = u @ m_right_h[rank_a:].conj().T
     domain = subspace_sum(s, companion, tol)
@@ -244,10 +247,7 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     blocks = None
     if by_domain:
         s_perp = subspace_complement(s, tol)
-        step = (m_left[:, :rank_a].conj().T @ (w_s.conj().T @ s_perp.basis)) / m_sigma[:rank_a, None]
-        quotient = u @ (m_right_h[:rank_a].conj().T @ step)
-        pairs = np.block([[s_perp.basis, np.zeros_like(ker_a)], [quotient, ker_a]])
-        x = LinearRelation(n, n, orthonormalize(pairs, tol, ambient_dim=2 * n))
+        x = coefficient_x(s, companion, tol)
         blocks = BlockRep(s, s_perp, identity_on(s), x, zero_on(s), zero_on(s_perp))
     return ComplementabilityReport(
         is_complementable=by_domain,

@@ -1,0 +1,23 @@
+"""Fixtures shared by the test modules."""
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The name of each numpy.linalg.svd, lstsq, pinv, eigh and eigvalsh call,
+    in order: an "svd" is one rank decision under the tolerance, an "lstsq"
+    or a "pinv" one at numpy's own cutoff, an "eigh" one Hermitian
+    eigendecomposition (cut at the tolerance where it decides a rank) and an
+    "eigvalsh" a psd certification."""
+    calls = []
+    for name in ("svd", "lstsq", "pinv", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls

@@ -267,3 +267,34 @@ class TestStrictScalarFields:
         pf = parse(_write(tmp_path, doc))
         assert pf.rho == 2.0 and type(pf.rho) is float
         assert pf.tolerance.abs_eps == 0.0 and pf.tolerance.rel_eps == 1e-12
+
+
+SECTIONS = ["matrices", "vectors", "subspaces", "relations", "weights", "problem"]
+
+
+class TestTopLevelSections:
+    """Each named section must be an object; before, a list, number, string
+    or null in the first five ended in an AttributeError traceback."""
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    @pytest.mark.parametrize("value", [[], 5, "S", None])
+    def test_section_must_be_an_object(self, tmp_path, capsys, section, value):
+        doc = _fixture("lss-solve.json")
+        doc[section] = value
+        code, payload = _run(["lss-solve", str(_write(tmp_path, doc))])
+        assert code == 1 and payload == b""
+        assert capsys.readouterr().err == f"error: {section}: expected an object\n"
+
+    def test_batch_lists_the_file_and_goes_on(self, tmp_path, capsys):
+        good = (DATA / "lss-solve.json").read_text()
+        bad = _fixture("lss-solve.json")
+        bad["matrices"] = []
+        (tmp_path / "a.json").write_text(good)
+        (tmp_path / "b.json").write_text(json.dumps(bad))
+        (tmp_path / "c.json").write_text(good)
+        code, payload = _run(["lss-solve", "--batch", str(tmp_path)])
+        assert code == 1
+        assert payload.decode() == "a.json: ok\nb.json: error\nc.json: ok\n"
+        assert "error: b.json: matrices: expected an object" in capsys.readouterr().err
+        assert (tmp_path / "c.report.json").read_text() == (tmp_path / "a.report.json").read_text()
+        assert not (tmp_path / "b.report.json").exists()

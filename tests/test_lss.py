@@ -439,25 +439,6 @@ class TestTwoWeights:
             assert refined.contains(point)
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """The name of each numpy.linalg.svd, lstsq, pinv, eigh and eigvalsh call,
-    in order: an "svd" is one rank decision under the tolerance, an "lstsq"
-    or a "pinv" one at numpy's own cutoff, an "eigh" one Hermitian
-    eigendecomposition (cut at the tolerance where it decides a rank) and an
-    "eigvalsh" a psd certification."""
-    calls = []
-    for name in ("svd", "lstsq", "pinv", "eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
-
-
 class TestRankDecisionCount:
     def test_svd_calls_per_solve(self, svd_calls):
         # the instance family of acceptance criterion 7; the count pins the

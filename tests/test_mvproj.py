@@ -5,8 +5,10 @@ import pytest
 
 import relcalc.mvproj
 from relcalc import (
+    BlockRep,
     ConsistencyError,
     NotRepresentableError,
+    Tolerance,
     adjoint,
     apply,
     assemble_representation,
@@ -20,6 +22,7 @@ from relcalc import (
     from_graph_basis,
     full_space,
     graph_of_matrix,
+    identity_minus,
     identity_on,
     invert,
     make_pmn,
@@ -35,16 +38,20 @@ from relcalc import (
     subspace_equals,
     subspace_intersect,
     subspace_sum,
+    zero_on,
     zero_space,
 )
 
 from relcalc import oracles
+from relcalc.mvproj import _fixed_points, _generated_super
 
 from genutil import (
     cmat,
     cvec,
     graph_dist,
+    projector_dist,
     random_mv_projection,
+    random_relation,
     random_representable,
     random_subspace,
     subspace_of,
@@ -381,3 +388,129 @@ class TestSuperIdempotentParts:
         assert subspace_equals(p.ker, subspace_sum(k, subspace_intersect(m, s)))
         assert subspace_equals(p.mul, subspace_sum(s, subspace_intersect(m, k)))
         assert classify(t).is_super
+
+
+def _super_instance(rng):
+    """(M, S1, S2, x) from the family of acceptance criterion 4: n 2-8, S1
+    inside M, S2 inside its complement, x from the complement into M, or
+    into S1 for about 40% of the instances."""
+    n = int(rng.integers(2, 9))
+    m = random_subspace(rng, n, int(rng.integers(1, n)))
+    m_perp = subspace_complement(m)
+    s1, s2 = subspace_of(rng, m), subspace_of(rng, m_perp)
+    target = s1 if (rng.random() < 0.4 and s1.dim) else m
+    return m, s1, s2, _coefficient_between(rng, m_perp, target)
+
+
+def _gap(new, old):
+    """Projector distance of two subspaces of equal dimension; inf otherwise."""
+    return projector_dist(new, old) if new.dim == old.dim else np.inf
+
+
+CROSS_TOLS = [Tolerance(), Tolerance(abs_eps=1e-6), Tolerance(abs_eps=1e-12)]
+
+
+class TestGraphBlockRoutes:
+    """The corners, the generated super-idempotent and the fixed points come
+    from the graph blocks; each is checked against the relation calculus
+    route it replaced."""
+
+    def test_corners_match_the_restrict_route(self):
+        # P_out T|_in as the product of the projector's graph and T restricted
+        rng = np.random.default_rng(15200)
+        worst = 0.0
+        for tol in CROSS_TOLS:
+            for _ in range(500):
+                t, s = random_representable(rng, int(rng.integers(2, 9)))
+                rep = canonical_blocks(t, s, tol)
+                s_perp = rep.co_splitter
+                corners = ((rep.a, s, s), (rep.b, s_perp, s), (rep.c, s, s_perp), (rep.d, s_perp, s_perp))
+                for corner, inp, out in corners:
+                    route = compose(graph_of_matrix(out.projector(), tol), restrict(t, inp, tol).relation, tol)
+                    worst = max(worst, _gap(corner.graph, route.graph))
+        assert worst <= 1e-9
+
+    def test_generated_relation_matches_the_block_route(self):
+        # one span against the relation BlockRep.generate builds from two
+        # operator sums and a componentwise sum of the four blocks
+        rng = np.random.default_rng(15201)
+        worst = 0.0
+        for tol in CROSS_TOLS + [Tolerance(abs_eps=0, rel_eps=1e-9)]:
+            for _ in range(1000):
+                m, s1, s2, x = _super_instance(rng)
+                n = m.ambient_dim
+                m_perp = subspace_complement(m, tol)
+                rep = BlockRep(
+                    m,
+                    m_perp,
+                    identity_on(m),
+                    cw_sum(x, product_of_subspaces(zero_space(n), s1), tol),
+                    cw_sum(zero_on(m), product_of_subspaces(zero_space(n), s2), tol),
+                    zero_on(m_perp),
+                )
+                worst = max(worst, _gap(_generated_super(m, s1, s2, x, tol).graph, rep.generate(tol).graph))
+        assert worst <= 1e-9
+
+    def test_fixed_points_match_identity_minus(self):
+        # ker(I - E) against the kernel of the relation I - E, on generated
+        # super-idempotents, on P(M, N) + {0} x S and on random relations
+        rng = np.random.default_rng(15202)
+        worst = 0.0
+        for tol in CROSS_TOLS:
+            for i in range(1000):
+                n = int(rng.integers(2, 9))
+                if i % 3 == 0:
+                    e = _generated_super(*_super_instance(rng), tol)
+                elif i % 3 == 1:
+                    m, k, s = (random_subspace(rng, n) for _ in range(3))
+                    e = cw_sum(make_pmn(m, k), product_of_subspaces(zero_space(n), s))
+                else:
+                    e = random_relation(rng, n, n)
+                worst = max(worst, _gap(_fixed_points(e, tol), parts(identity_minus(e, tol), tol).ker))
+        assert worst <= 1e-9
+
+
+class TestRankDecisionCount:
+    """SVDs per call at desk scale, 300 calls each from default_rng(15100)."""
+
+    def test_svd_calls_per_canonical_blocks(self, svd_calls):
+        # representable's parts and two spans, the complement, one preimage
+        # per input side and one span per corner (the projector graphs,
+        # restrict and compose made a mean of 18.4 and a max of 19)
+        rng = np.random.default_rng(15100)
+        counts = []
+        for _ in range(300):
+            t, s = random_representable(rng, int(rng.integers(2, 9)))
+            svd_calls.clear()
+            canonical_blocks(t, s)
+            counts.append(svd_calls.count("svd"))
+        assert np.mean(counts) <= 10.5
+        assert max(counts) <= 11
+
+    def test_svd_calls_per_build_super(self, svd_calls):
+        # the generated relation is one span and ker(I - E) one SVD, and
+        # S1 + mul x is formed once (BlockRep.generate, identity_minus and
+        # the repeated sum made a mean of 20.9 and a max of 28)
+        rng = np.random.default_rng(15100)
+        counts = []
+        for _ in range(300):
+            instance = _super_instance(rng)
+            svd_calls.clear()
+            build_super(*instance)
+            counts.append(svd_calls.count("svd"))
+        assert np.mean(counts) <= 14
+        assert max(counts) <= 19
+
+    def test_svd_calls_per_classify(self, svd_calls):
+        # E^2, the parts, one SVD for ker(I - E) and the rebuilt relation
+        # (ker(I - E) as the kernel of identity_minus made a mean of 7.9 and
+        # a max of 9)
+        rng = np.random.default_rng(15100)
+        counts = []
+        for _ in range(300):
+            e, _, _ = random_mv_projection(rng, int(rng.integers(2, 9)))
+            svd_calls.clear()
+            classify(e)
+            counts.append(svd_calls.count("svd"))
+        assert np.mean(counts) <= 6
+        assert max(counts) <= 7

@@ -10,6 +10,7 @@ from relcalc import (
     adjoint,
     apply,
     as_matrix,
+    canonical_blocks,
     complementability,
     compose,
     full_space,
@@ -182,10 +183,7 @@ class TestComplementability:
         w = Weight(random_psd(rng, n), "psd")
         s = random_subspace(rng, n, int(rng.integers(1, n + 1)))
         report = complementability(w, s)
-        from relcalc import canonical_blocks as _blocks
-        from relcalc import graph_of_matrix as _graph
-
-        a = _blocks(_graph(w.matrix), s).a
+        a = canonical_blocks(graph_of_matrix(w.matrix), s).a
         x = report.pws_blocks.b
         assert subspace_equals(parts(x).mul, parts(a).ker)
 
@@ -290,6 +288,22 @@ class TestComplementabilityAgainstSpan:
             assert projector_dist(report.mul, parts(pws).mul) < 1e-9
             if report.is_complementable:
                 assert graph_dist(report.pws_blocks.generate(), pws) < 1e-9
+
+    def test_off_diagonal_block_is_the_corner_of_make_pws(self):
+        # coefficient_x of S and (W S)-perp against the corner P_S P|_(S-perp)
+        # of the projection built by the relation calculus; it replaced a
+        # span of the pairs (x, U M^+ R* x) and {0} x U ker a
+        rng = np.random.default_rng(3700)
+        complementable = 0
+        for _ in range(300):
+            w, s = weight_and_subspace(rng)
+            report = complementability(Weight(w), s)
+            if report.is_complementable:
+                complementable += 1
+                corner = canonical_blocks(make_pws(Weight(w), s), s).b
+                assert report.pws_blocks.b.graph.dim == corner.graph.dim
+                assert graph_dist(report.pws_blocks.b, corner) < 1e-9
+        assert complementable >= 100
 
 
 class TestShorted:
@@ -477,6 +491,25 @@ class TestPsdOperatorFacts:
         mat = as_matrix(wp)
         assert np.linalg.norm(mat - mat.conj().T) < 1e-8
         assert np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] > -1e-8
+
+
+class TestRankDecisionCount:
+    def test_svd_calls_per_complementability(self, svd_calls):
+        # W U, its angle matrix M, the domain sum and, when S is
+        # complementable, the complement of S: the off-diagonal block is
+        # coefficient_x of S and (W S)-perp, with no rank decision (its own
+        # span of the pairs (x, U M^+ R* x) made a mean of 4.0 and a max of
+        # 5, default_rng(15100), 300 calls)
+        rng = np.random.default_rng(15100)
+        counts = []
+        for _ in range(300):
+            w, s = weight_and_subspace(rng)
+            weight = Weight(w)
+            svd_calls.clear()
+            complementability(weight, s)
+            counts.append(svd_calls.count("svd"))
+        assert np.mean(counts) <= 3.4
+        assert max(counts) <= 4
 
 
 class TestSecondRoutes:

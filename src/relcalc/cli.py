@@ -29,7 +29,7 @@ from .errors import (
     NotRepresentableError,
     ProblemFormatError,
 )
-from .subspaces import Coset, Subspace, Tolerance, orthonormalize
+from .subspaces import DEFAULT_ABS_EPS, Coset, Subspace, Tolerance, orthonormalize
 from .relations import (
     LinearRelation,
     from_graph_basis,
@@ -207,7 +207,7 @@ def parse(path: str | Path) -> ProblemFile:
         if not isinstance(spec, dict):
             raise ProblemFormatError("tolerance: expected an object")
         tolerance = Tolerance(
-            abs_eps=_number(spec.get("abs_eps", 1e-10), "tolerance.abs_eps"),
+            abs_eps=_number(spec.get("abs_eps", DEFAULT_ABS_EPS), "tolerance.abs_eps"),
             rel_eps=None
             if spec.get("rel_eps") is None
             else _number(spec["rel_eps"], "tolerance.rel_eps"),

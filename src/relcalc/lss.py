@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, NoSolutionError
-from .subspaces import Coset, Tolerance, _as_vector, _tol, subspace_equals, subspace_intersect
+from .subspaces import Coset, Tolerance, _as_vector, _cut_svd, _tol, subspace_equals, subspace_intersect
 from .relations import LinearRelation, apply, apply_to_coset, invert, parts, range_space
 from .weighted import Weight, _project_by_blocks, _psd_root, psd_sqrt
 
@@ -35,10 +35,7 @@ class LssProblem:
             raise ValueError("relation must act on a single space")
         if self.W.kind != "psd":
             raise ValueError("least-squares weight must be psd")
-        if self.W.ambient_dim != self.A.dim_in:
-            raise ValueError(
-                f"weight size {self.W.ambient_dim} != relation dimension {self.A.dim_in}"
-            )
+        _check_weight_size(self.A, self.W)
         b = _as_vector(self.b, self.A.dim_in, "target vector b")
         if not np.all(np.isfinite(b)):
             raise ValueError("target vector b must be finite")
@@ -55,8 +52,9 @@ class LssSolution:
     minimizing_outputs: Coset
 
 
-def _seminorm(w_half: np.ndarray, v: np.ndarray) -> float:
-    return float(np.linalg.norm(w_half @ v))
+def _check_weight_size(A: LinearRelation, W: Weight):
+    if W.ambient_dim != A.dim_in:
+        raise ValueError(f"weight size {W.ambient_dim} != relation dimension {A.dim_in}")
 
 
 def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
@@ -89,12 +87,9 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
             solution_set=Coset.empty(n),
             minimizing_outputs=Coset.empty(n),
         )
-    min_value = _seminorm(w_half, outputs.point - p.b)
-    if outputs.direction.dim:
-        second = outputs.point + outputs.direction.basis[:, 0]
-        other = _seminorm(w_half, second - p.b)
-        if abs(other - min_value) > 1e-8 * (1.0 + min_value):
-            raise ConsistencyError("minimum value varies across coset representatives")
+    min_value = outputs._constant_value(
+        lambda y: float(np.linalg.norm(w_half @ (y - p.b))), "minimum value varies across coset representatives"
+    )
     structural = subspace_intersect(ran, ker_w, tol)
     if not subspace_equals(outputs.direction, structural, tol):
         raise ConsistencyError(
@@ -131,11 +126,8 @@ def check_normal(p: LssProblem, x0: np.ndarray, tol: Tolerance | None = None) ->
     uw = parts(p.A, tol).ran.basis.conj().T @ p.W.matrix
     g = uw @ (value.point - p.b)
     threshold = tol.residual(max(1.0, float(np.linalg.norm(g))), p.A.dim_in)
-    k = uw @ value.direction.basis
-    if k.size:
-        left, sigma, _ = np.linalg.svd(k, full_matrices=False)
-        kept = left[:, : tol.rank(sigma, k.shape)]
-        g = g - kept @ (kept.conj().T @ g)
+    left, _, _, rank = _cut_svd(uw @ value.direction.basis, tol, full_matrices=False)
+    g = g - left[:, :rank] @ (left[:, :rank].conj().T @ g)
     return float(np.linalg.norm(g)) <= threshold
 
 
@@ -154,6 +146,7 @@ def w1w2_solve(
     """
     if W1.kind != "psd" or W2.kind != "psd":
         raise ValueError("both weights must be psd")
+    _check_weight_size(A, W2)
     b = _as_vector(b, A.dim_in, "target vector b")
     first = solve(LssProblem(A, W1, b), tol)
     if not first.exists:

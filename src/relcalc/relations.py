@@ -14,10 +14,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .subspaces import (
+    _ORTHONORMAL_GRAM_GAP,
     Coset,
+    Cut,
     Subspace,
     Tolerance,
     _as_vector,
+    _cut_svd,
     _tol,
     matrix_preimage,
     null_space,
@@ -93,20 +96,15 @@ class _Half(NamedTuple):
     """What one full SVD of a graph block decides, cut at one tolerance: the
     block's span (dom for the input block F, ran for the output block H), the
     other block applied to its null space (mul = H null(F), ker = F null(H))
-    and the block's kept singular triplets, block ~ span.basis @ diag(s) @ vh."""
+    and the cut trimmed to the block's kept singular triplets,
+    block ~ span.basis @ diag(kept.s) @ kept.vh."""
 
     span: Subspace
     null_image: Subspace
-    s: np.ndarray
-    vh: np.ndarray
+    kept: Cut
 
 
 _IN, _OUT = 0, 1
-
-
-# far below the 1e-8 a validated basis may be off, and above the rounding of
-# a product of orthonormal factors (under 1e-14 at n = 200)
-_ORTHONORMAL_GRAM_GAP = 1e-13
 
 
 def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subspace:
@@ -130,15 +128,10 @@ def _factor_half(block: np.ndarray, other: np.ndarray, tol: Tolerance) -> _Half:
     """One full SVD of a graph block, cut at the tolerance's rank cutoff: the
     kept triplets, and the other block applied to the dropped right singular
     vectors, the graph coordinates of the block's null space."""
-    q, k = block.shape
-    if q == 0 or k == 0:
-        span = Subspace(np.zeros((q, 0), dtype=complex), validate=False)
-        null_image = _block_image(other, np.eye(k, dtype=complex), tol)
-        return _Half(span, null_image, np.zeros(0), np.zeros((0, k), dtype=complex))
-    u, s, vh = np.linalg.svd(block, full_matrices=True)
-    rank = tol.rank(s, block.shape)
+    u, s, vh, rank = _cut_svd(block, tol, full_matrices=True)
+    span = Subspace(u[:, :rank], validate=False)
     null_image = _block_image(other, vh[rank:].conj().T, tol)
-    return _Half(Subspace(u[:, :rank], validate=False), null_image, s[:rank].copy(), vh[:rank].copy())
+    return _Half(span, null_image, Cut(span.basis, s[:rank].copy(), vh[:rank].copy(), rank))
 
 
 def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
@@ -354,8 +347,7 @@ def apply(T: LinearRelation, x: np.ndarray, tol: Tolerance | None = None) -> Cos
     f = _half(T, tol, _IN)
     if not f.span.contains_vector(x, tol):
         return Coset.empty(T.dim_out)
-    coeff = f.vh.conj().T @ ((f.span.basis.conj().T @ x) / f.s)
-    return Coset.of(T.out_block @ coeff, f.null_image)
+    return Coset.of(T.out_block @ f.kept.solve(x), f.null_image)
 
 
 def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) -> Coset:
@@ -383,14 +375,11 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
     f = _half(T, tol, _IN)
     dom, d = f.span.basis, c.direction.basis
     off_dom = d - dom @ (dom.conj().T @ d)
-    u, s, vh = np.linalg.svd(off_dom, full_matrices=False)
-    rank = _tol(tol).rank(s, off_dom.shape)
-    point_off_dom = c.point - dom @ (dom.conj().T @ c.point)
-    shift = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ point_off_dom) / s[:rank])
-    value = apply(T, c.point - d @ shift, tol)
+    cut = _cut_svd(off_dom, tol, full_matrices=False)
+    value = apply(T, c.point - d @ cut.solve(c.point - dom @ (dom.conj().T @ c.point)), tol)
     if value.is_empty:
         return value
-    feasible = Subspace(d @ vh[rank:].conj().T, validate=False)
+    feasible = Subspace(d @ cut.vh[cut.rank :].conj().T, validate=False)
     return Coset.of(value.point, image(T, feasible, tol))
 
 

@@ -18,15 +18,12 @@ from .subspaces import (
     Coset,
     Subspace,
     Tolerance,
+    _cut_svd,
+    _solve_rounding,
     _tol,
     orthonormalize,
 )
 from .weighted import _project_by_blocks
-
-# Multiple of eps * max(shape) * (||S|| ||x|| + ||target||), the rounding error
-# of a least-squares solve with the stacked map S, that the smoothing checks
-# accept (the worst seen on Gaussian and ill-conditioned families was 15)
-BACKWARD_ERROR_FACTOR = 100
 
 
 @dataclass(frozen=True)
@@ -107,18 +104,14 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
     on the set, and every member must still interpolate -- all three are
     checked.
     """
-    u, sigma, vh = np.linalg.svd(p.V, full_matrices=True)
-    rank = _tol(tol).rank(sigma, p.V.shape)
-    x_feasible = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ p.b) / sigma[:rank])
-    ker_v = Subspace(vh[rank:].conj().T, validate=False)
+    cut = _cut_svd(p.V, tol, full_matrices=True)
+    x_feasible = cut.solve(p.b)
+    ker_v = Subspace(cut.vh[cut.rank :].conj().T, validate=False)
     gram = p.T.conj().T @ p.T
     spline_set = _reduce(p, gram, ker_v, x_feasible, tol)
-    min_value = float(np.linalg.norm(p.T @ spline_set.point))
-    if spline_set.direction.dim:
-        second = spline_set.point + spline_set.direction.basis[:, 0]
-        other = float(np.linalg.norm(p.T @ second))
-        if abs(other - min_value) > 1e-8 * (1.0 + min_value):
-            raise ConsistencyError("objective varies across the spline set")
+    min_value = spline_set._constant_value(
+        lambda x: float(np.linalg.norm(p.T @ x)), "objective varies across the spline set"
+    )
     _check_interpolation(p, spline_set, tol)
     if ker_v.dim:
         alternative = _reduce(p, gram, ker_v, x_feasible + ker_v.basis[:, 0], tol)
@@ -138,9 +131,8 @@ def _reduce(p: SplineProblem, gram: np.ndarray, ker_v: Subspace, x: np.ndarray, 
 
 
 def _check_interpolation(p: SplineProblem, spline_set: Coset, tol: Tolerance | None):
-    tol_ = _tol(tol)
     scale = max(1.0, float(np.linalg.norm(p.b)))
-    thresh = max(1e-9 * scale, tol_.residual(scale, p.V.shape[0]) * 10)
+    thresh = _tol(tol)._interpolation(scale, p.V.shape[0])
     if np.linalg.norm(p.V @ spline_set.point - p.b) > thresh:
         raise ConsistencyError("spline representative misses the interpolation constraint")
     if spline_set.direction.dim:
@@ -158,15 +150,13 @@ def smooth_solve(p: SmoothingProblem, tol: Tolerance | None = None) -> Smoothing
     ker T cap ker V and an orthonormal basis of the range pairs
     {(Tx, sqrt(rho) Vx)}; ``_smoothing_minimum`` checks x* against them.
     """
-    tol = _tol(tol)
     T, V, b, rho = p.base.T, p.base.V, p.base.b, p.rho
     stacked = np.vstack([T, np.sqrt(rho) * V])
     target = np.concatenate([np.zeros(T.shape[0], dtype=complex), np.sqrt(rho) * b])
-    u, sigma, vh = np.linalg.svd(stacked, full_matrices=True)
-    rank = tol.rank(sigma, stacked.shape)
-    x_star = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ target) / sigma[:rank])
-    min_value = _smoothing_minimum(stacked, target, x_star, u[:, :rank], sigma)
-    argmin = Coset.of(x_star, Subspace(vh[rank:].conj().T, validate=False))
+    cut = _cut_svd(stacked, tol, full_matrices=True)
+    x_star = cut.solve(target)
+    min_value = _smoothing_minimum(stacked, target, x_star, cut.u[:, : cut.rank], cut.s)
+    argmin = Coset.of(x_star, Subspace(cut.vh[cut.rank :].conj().T, validate=False))
     return SmoothingSolution(argmin_set=argmin, min_value=min_value)
 
 
@@ -192,8 +182,7 @@ def _smoothing_minimum(
     top = float(sigma[0]) if sigma.size else 0.0
     dropped = float(sigma[rank]) if rank < sigma.size else 0.0
     norm_target = float(np.linalg.norm(target))
-    rounding = BACKWARD_ERROR_FACTOR * max(stacked.shape) * np.finfo(float).eps
-    slack = rounding * (top * float(np.linalg.norm(x_star)) + norm_target)
+    slack = _solve_rounding(max(stacked.shape), top, float(np.linalg.norm(x_star)), norm_target)
     residual = stacked @ x_star - target
     if np.linalg.norm(stacked.conj().T @ residual) > top * slack + dropped * norm_target:
         raise ConsistencyError("smoothing minimizer is not stationary")

@@ -2,17 +2,21 @@
 
 Everything downstream (relations, multivalued projections, the solvers) reduces
 to rank decisions and residual comparisons made in this module, so the cutoff
-rules live here and nowhere else.
+rules live here and nowhere else: every SVD rank decision is one ``_cut_svd``,
+every singular-value and eigenvalue cut one ``Tolerance._keep`` mask, and
+every acceptance threshold of a library check is a method of ``Tolerance``
+or ``Coset`` or sits at the end of this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ConsistencyError, DimensionMismatchError
 
 DEFAULT_ABS_EPS = 1e-10
 REL_EPS_PER_DIM = 1e-12
@@ -45,18 +49,41 @@ class Tolerance:
     def rank_cutoff(self, sigma_max: float, shape) -> float:
         return self._rel(max(shape)) * sigma_max + self.abs_eps
 
+    def _keep(self, mags: np.ndarray, top: float, shape) -> np.ndarray:
+        """The mask of the magnitudes (singular values, or absolute
+        eigenvalues) of a matrix of the given shape that survive the rank
+        cut, for ``top`` the largest of them.  A zero never survives, even
+        at a zero cutoff.  A matrix with an inf entry factors into NaNs,
+        which would fail every comparison and read as rank 0, so a largest
+        magnitude that is not finite is refused instead."""
+        if not top < math.inf:
+            raise ValueError("matrix must be finite")
+        return (mags >= self.rank_cutoff(top, shape)) & (mags > 0)
+
     def rank(self, sigma: np.ndarray, shape) -> int:
         """How many of the descending singular values ``sigma`` of a matrix
-        of the given shape survive the rank cut; 0 when there are none.  A
-        zero never survives, even at a zero cutoff."""
-        if sigma.size == 0:
-            return 0
-        cutoff = self.rank_cutoff(float(sigma[0]), shape)
-        return int(np.count_nonzero((sigma >= cutoff) & (sigma > 0)))
+        of the given shape survive the rank cut; 0 when there are none."""
+        return int(np.count_nonzero(self._keep(sigma, float(sigma[0]) if sigma.size else 0.0, shape)))
 
     def residual(self, scale: float, dim: int) -> float:
         """Acceptance threshold for a residual norm at the given data scale."""
         return self._rel(dim) * scale + self.abs_eps
+
+    def _certificate(self, scale: float, dim: int) -> float:
+        """How far ``Weight`` lets a matrix miss being selfadjoint, psd or a
+        symmetry: ten residual thresholds."""
+        return self.residual(scale, dim) * 10
+
+    def _interpolation(self, scale: float, dim: int) -> float:
+        """How far a spline may miss its constraint V x = b: ten residual
+        thresholds, and never less than 1e-9 of the scale."""
+        return max(1e-9 * scale, self.residual(scale, dim) * 10)
+
+    def _sandwich_floor(self, scale: float, dim: int) -> float:
+        """The lowest eigenvalue of Sigma and of W - Sigma that ``shorted``
+        accepts: minus the residual threshold, and never above -1e-8 of the
+        scale."""
+        return -max(1e-8 * scale, self.residual(scale, dim))
 
 
 DEFAULT_TOL = Tolerance()
@@ -64,6 +91,41 @@ DEFAULT_TOL = Tolerance()
 
 def _tol(tol: Tolerance | None) -> Tolerance:
     return DEFAULT_TOL if tol is None else tol
+
+
+class Cut(NamedTuple):
+    """One SVD of a matrix, matrix = u @ diag(s) @ vh, and the number of
+    singular values that survive the tolerance's rank cut: the kept triplets
+    come first, the dropped right singular vectors ``vh[rank:]`` span the
+    null space.
+
+    A report of how close the decision was needs no further field: its
+    margins are ``s[rank - 1]`` (smallest kept) and ``s[rank]`` (largest
+    dropped) against ``rank_cutoff(s[0], shape)``.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """V_r S_r^-1 U_r* b over the kept triplets: the min-norm
+        least-squares solution of matrix @ x = b at the cut."""
+        r = self.rank
+        return self.vh[:r].conj().T @ ((self.u[:, :r].conj().T @ b) / self.s[:r])
+
+
+def _cut_svd(matrix: np.ndarray, tol: Tolerance | None, full_matrices: bool) -> Cut:
+    """The one SVD rank decision of the package.  An empty matrix gets the
+    factors numpy would return, without an SVD call.  numpy is reached
+    through ``np.linalg.svd`` at call time, where counting wrappers patch it."""
+    q, p = matrix.shape
+    if q == 0 or p == 0:
+        ku, kv = (q, p) if full_matrices else (0, 0)
+        return Cut(np.eye(q, ku, dtype=complex), np.zeros(0), np.eye(kv, p, dtype=complex), 0)
+    u, s, vh = np.linalg.svd(matrix, full_matrices=full_matrices)
+    return Cut(u, s, vh, _tol(tol).rank(s, matrix.shape))
 
 
 class Subspace:
@@ -147,7 +209,6 @@ def orthonormalize(vectors, tol: Tolerance | None = None, *, ambient_dim: int | 
     columns span the subspace.  ``ambient_dim`` is required only for an empty
     input.  Rank is decided by the tolerance's singular-value cutoff.
     """
-    tol = _tol(tol)
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         mat = np.asarray(vectors, dtype=complex)
     else:
@@ -166,25 +227,17 @@ def orthonormalize(vectors, tol: Tolerance | None = None, *, ambient_dim: int | 
             if ambient_dim is None:
                 raise ValueError("ambient_dim is required for an empty span")
             mat = np.zeros((ambient_dim, 0), dtype=complex)
-    if mat.shape[1] == 0 or mat.shape[0] == 0:
-        return Subspace(np.zeros((mat.shape[0], 0), dtype=complex), validate=False)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    return Subspace(u[:, : tol.rank(s, mat.shape)], validate=False)
+    cut = _cut_svd(mat, tol, full_matrices=False)
+    return Subspace(cut.u[:, : cut.rank], validate=False)
 
 
 def null_space(matrix: np.ndarray, tol: Tolerance | None = None) -> Subspace:
     """Right null space {x : matrix @ x = 0} as a Subspace of the column domain."""
-    tol = _tol(tol)
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    q, p = matrix.shape
-    if p == 0:
-        return zero_space(0)
-    if q == 0:
-        return full_space(p)
-    _, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    return Subspace(vh[tol.rank(s, matrix.shape) :].conj().T, validate=False)
+    cut = _cut_svd(matrix, tol, full_matrices=True)
+    return Subspace(cut.vh[cut.rank :].conj().T, validate=False)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Subspace:
@@ -294,6 +347,18 @@ class Coset:
         delta = _as_vector(delta, self.ambient_dim, "translation")
         return Coset(self.ambient_dim, self.point + delta, self.direction)
 
+    def _constant_value(self, value, message: str) -> float:
+        """``value`` at the point, checked to stay within 1e-8 relative one
+        direction further along: an objective that is constant on the coset
+        must not vary across its representatives (else
+        ``ConsistencyError(message)``)."""
+        at_point = value(self.point)
+        if self.direction.dim:
+            other = value(self.point + self.direction.basis[:, 0])
+            if abs(other - at_point) > 1e-8 * (1.0 + at_point):
+                raise ConsistencyError(message)
+        return at_point
+
     def min_norm_point(self) -> np.ndarray:
         if self.is_empty:
             raise ValueError("empty coset has no points")
@@ -312,3 +377,21 @@ class Coset:
         if self.is_empty:
             return f"Coset(empty, ambient={self.ambient_dim})"
         return f"Coset(dim={self.direction.dim}, ambient={self.ambient_dim})"
+
+
+# ---------------------------------------------------------------------------
+# acceptance thresholds of the library's checks
+
+# far below the 1e-8 a validated basis may be off, and above the rounding of
+# a product of orthonormal factors (under 1e-14 at n = 200)
+_ORTHONORMAL_GRAM_GAP = 1e-13
+
+# Multiple of eps * dim * (||a|| ||x|| + ||b||), the rounding error of a
+# least-squares solve of a x = b, that the checks of a solve accept (the
+# worst seen on Gaussian and ill-conditioned families was 15)
+BACKWARD_ERROR_FACTOR = 100
+
+
+def _solve_rounding(dim: int, norm_a: float, norm_x: float, norm_b: float) -> float:
+    """The rounding error a checked solve x of a x = b may carry in dimension ``dim``."""
+    return BACKWARD_ERROR_FACTOR * dim * np.finfo(float).eps * (norm_a * norm_x + norm_b)

@@ -26,6 +26,8 @@ from .subspaces import (
     Coset,
     Subspace,
     Tolerance,
+    _cut_svd,
+    _solve_rounding,
     _tol,
     matrix_image,
     matrix_preimage,
@@ -63,7 +65,7 @@ class Weight:
             raise ValueError("weight matrix must be finite")
         n = mat.shape[0]
         scale = max(1.0, float(np.linalg.norm(mat)))
-        thresh = DEFAULT_TOL.residual(scale, n) * 10
+        thresh = DEFAULT_TOL._certificate(scale, n)
         if np.linalg.norm(mat - mat.conj().T) > thresh:
             raise ValueError("weight matrix is not selfadjoint")
         mat = (mat + mat.conj().T) / 2
@@ -110,8 +112,7 @@ def _signed_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray,
     matrix = np.asarray(matrix, dtype=complex)
     eigs, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
     mags = np.abs(eigs)
-    cutoff = _tol(tol).rank_cutoff(float(mags.max(initial=0.0)), matrix.shape)
-    return eigs, vecs, (mags >= cutoff) & (mags > 0)
+    return eigs, vecs, _tol(tol)._keep(mags, float(mags.max(initial=0.0)), matrix.shape)
 
 
 def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,8 +135,15 @@ def _psd_root(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, Su
 
 
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Hermitian square root of a psd matrix, rank-cut as ``_psd_root`` cuts."""
-    return _psd_root(matrix, tol)[0]
+    """Hermitian square root of a psd matrix, rank-cut as ``_psd_root`` cuts.
+
+    The one eigenvalue cut that takes a matrix from outside the library: an
+    inf entry halves into NaNs in the Hermitian part, and the keep-mask
+    refuses the NaN eigenvalues with ``ValueError``, so the invalid value
+    needs no warning on the way.
+    """
+    with np.errstate(invalid="ignore"):
+        return _psd_root(matrix, tol)[0]
 
 
 def _check_ambient(w: Weight, s: Subspace):
@@ -187,7 +195,8 @@ def _project_by_blocks(
 
     The point is checked against the normal equation U*W(point - b) = 0,
     evaluated on the ambient vectors: it may miss by the existence allowance
-    plus the rounding of the solve, 100 n eps (||a|| ||c|| + ||g||).
+    plus the rounding of the solve, ``_solve_rounding`` of a c = g in
+    dimension n.
     """
     tol = _tol(tol)
     n = u.shape[0]
@@ -203,8 +212,7 @@ def _project_by_blocks(
         return Coset.empty(n)
     c = q @ (coeffs / eigs[keep])
     point = u @ c
-    norm_a = float(np.abs(eigs).max(initial=0.0))
-    rounding = 100 * n * np.finfo(float).eps * (norm_a * float(np.linalg.norm(c)) + norm_g)
+    rounding = _solve_rounding(n, float(np.abs(eigs).max(initial=0.0)), float(np.linalg.norm(c)), norm_g)
     gap = float(np.linalg.norm(u.conj().T @ (w @ (point - b))))
     if gap > allowance + rounding:
         raise ConsistencyError(
@@ -230,13 +238,9 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     """
     _check_ambient(w, s)
     n, u = w.ambient_dim, s.basis
-    wu = w.matrix @ u
-    left, sigma, _ = np.linalg.svd(wu)
-    r = _tol(tol).rank(sigma, wu.shape)
+    left, _, _, r = _cut_svd(w.matrix @ u, tol, full_matrices=True)
     w_s, companion = left[:, :r], Subspace(left[:, r:], validate=False)
-    cosines = w_s.conj().T @ u
-    _, m_sigma, m_right_h = np.linalg.svd(cosines)
-    rank_a = _tol(tol).rank(m_sigma, cosines.shape)
+    _, _, m_right_h, rank_a = _cut_svd(w_s.conj().T @ u, tol, full_matrices=True)
     ker_a = u @ m_right_h[rank_a:].conj().T
     domain = subspace_sum(s, companion, tol)
     by_domain, by_blocks = domain.dim == n, rank_a == r
@@ -284,7 +288,7 @@ def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
     schur = (schur + schur.conj().T) / 2
 
     scale = max(1.0, float(np.linalg.norm(w.matrix)))
-    floor = -max(1e-8 * scale, _tol(tol).residual(scale, w.ambient_dim))
+    floor = _tol(tol)._sandwich_floor(scale, w.ambient_dim)
     lowest = min(np.linalg.eigvalsh(m).min(initial=0.0) for m in (schur, w.matrix - schur))
     if lowest < floor:
         raise ConsistencyError(

@@ -353,6 +353,15 @@ class TestExitCodes:
         assert code == 1
         assert "relation" in capsys.readouterr().err
 
+    def test_second_weight_size_is_one(self, tmp_path, capsys):
+        # a 3 x 3 W2 against the fixture's 2-dim relation ended in numpy's
+        # matmul core-dimension message
+        doc = json.loads((DATA / "w1w2-solve.json").read_text())
+        doc["matrices"]["W2"] = _complex_json(np.eye(3, dtype=complex))
+        code, payload = run_cli(["w1w2-solve", str(_write_problem(tmp_path, doc))])
+        assert code == 1 and payload == b""
+        assert "weight size 3 != relation dimension 2" in capsys.readouterr().err
+
     def test_file_and_batch_are_exclusive(self, capsys):
         code, _ = run_cli(["lss-solve"])
         assert code == 1

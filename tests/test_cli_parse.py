@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import relcalc.cli as cli
-from relcalc import ProblemFormatError
+from relcalc import ProblemFormatError, Tolerance
 from relcalc.cli import main, parse
 
 from test_cli import DATA
@@ -267,6 +267,13 @@ class TestStrictScalarFields:
         pf = parse(_write(tmp_path, doc))
         assert pf.rho == 2.0 and type(pf.rho) is float
         assert pf.tolerance.abs_eps == 0.0 and pf.tolerance.rel_eps == 1e-12
+
+    def test_tolerance_without_abs_eps_takes_the_default(self, tmp_path):
+        doc = _fixture("lss-solve.json")
+        doc["tolerance"] = {"rel_eps": 1e-9}
+        pf = parse(_write(tmp_path, doc))
+        assert pf.tolerance == Tolerance(rel_eps=1e-9)
+        assert pf.tolerance.abs_eps == Tolerance().abs_eps
 
 
 SECTIONS = ["matrices", "vectors", "subspaces", "relations", "weights", "problem"]

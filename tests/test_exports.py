@@ -101,6 +101,31 @@ def test_multivalued_projections_take_the_graph_blocks():
     assert "coefficient_x" in names and "orthonormalize" not in names
 
 
+THRESHOLD_FREE = ("lss.py", "relations.py", "mvproj.py", "weighted.py", "splines.py")
+
+
+def test_rank_decisions_and_thresholds_live_in_subspaces():
+    # every SVD rank decision is subspaces._cut_svd and every acceptance
+    # threshold lives in subspaces.py, so the library modules above it call
+    # no np.linalg.svd and write no number but 0, 1 and 2 (oracles.py stays
+    # independent, and cli.py's report constants are its own)
+    for module in THRESHOLD_FREE:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        svd = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "svd"
+        ]
+        numbers = [
+            (node.lineno, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) in (int, float, complex)
+            and node.value not in (0, 1, 2)
+        ]
+        assert (svd, numbers) == ([], []), module
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never reads; names listed in ``__all__``
     count as read, and ``from __future__`` imports are exempt."""

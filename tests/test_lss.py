@@ -367,6 +367,12 @@ class TestNormalEquation:
 
 
 class TestTwoWeights:
+    def test_second_weight_size_is_checked(self):
+        # a 2 x 2 W2 against a 3-dim relation failed inside numpy's matmul
+        a = graph_of_matrix(np.eye(3))
+        with pytest.raises(ValueError, match="weight size 2 != relation dimension 3"):
+            w1w2_solve(a, Weight(np.eye(3), "psd"), Weight(np.eye(2), "psd"), np.ones(3))
+
     def test_degenerate_first_weight(self):
         a = graph_of_matrix(np.diag([1.0, 0.0]))
         coset = w1w2_solve(

@@ -8,8 +8,11 @@ from relcalc import (
     DimensionMismatchError,
     Subspace,
     Tolerance,
+    from_graph_basis,
     full_space,
+    null_space,
     orthonormalize,
+    psd_sqrt,
     subspace_complement,
     subspace_contains,
     subspace_equals,
@@ -210,6 +213,26 @@ class TestTolerance:
         # at abs_eps = 0 the cutoff of an all-zero matrix is 0 itself
         assert orthonormalize(np.zeros((3, 2)), tol).dim == 0
         assert tol.rank(np.array([1.0, 0.0]), (2, 2)) == 1
+
+
+class TestNonFiniteData:
+    """An inf entry factors into NaN singular values or eigenvalues, which
+    failed every cutoff comparison and read as rank 0: a silent wrong
+    answer.  The keep-mask refuses a largest magnitude that is not finite."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # these gave dim 0, dim 2, graph dim 0 and the zero matrix
+            pytest.param(lambda: orthonormalize([[np.inf], [1.0]]), id="orthonormalize"),
+            pytest.param(lambda: null_space([[np.inf, 1.0]]), id="null_space"),
+            pytest.param(lambda: from_graph_basis(1, 1, [[np.inf, 1.0]]), id="from_graph_basis"),
+            pytest.param(lambda: psd_sqrt([[np.inf, 0.0], [0.0, 1.0]]), id="psd_sqrt"),
+        ],
+    )
+    def test_inf_entry_is_refused(self, call):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            call()
 
 
 class TestCoset:

@@ -19,12 +19,16 @@ import numpy as np
 from .errors import ConsistencyError, NoSolutionError
 from .subspaces import Coset, Tolerance, _as_vector, _cut_svd, _tol, subspace_equals, subspace_intersect
 from .relations import LinearRelation, apply, apply_to_coset, invert, parts, range_space
-from .weighted import Weight, _project_by_blocks, _psd_root, psd_sqrt
+from .weighted import Weight, _factor_corner, _project_by_blocks, _psd_root
 
 
 @dataclass(frozen=True)
 class LssProblem:
-    """Inclusion data: square relation A, psd weight W, target b."""
+    """Inclusion data: square relation A, psd weight W, target b.
+
+    The problem keeps a read-only copy of b, so a caller's later edit of
+    their array changes neither the problem nor its answer.
+    """
 
     A: LinearRelation
     W: Weight
@@ -36,7 +40,7 @@ class LssProblem:
         if self.W.kind != "psd":
             raise ValueError("least-squares weight must be psd")
         _check_weight_size(self.A, self.W)
-        b = _as_vector(self.b, self.A.dim_in, "target vector b")
+        b = _as_vector(np.array(self.b, dtype=complex), self.A.dim_in, "target vector b")
         if not np.all(np.isfinite(b)):
             raise ValueError("target vector b must be finite")
         b.setflags(write=False)
@@ -77,7 +81,7 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     """
     w_half, ker_w = _psd_root(p.W.matrix, tol)
     ran = range_space(p.A, tol)
-    outputs = _project_by_blocks(p.W.matrix, w_half, ran.basis, p.b, tol)
+    outputs = _project_by_blocks(_factor_corner(p.W.matrix, ran.basis, tol), w_half, p.b)
     n = p.A.dim_in
     if outputs.is_empty:
         return LssSolution(
@@ -153,7 +157,8 @@ def w1w2_solve(
         raise NoSolutionError("no W1 least-squares solution exists for this target")
     # solve has checked these directions against A^{-1}(ker W1)
     x0, directions = first.solution_set.point, first.solution_set.direction
-    projected = _project_by_blocks(W2.matrix, psd_sqrt(W2.matrix, tol), directions.basis, x0, tol)
+    w2_half = _psd_root(W2.matrix, tol)[0]
+    projected = _project_by_blocks(_factor_corner(W2.matrix, directions.basis, tol), w2_half, x0)
     if projected.is_empty:
         raise ConsistencyError("minimal-seminorm reduction produced an empty set")
     return Coset.of(x0 - projected.point, projected.direction)

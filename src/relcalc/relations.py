@@ -371,7 +371,9 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
     if c.is_empty:
         return Coset.empty(T.dim_out)
     if c.direction.dim == 0:
-        return apply(T, c.point, tol)
+        return apply(T, c.point, tol)  # apply refuses a non-finite point
+    if not np.isfinite(c.point).all():
+        raise ValueError("vector must be finite")
     f = _half(T, tol, _IN)
     dom, d = f.span.basis, c.direction.basis
     off_dom = d - dom @ (dom.conj().T @ d)

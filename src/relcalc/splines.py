@@ -9,13 +9,14 @@ the smoothing problem is an orthogonal projection onto the range pairs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConsistencyError
 from .subspaces import (
     Coset,
+    Cut,
     Subspace,
     Tolerance,
     _cut_svd,
@@ -23,21 +24,29 @@ from .subspaces import (
     _tol,
     orthonormalize,
 )
-from .weighted import _project_by_blocks
+from .weighted import _Corner, _factor_corner, _project_by_blocks
 
 
 @dataclass(frozen=True)
 class SplineProblem:
-    """Data for min ||T x|| subject to V x = b; V must be surjective."""
+    """Data for min ||T x|| subject to V x = b; V must be surjective.
+
+    The problem keeps read-only copies of T, V and b, so a caller's later
+    edit of their arrays changes neither the problem nor its answer.  It
+    also keeps the one full SVD of V, which decides surjectivity at the
+    default tolerance here and gives ``spline_solve`` its feasible point and
+    ker V at any tolerance.
+    """
 
     T: np.ndarray
     V: np.ndarray
     b: np.ndarray
+    _v_cut: Cut = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=complex)
-        V = np.asarray(self.V, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
+        T = np.array(self.T, dtype=complex)
+        V = np.array(self.V, dtype=complex)
+        b = np.array(self.b, dtype=complex)
         if T.ndim != 2 or V.ndim != 2 or b.ndim != 1:
             raise ValueError("T and V must be matrices, b a vector")
         if T.shape[1] != V.shape[1]:
@@ -48,11 +57,13 @@ class SplineProblem:
             raise ValueError(f"b has length {b.shape[0]}, expected {V.shape[0]}")
         if not all(np.all(np.isfinite(a)) for a in (T, V, b)):
             raise ValueError("T, V and b must be finite")
-        if orthonormalize(V.conj().T).dim < V.shape[0]:
+        v_cut = _cut_svd(V, None, full_matrices=True)
+        if v_cut.rank < V.shape[0]:
             raise ValueError("V must be surjective (full row rank)")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "b", b)
+        for name, a in (("T", T), ("V", V), ("b", b)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_v_cut", v_cut)
 
 
 @dataclass(frozen=True)
@@ -97,33 +108,35 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
     Take any x~ with V x~ = b; the spline set is (I - P) x~ for the weighted
     projection P with weight T*T onto ker V, from its block form on an
     orthonormal basis K of ker V: the point x~ - K a^-1 K* T*T x~ with
-    a = K* T*T K, and the direction ker V cap ker T.  One full SVD of V,
-    cut at the rank cutoff, gives both x~ = V_r S_r^-1 U_r* b from its kept
-    triplets and K from its dropped right singular vectors.  The result must
-    not depend on the feasible point chosen, the objective must be constant
-    on the set, and every member must still interpolate -- all three are
-    checked.
+    a = K* T*T K, and the direction ker V cap ker T.  The problem's full SVD
+    of V, cut here at the rank cutoff of ``tol``, gives both
+    x~ = V_r S_r^-1 U_r* b from its kept triplets and K from its dropped
+    right singular vectors; one eigh of the corner a serves every feasible
+    point, so the call factors nothing else.  The result must not depend on
+    the feasible point chosen, the objective must be constant on the set,
+    and every member must still interpolate -- all three are checked.
     """
-    cut = _cut_svd(p.V, tol, full_matrices=True)
+    cut = p._v_cut._replace(rank=_tol(tol).rank(p._v_cut.s, p.V.shape))
     x_feasible = cut.solve(p.b)
     ker_v = Subspace(cut.vh[cut.rank :].conj().T, validate=False)
-    gram = p.T.conj().T @ p.T
-    spline_set = _reduce(p, gram, ker_v, x_feasible, tol)
+    corner = _factor_corner(p.T.conj().T @ p.T, ker_v.basis, tol)
+    spline_set = _reduce(p, corner, x_feasible)
     min_value = spline_set._constant_value(
         lambda x: float(np.linalg.norm(p.T @ x)), "objective varies across the spline set"
     )
     _check_interpolation(p, spline_set, tol)
     if ker_v.dim:
-        alternative = _reduce(p, gram, ker_v, x_feasible + ker_v.basis[:, 0], tol)
+        alternative = _reduce(p, corner, x_feasible + ker_v.basis[:, 0])
         if not spline_set.equals(alternative, tol):
             raise ConsistencyError("spline set depends on the feasible point chosen")
     return SplineSolution(exists=True, spline_set=spline_set, min_value=min_value)
 
 
-def _reduce(p: SplineProblem, gram: np.ndarray, ker_v: Subspace, x: np.ndarray, tol: Tolerance | None) -> Coset:
-    """(I - P) x for the weighted projection P with weight gram = T*T onto
-    ker V; T*T is psd by construction, so it needs no certificate."""
-    projected = _project_by_blocks(gram, p.T, ker_v.basis, x, tol)
+def _reduce(p: SplineProblem, corner: _Corner, x: np.ndarray) -> Coset:
+    """(I - P) x for the weighted projection P with weight T*T onto ker V,
+    whose corner K* T*T K is factored; T*T is psd by construction, so it
+    needs no certificate."""
+    projected = _project_by_blocks(corner, p.T, x)
     if projected.is_empty:
         # dom (I - P) = dom P, everything for a psd weight: cannot happen
         raise ConsistencyError("feasible point escaped the projection domain")

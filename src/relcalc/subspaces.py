@@ -168,8 +168,13 @@ class Subspace:
         return self.basis @ (self.basis.conj().T @ v)
 
     def contains_vector(self, v: np.ndarray, tol: Tolerance | None = None) -> bool:
+        """Whether v lies in the subspace, up to the residual threshold.  A
+        non-finite v is refused: its residual would be NaN, and NaN fails
+        every comparison, so it would read as "not contained"."""
         tol = _tol(tol)
         v = _as_vector(v, self.ambient_dim, "vector")
+        if not np.isfinite(v).all():
+            raise ValueError("vector must be finite")
         resid = np.linalg.norm(v - self.project(v))
         scale = max(1.0, float(np.linalg.norm(v)))
         return resid <= tol.residual(scale, self.ambient_dim)

@@ -5,18 +5,19 @@ A selfadjoint weight W replaces the inner product by <Wx, y>.  The weighted
 projection onto a subspace S is the multivalued projection with range S and
 kernel the W-orthogonal companion of S; its domain need not be everything,
 and that defect is exactly what complementability measures.  The solvers'
-``_project_by_blocks``, ``complementability``, ``shorted`` and
-``krein_classify`` read the block split of W along S = span(U), U orthonormal,
-through U*WU or U*W, and ``complementability`` takes its off-diagonal block
-from ``coefficient_x``.  ``make_pws`` builds the same projection by the
-relation calculus.  No library function calls it or the calculus routes the
-block form replaced (``canonical_blocks``, ``identity_minus``, ``apply``):
-they are the tests' cross-checks.
+``_factor_corner`` and ``_project_by_blocks``, ``complementability``,
+``shorted`` and ``krein_classify`` read the block split of W along
+S = span(U), U orthonormal, through U*WU or U*W, and ``complementability``
+takes its off-diagonal block from ``coefficient_x``.  ``make_pws`` builds
+the same projection by the relation calculus.  No library function calls
+it or the calculus routes the block form replaced (``canonical_blocks``,
+``identity_minus``, ``apply``): they are the tests' cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,20 +170,35 @@ def make_pws(w: Weight, s: Subspace, tol: Tolerance | None = None) -> LinearRela
     return make_pmn(s, w_companion(s, w, tol), tol)
 
 
-def _project_by_blocks(
-    w: np.ndarray,
-    root: np.ndarray,
-    u: np.ndarray,
-    b: np.ndarray,
-    tol: Tolerance | None = None,
-) -> Coset:
+class _Corner(NamedTuple):
+    """The corner a = U*WU of a psd weight W along S = span(U), factored by
+    one eigh and cut as ``_psd_eigh`` cuts: its eigenpairs, ascending, and
+    the mask of the kept ones.  ``_project_by_blocks`` projects any number
+    of targets through it."""
+
+    w: np.ndarray
+    u: np.ndarray
+    eigs: np.ndarray
+    vecs: np.ndarray
+    keep: np.ndarray
+    tol: Tolerance
+
+
+def _factor_corner(w: np.ndarray, u: np.ndarray, tol: Tolerance | None) -> _Corner:
+    """The one eigh of the Hermitian k x k corner U*WU, for ``u`` with
+    orthonormal columns."""
+    tol = _tol(tol)
+    return _Corner(w, u, *_psd_eigh(u.conj().T @ w @ u, tol), tol)
+
+
+def _project_by_blocks(corner: _Corner, root: np.ndarray, b: np.ndarray) -> Coset:
     """P b for the W-weighted projection P onto S = span(u), from its block form.
 
-    ``u`` has orthonormal columns and ``root`` is any R with R*R = W.  Along
-    S the projection is (I, a^-1 b; 0, 0) for the blocks a = P_S W|_S and
-    b = P_S W|_(S-perp) of W, so a vector x lies in dom P exactly when
-    U*W x lies in ran a.  One eigh of the Hermitian k x k corner a = U*WU,
-    cut as ``_psd_eigh`` cuts, decides everything for the target ``b``:
+    ``corner`` is ``_factor_corner(w, u, tol)`` and ``root`` is any R with
+    R*R = W.  Along S the projection is (I, a^-1 b; 0, 0) for the blocks
+    a = P_S W|_S and b = P_S W|_(S-perp) of W, so a vector x lies in dom P
+    exactly when U*W x lies in ran a.  The factored corner a = U*WU decides
+    everything for the target ``b``, with no decomposition of its own:
 
     - existence: g = U*W b must lie in the span Q of the kept eigenvectors.
       A psd W puts at most sqrt(mu) ||R b|| of g on an eigenvector of a with
@@ -198,9 +214,8 @@ def _project_by_blocks(
     plus the rounding of the solve, ``_solve_rounding`` of a c = g in
     dimension n.
     """
-    tol = _tol(tol)
+    w, u, eigs, vecs, keep, tol = corner
     n = u.shape[0]
-    eigs, vecs, keep = _psd_eigh(u.conj().T @ w @ u, tol)
     g = u.conj().T @ (w @ b)
     q = vecs[:, keep]
     dropped = eigs[~keep]

@@ -5,6 +5,7 @@ import pytest
 
 from relcalc import (
     ConsistencyError,
+    Coset,
     LinearRelation,
     LssProblem,
     NoSolutionError,
@@ -100,6 +101,48 @@ class TestNonFiniteInput:
     def test_matrix_relation_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             graph_of_matrix(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # apply returned the empty coset, check_normal raised "candidate
+            # lies outside dom A", apply_to_coset returned the empty coset
+            pytest.param(lambda x: apply(graph_of_matrix(np.eye(2)), x), id="apply"),
+            pytest.param(lambda x: check_normal(classic_problem(), x), id="check_normal"),
+            pytest.param(
+                lambda x: apply_to_coset(graph_of_matrix(np.eye(2)), Coset.of(x, E2_LINE)),
+                id="apply_to_coset",
+            ),
+            pytest.param(
+                lambda x: apply_to_coset(graph_of_matrix(np.eye(2)), Coset.of(x, zero_space(2))),
+                id="apply_to_point",
+            ),
+            pytest.param(lambda x: Coset.of(np.zeros(2), E2_LINE).contains(x), id="Coset.contains"),
+            pytest.param(lambda x: E2_LINE.contains_vector(x), id="Subspace.contains_vector"),
+        ],
+    )
+    def test_non_finite_vector_is_refused(self, call, bad):
+        # under the error::RuntimeWarning filter: the refusal comes before
+        # any arithmetic on the vector
+        with pytest.raises(ValueError, match="vector must be finite"):
+            call(np.array([bad, 0.0]))
+
+
+class TestProblemData:
+    def test_problem_owns_a_read_only_copy_of_b(self):
+        # the caller's complex b used to be frozen in place: their later
+        # b[0] = 5 raised "assignment destination is read-only"
+        b = np.array([1.0, 1.0], dtype=complex)
+        p = LssProblem(graph_of_matrix(np.diag([1.0, 0.0])), Weight(np.eye(2), "psd"), b)
+        before = solve(p)
+        assert b.flags.writeable and not p.b.flags.writeable
+        assert not np.shares_memory(b, p.b)
+        b[0] = 5.0
+        after = solve(p)
+        assert np.array_equal(p.b, [1.0, 1.0])
+        assert after.min_value == before.min_value
+        assert np.array_equal(after.witness, before.witness)
 
 
 class TestSolveExamples:
@@ -552,13 +595,15 @@ class TestRankDecisionCount:
             assert svd_calls == ["svd"]
 
     def test_svd_calls_per_spline_solve(self, svd_calls):
-        # the surjectivity check of V and one SVD of V, which gives both the
-        # feasible point and ker V, are the only SVDs, and no lstsq; the
-        # block form takes one eigh per feasible point, the second for the
-        # check that the set does not depend on it; T*T is psd by
-        # construction and takes no eigvalsh certificate (the relation route
-        # made 9.0 / 10, and 17.75 / 19 when I - P was an operator sum; the
-        # feasible point was one lstsq at numpy's cutoff)
+        # construction included: one full SVD of V decides surjectivity and
+        # gives both the feasible point and ker V, and one eigh of the
+        # corner K* T*T K serves both feasible points of the independence
+        # check; no lstsq, and T*T is psd by construction and takes no
+        # eigvalsh certificate (the relation route made 9.0 / 10, and
+        # 17.75 / 19 when I - P was an operator sum; the feasible point was
+        # one lstsq at numpy's cutoff; a thin SVD of V* for surjectivity, a
+        # full SVD of V and one eigh per feasible point made 2 SVDs and 2
+        # eigh)
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(2, 9))
@@ -567,10 +612,24 @@ class TestRankDecisionCount:
             b = rng.standard_normal(k)
             svd_calls.clear()
             spline_solve(SplineProblem(T, V, b))
-            assert svd_calls.count("svd") == 2
+            assert svd_calls.count("svd") == 1
             assert "lstsq" not in svd_calls
-            assert svd_calls.count("eigh") <= 2
+            assert svd_calls.count("eigh") == 1
             assert "eigvalsh" not in svd_calls
+
+    def test_spline_problem_owns_the_svd_of_v(self, svd_calls):
+        # the problem makes the one SVD of V; spline_solve reads its
+        # factors, at any tolerance, and makes only the eigh of the corner
+        rng = np.random.default_rng(31)
+        for i in range(100):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n + 1))
+            svd_calls.clear()
+            p = SplineProblem(cmat(rng, n, n), cmat(rng, k, n), cvec(rng, k))
+            assert svd_calls == ["svd"]
+            svd_calls.clear()
+            spline_solve(p, Tolerance(1e-9) if i % 2 else None)
+            assert svd_calls == ["eigh"]
 
     def test_svd_calls_per_krein_classify(self, svd_calls):
         # one eigh of the Gram matrix U*JU, and for the cross-check the null

@@ -62,6 +62,35 @@ class TestSplineSolve:
         with pytest.raises(ValueError, match="surjective"):
             SplineProblem(np.eye(2), np.diag([1.0, 1e-11]), np.array([1.0, 1.0]))
 
+    def test_solve_ranks_v_at_the_callers_tolerance(self):
+        # the problem keeps V's factors, but spline_solve cuts them at its
+        # own tolerance: a singular value of 1e-7 survives Tolerance() and
+        # falls under Tolerance(1e-6)'s cutoff, which drops the second
+        # constraint from the feasible point
+        p = SplineProblem(np.eye(3), np.diag([1.0, 1e-7, 0.0])[:2], np.array([1.0, 1.0]))
+        sol = spline_solve(p)
+        assert np.allclose(p.V @ sol.spline_set.point, p.b)
+        with pytest.raises(ConsistencyError, match="misses the interpolation constraint"):
+            spline_solve(p, Tolerance(1e-6))
+
+    def test_problem_owns_read_only_copies(self):
+        # the problem caches the SVD of V, so an edit of the caller's
+        # arrays after construction must reach neither it nor the answer
+        rng = np.random.default_rng(17)
+        T, V, b = cmat(rng, 3, 4), cmat(rng, 2, 4), cvec(rng, 2)
+        p = SplineProblem(T, V, b)
+        before = spline_solve(p)
+        for mine, kept in ((T, p.T), (V, p.V), (b, p.b)):
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(mine, kept)
+            with pytest.raises(ValueError, match="read-only"):
+                kept[...] = 0
+        V[1, 1], T[0, 0], b[0] = 0.0, 5.0, 7.0
+        after = spline_solve(p)
+        assert np.array_equal(after.spline_set.point, before.spline_set.point)
+        assert np.array_equal(after.spline_set.direction.basis, before.spline_set.direction.basis)
+        assert after.min_value == before.min_value
+
     @pytest.mark.parametrize("where", ["T", "V", "b"])
     def test_rejects_non_finite(self, where):
         data = {"T": np.eye(2), "V": np.array([[1.0, 0.0]]), "b": np.array([1.0])}

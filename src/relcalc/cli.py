@@ -53,7 +53,7 @@ FORMAT_VERSION = 1
 # problem files
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemFile:
     version: int
     field_kind: str
@@ -180,18 +180,34 @@ def _section(data: dict, key: str) -> dict:
 
 
 def parse(path: str | Path) -> ProblemFile:
-    """Load and validate a problem file; all shape checks happen here."""
+    """Load and validate a problem file; all shape checks happen here.
+
+    The text is decoded by ``orjson``.  What strict JSON refuses (``NaN``
+    and ``Infinity`` literals, numbers beyond the double range, lone
+    surrogate escapes, malformed text) goes to the stdlib decoder, which
+    reads the literals so that the checks below can name the bad entry, and
+    words and places the parse error.  Both decoders give the same values,
+    except that ``orjson`` reads an integer outside [-2**63, 2**64) as the
+    nearest float.  Numeric sections convert every entry with ``float()``
+    either way; a size or ``version`` field holding such an integer is
+    refused either way, with a message that quotes the float.
+    """
+    import orjson  # here, not at the top: code that only dispatches or emits never loads it
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"{path.name}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        data = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ProblemFormatError(
+                f"{path.name}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
     if not isinstance(data, dict):
         raise ProblemFormatError(f"{path.name}: top level must be an object")
     version = data.get("version")
@@ -783,8 +799,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def main(argv=None, out=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     stream = out if out is not None else sys.stdout.buffer
     if (args.file is None) == (args.batch is None):
         print("error: provide exactly one of a problem file or --batch DIR", file=sys.stderr)

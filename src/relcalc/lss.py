@@ -22,7 +22,7 @@ from .relations import LinearRelation, apply, apply_to_coset, invert, parts, ran
 from .weighted import Weight, _factor_corner, _project_by_blocks, _psd_root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LssProblem:
     """Inclusion data: square relation A, psd weight W, target b.
 
@@ -47,7 +47,7 @@ class LssProblem:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LssSolution:
     exists: bool
     min_value: float

@@ -27,7 +27,7 @@ from .subspaces import (
 from .weighted import _Corner, _factor_corner, _project_by_blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineProblem:
     """Data for min ||T x|| subject to V x = b; V must be surjective.
 
@@ -41,7 +41,7 @@ class SplineProblem:
     T: np.ndarray
     V: np.ndarray
     b: np.ndarray
-    _v_cut: Cut = field(init=False, compare=False, repr=False)
+    _v_cut: Cut = field(init=False, repr=False)
 
     def __post_init__(self):
         T = np.array(self.T, dtype=complex)
@@ -66,7 +66,7 @@ class SplineProblem:
         object.__setattr__(self, "_v_cut", v_cut)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothingProblem:
     base: SplineProblem
     rho: float
@@ -89,7 +89,7 @@ class SmoothingSolution:
     min_value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionBlocks:
     """The four operator blocks of the orthogonal projector onto {(Tx, Vx)}."""
 

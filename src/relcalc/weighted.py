@@ -44,7 +44,7 @@ from .mvproj import BlockRep, coefficient_x, make_pmn
 WEIGHT_KINDS = ("selfadjoint", "psd", "symmetry")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
     """A selfadjoint matrix weight, optionally certified psd or a symmetry.
 

@@ -1,9 +1,11 @@
-"""Problem-file parsing: whole-array reads, the per-entry walk, strict scalar fields."""
+"""Problem-file parsing: the two decoders, whole-array reads, the per-entry
+walk, strict scalar fields."""
 
 import io
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 import relcalc.cli as cli
@@ -25,16 +27,32 @@ def _walk_only(monkeypatch):
     monkeypatch.setattr(cli, "_pair_array", lambda raw, ndim: None)
 
 
+def _stdlib_only(monkeypatch):
+    """Parse with orjson refusing every file: the stdlib decoder reads all.
+    Returns the list that gains one entry per refusal."""
+    refused = []
+
+    def refuse(text):
+        refused.append(1)
+        raise orjson.JSONDecodeError("refused", text, 0)
+
+    monkeypatch.setattr(orjson, "loads", refuse)
+    return refused
+
+
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _outcome(path):
-    """The parsed problem file, or the message of the error it raises."""
+    """The parsed problem file, or the message of the error it raises (named,
+    for an error ``main`` reports that is not a ProblemFormatError)."""
     try:
         return parse(path)
     except ProblemFormatError as exc:
         return str(exc)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _arrays(pf):
@@ -51,6 +69,35 @@ def _arrays(pf):
 def _same_problem(a, b):
     x, y = _arrays(a), _arrays(b)
     return len(x) == len(y) and all(k == l and _same_bits(u, v) for (k, u), (l, v) in zip(x, y))
+
+
+def _scalars(pf):
+    """Everything a parsed file holds besides its arrays, as text, so that
+    1 and 1.0 differ."""
+    specs = [
+        (name, [(key, value) for key, value in spec.items()
+                if key != "span" and not isinstance(value, np.ndarray)])
+        for section in (pf.subspaces, pf.relations, pf.weights)
+        for name, spec in section.items()
+    ]
+    return repr((pf.version, pf.field_kind, pf.tolerance, pf.rho, pf.problem, specs))
+
+
+def _same_outcome(a, b):
+    """Two outcomes of ``_outcome``: the same message, or bit-identical arrays
+    and the same scalars."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return _same_problem(a, b) and _scalars(a) == _scalars(b)
+
+
+def _both_routes(path, monkeypatch):
+    """The outcome of parsing ``path`` by orjson, then by the stdlib decoder."""
+    fast = _outcome(path)
+    refused = _stdlib_only(monkeypatch)
+    slow = _outcome(path)
+    assert refused == [1]
+    return fast, slow
 
 
 def _random_entry(rng, kind):
@@ -116,7 +163,8 @@ class TestWholeArrays:
         assert _same_bits(cli._parse_matrix([raw, raw], "m"), cli._walk_matrix([raw, raw], "m"))
 
     def test_large_sections_never_walk(self, tmp_path, monkeypatch):
-        """A regression to per-entry parsing shows as calls to _complex_entry."""
+        """A regression to per-entry parsing shows as calls to _complex_entry,
+        and one to the stdlib decoder as calls to json.loads."""
         rng = np.random.default_rng(64)
         pairs = lambda *shape: rng.standard_normal(shape + (2,)).tolist()
         doc = {
@@ -126,13 +174,142 @@ class TestWholeArrays:
             "subspaces": {"S": {"ambient": 64, "span": pairs(5, 64)}},
             "relations": {"G": {"dim_in": 64, "dim_out": 64, "graph_span": pairs(8, 128)}},
         }
+        path = _write(tmp_path, doc)
         calls = []
-        walk = cli._complex_entry
-        monkeypatch.setattr(cli, "_complex_entry", lambda *args: calls.append(1) or walk(*args))
-        pf = parse(_write(tmp_path, doc))
+        walk, loads = cli._complex_entry, json.loads
+        monkeypatch.setattr(cli, "_complex_entry", lambda *args: calls.append("walk") or walk(*args))
+        monkeypatch.setattr(json, "loads", lambda *args, **kw: calls.append("json") or loads(*args, **kw))
+        pf = parse(path)
         assert calls == []
         assert pf.matrices["A"].shape == (64, 64) and len(pf.relations["G"]["span"]) == 8
         assert len(pf.subspaces["S"]["span"]) == 5
+
+
+# a well-formed file touching every numeric and scalar field; "@" marks the
+# slots the edge cases below fill with raw JSON text
+EDGE_BASE = {
+    "version": 1,
+    "tolerance": {"abs_eps": "@tolerance.abs_eps", "rel_eps": "@tolerance.rel_eps"},
+    "rho": "@rho",
+    "matrices": {"A": [[[1, 0], ["@matrices", 0]], [[0, 0], [1, 0]]]},
+    "vectors": {"b": [[1, 0], [2, "@vectors"]]},
+    "subspaces": {"S": {"ambient": "@ambient", "span": [[[1, 0], ["@subspaces", 0], [0, 0]]]}},
+    "relations": {
+        "G": {"dim_in": "@dim_in", "dim_out": 1, "graph_span": [[[1, 0], [0, 0], ["@graph_span", 0]]]},
+        "M": {"matrix": [[["@inline", 1]]]},
+    },
+    "weights": {"W": {"matrix": [[[1, 0], [0, 0]], [[0, 0], ["@weights", 0]]], "kind": "psd"}},
+    "problem": {"relation": "G", "weight": "W", "b": "b"},
+}
+# what each slot holds when it is not the one under test
+EDGE_DEFAULTS = {"tolerance.abs_eps": "1e-9", "tolerance.rel_eps": "1e-12", "rho": "0.5",
+                 "ambient": "3", "dim_in": "2", "matrices": "2", "vectors": "-1",
+                 "subspaces": "3", "graph_span": "4", "inline": "5", "weights": "6"}
+NUMERIC_SLOTS = ["tolerance.abs_eps", "tolerance.rel_eps", "rho", "matrices", "vectors",
+                 "subspaces", "graph_span", "inline", "weights"]
+
+
+def _edge_text(slot=None, token=None):
+    text = json.dumps(EDGE_BASE)
+    for name, default in EDGE_DEFAULTS.items():
+        text = text.replace(f'"@{name}"', token if name == slot else default)
+    return text
+
+
+EDGE_TEXTS = {
+    **{f"{token}-in-{slot}": _edge_text(slot, token)
+       for slot in NUMERIC_SLOTS
+       for token in ("NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                     str(2**53 + 1), str(2**63 - 1), str(2**64 - 1), str(2**64),
+                     str(-(2**63) - 1), str(10**300 + 1), "-0.0", "5e-324")},
+    **{f"{value}-in-{slot}": _edge_text(slot, str(value))
+       for slot in ("ambient", "dim_in")
+       for value in (0, 2**53 + 1, 2**63 - 1, 2**64 - 1)},
+    "well-formed": _edge_text(),
+    "lone-surrogate-name": _edge_text().replace('"relation": "G"', '"relation": "\\ud800"'),
+    "lone-surrogate-entry": _edge_text("vectors", '"\\udfff"'),
+    "bom": "\ufeff" + _edge_text(),
+    "trailing-comma-object": _edge_text()[:-1] + ", }",
+    "trailing-comma-array": _edge_text("vectors", "0], [1, 0,"),
+    "leading-zero": _edge_text("vectors", "01"),
+    "control-character": _edge_text().replace('"psd"', '"p\tsd"'),
+    "duplicate-keys": '{"version": 1, "vectors": {"b": [[1, 0]], "b": [[2, 0]]}, "rho": 1, '
+                      '"vectors": {"c": [[3, 0]], "b": [[4, 0]]}, "rho": 2.5}',
+    "empty": "",
+    "top-level-list": "[1, 2]",
+    "truncated": _edge_text()[:100],
+}
+
+
+class TestDecoderParity:
+    """orjson decodes every file; what strict JSON refuses goes to the stdlib
+    decoder.  Forcing that second route on every file must change nothing."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_documents(self, tmp_path, monkeypatch, seed):
+        path = _write(tmp_path, _random_document(np.random.default_rng(14000 + seed)))
+        fast, slow = _both_routes(path, monkeypatch)
+        assert not isinstance(fast, str) and _same_outcome(fast, slow)
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in DATA.glob("*.json") if not path.name.endswith(".golden.json")
+    ))
+    def test_fixtures(self, tmp_path, monkeypatch, name):
+        fast, slow = _both_routes(DATA / name, monkeypatch)
+        assert _same_outcome(fast, slow)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_TEXTS))
+    def test_edge_cases(self, tmp_path, monkeypatch, case):
+        fast, slow = _both_routes(_write(tmp_path, EDGE_TEXTS[case]), monkeypatch)
+        assert _same_outcome(fast, slow), (fast, slow)
+
+    def test_edge_cases_reach_both_decoders_and_both_outcomes(self, tmp_path):
+        """The edge list holds files each decoder reads, files that parse and
+        files refused with each kind of message, so the parity above is not
+        vacuous."""
+        strict = []
+        for text in EDGE_TEXTS.values():
+            try:
+                orjson.loads(text)
+                strict.append(True)
+            except orjson.JSONDecodeError:
+                strict.append(False)
+        assert 0 < sum(strict) < len(strict)
+        outcomes = [_outcome(_write(tmp_path, text)) for text in EDGE_TEXTS.values()]
+        messages = " ".join(o for o in outcomes if isinstance(o, str))
+        assert sum(not isinstance(o, str) for o in outcomes) > len(NUMERIC_SLOTS)
+        for part in ("numbers must be finite, got nan", "got inf", "got -inf", "parse error at line 1",
+                     "Unexpected UTF-8 BOM", "top level must be an object"):
+            assert part in messages, part
+
+    def test_duplicate_keys_keep_the_last_value_in_first_place(self, tmp_path):
+        pf = parse(_write(tmp_path, EDGE_TEXTS["duplicate-keys"]))
+        assert list(pf.vectors) == ["c", "b"] and pf.vectors["b"][0] == 4 and pf.rho == 2.5
+
+    @pytest.mark.parametrize("field, stdlib_message, orjson_message", [
+        ("ambient",
+         "subspaces.M.span[0] has length 2, expected ambient 18446744073709551616",
+         "subspaces.M.ambient: expected a nonnegative integer, got 1.8446744073709552e+19"),
+        ("version",
+         "problem.json: unsupported version 18446744073709551616",
+         "problem.json: unsupported version 1.8446744073709552e+19"),
+    ])
+    def test_out_of_range_integer_field_is_refused_on_both_routes(
+        self, tmp_path, monkeypatch, capsys, field, stdlib_message, orjson_message
+    ):
+        """The one divergence: orjson reads an integer outside [-2**63, 2**64)
+        as a float, so only the wording of this refusal differs."""
+        doc = _fixture("proj-build.json")
+        if field == "version":
+            doc["version"] = 2**64
+        else:
+            doc["subspaces"]["M"]["ambient"] = 2**64
+        path = str(_write(tmp_path, doc))
+        assert _run(["proj-build", path]) == (1, b"")
+        assert capsys.readouterr().err == f"error: {orjson_message}\n"
+        _stdlib_only(monkeypatch)
+        assert _run(["proj-build", path]) == (1, b"")
+        assert capsys.readouterr().err == f"error: {stdlib_message}\n"
 
 
 def _with(section, name, raw):
@@ -305,3 +482,13 @@ class TestTopLevelSections:
         assert "error: b.json: matrices: expected an object" in capsys.readouterr().err
         assert (tmp_path / "c.report.json").read_text() == (tmp_path / "a.report.json").read_text()
         assert not (tmp_path / "b.report.json").exists()
+
+
+def test_main_reuses_one_argument_parser(monkeypatch):
+    """The parser is built once per process, not on every call of main."""
+    def build():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    code, payload = _run(["lss-solve", str(DATA / "lss-solve.json"), "--verify"])
+    assert code == 0 and payload == (DATA / "lss-solve.golden.json").read_bytes()

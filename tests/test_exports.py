@@ -1,10 +1,17 @@
-"""The package's export list and import graph: a deleted function must leave
-no stale name, and the library never calls the oracles it is checked against."""
+"""The package's export list, import graph and records: a deleted function
+must leave no stale name, the library never calls the oracles it is checked
+against, and a record holding arrays compares by identity."""
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import relcalc
+import relcalc.cli
 
 PACKAGE = Path(relcalc.__file__).parent
 
@@ -151,3 +158,52 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert unused == {}
+
+
+def _records_with_array_fields():
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"relcalc.{path.stem}")
+        for value in vars(module).values():
+            if (
+                dataclasses.is_dataclass(value)
+                and value.__module__ == module.__name__
+                and any("ndarray" in str(f.type) for f in dataclasses.fields(value))
+            ):
+                yield value
+
+
+def test_records_holding_arrays_are_eq_false():
+    # a generated __eq__ compares ndarray fields with ==, whose truth value
+    # raises for more than one entry
+    records = list(_records_with_array_fields())
+    assert relcalc.SplineProblem in records and relcalc.Weight in records
+    assert [r.__name__ for r in records if r.__dataclass_params__.eq] == []
+
+
+def _eye_spline():
+    return relcalc.SplineProblem(np.eye(2), [[1.0, 0]], [1.0])
+
+
+def _eye_lss():
+    return relcalc.LssProblem(relcalc.graph_of_matrix(np.eye(2)), relcalc.Weight(np.eye(2), "psd"), np.ones(2))
+
+
+RECORDS = {
+    "Weight": lambda: relcalc.Weight(np.eye(2)),
+    "LssProblem": _eye_lss,
+    "LssSolution": lambda: relcalc.solve(_eye_lss()),
+    "SplineProblem": _eye_spline,
+    "SmoothingProblem": lambda: relcalc.SmoothingProblem(_eye_spline(), 1.0),
+    "ProjectionBlocks": lambda: relcalc.projection_m(np.eye(2), np.array([[1.0, 0]])),
+    "ProblemFile": lambda: relcalc.cli.parse(Path(__file__).parent / "data" / "lss-solve.json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_holding_arrays_compare_by_identity(name):
+    # before, == between two Weights or SplineProblems raised, two equal
+    # LssProblems compared False, and hash raised TypeError
+    first, second = RECORDS[name](), RECORDS[name]()
+    assert type(first).__name__ == name
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2

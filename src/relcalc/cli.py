@@ -47,6 +47,7 @@ from .splines import SmoothingProblem, SplineProblem, smooth_solve, spline_solve
 from . import oracles
 
 FORMAT_VERSION = 1
+MAX_DIM = 4096  # the largest ambient, dim_in or dim_out a problem file may declare
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,14 @@ def _size(value, where: str) -> int:
     if type(value) is not int or value < 0:
         raise ProblemFormatError(f"{where}: expected a nonnegative integer, got {value!r}")
     return value
+
+
+def _check_max_dim(size: int, where: str):
+    """Refuse a size above ``MAX_DIM``.  Checked after the span, so that a
+    span of the wrong length is reported as such; an empty span would let
+    the size through to dispatch."""
+    if size > MAX_DIM:
+        raise ProblemFormatError(f"{where}: {size} exceeds the size limit {MAX_DIM}")
 
 
 # Numeric sections are read as whole arrays; the per-entry walk below runs
@@ -222,12 +231,12 @@ def parse(path: str | Path) -> ProblemFile:
         spec = data["tolerance"]
         if not isinstance(spec, dict):
             raise ProblemFormatError("tolerance: expected an object")
-        tolerance = Tolerance(
-            abs_eps=_number(spec.get("abs_eps", DEFAULT_ABS_EPS), "tolerance.abs_eps"),
-            rel_eps=None
-            if spec.get("rel_eps") is None
-            else _number(spec["rel_eps"], "tolerance.rel_eps"),
-        )
+        abs_eps = _number(spec.get("abs_eps", DEFAULT_ABS_EPS), "tolerance.abs_eps")
+        rel_eps = None if spec.get("rel_eps") is None else _number(spec["rel_eps"], "tolerance.rel_eps")
+        try:
+            tolerance = Tolerance(abs_eps, rel_eps)
+        except ValueError as exc:  # a negative value; the message starts with its field
+            raise ProblemFormatError(f"tolerance.{exc}") from exc
 
     pf = ProblemFile(version=version, field_kind=field_kind, tolerance=tolerance)
     for name, raw in _section(data, "matrices").items():
@@ -251,6 +260,7 @@ def _validate_subspace_spec(raw, where: str) -> dict:
         raise ProblemFormatError(f"{where}: expected an object with an 'ambient' field")
     ambient = _size(raw["ambient"], f"{where}.ambient")
     span = _parse_span(raw.get("span", []), f"{where}.span", ambient, f"ambient {ambient}")
+    _check_max_dim(ambient, f"{where}.ambient")
     return {"ambient": ambient, "span": span}
 
 
@@ -274,6 +284,8 @@ def _validate_relation_spec(raw, where: str) -> dict:
         n = _size(raw["dim_in"], f"{where}.dim_in")
         m = _size(raw["dim_out"], f"{where}.dim_out")
         span = _parse_span(raw["graph_span"], f"{where}.graph_span", n + m, str(n + m))
+        _check_max_dim(n, f"{where}.dim_in")
+        _check_max_dim(m, f"{where}.dim_out")
         spec.update(dim_in=n, dim_out=m, span=span)
     elif kind == "product_of":
         pair = raw["product_of"]
@@ -767,32 +779,40 @@ def _render_text(value, prefix: str, lines: list[str]):
 _EXIT_BY_STATUS = {"ok": 0, "no-solution": 2}
 
 
-def _resolve_tolerance(arg_tol: float | None, pf: ProblemFile) -> Tolerance:
-    if arg_tol is not None:
-        return Tolerance(abs_eps=arg_tol)
-    env = os.environ.get("RELCALC_TOL")
-    if env is not None:
-        return Tolerance(abs_eps=float(env))
-    if pf.tolerance is not None:
-        return pf.tolerance
-    return Tolerance()
+def _tolerance_override(flag: str | None) -> Tolerance | None:
+    """The absolute tolerance that ``--tol``, else ``RELCALC_TOL``, sets for
+    every file of the run, or None when neither is given."""
+    for source, raw in (("--tol", flag), ("RELCALC_TOL", os.environ.get("RELCALC_TOL"))):
+        if raw is not None:
+            try:
+                return Tolerance(abs_eps=float(raw))
+            except ValueError as exc:
+                raise ProblemFormatError(f"{source}: {exc}") from exc
+    return None
 
 
-def _run_file(command: str, path: Path, args) -> tuple[bytes, int]:
+def _run_file(command: str, path: Path, args, override: Tolerance | None) -> tuple[bytes, int]:
     pf = parse(path)
-    tol = _resolve_tolerance(args.tol, pf)
+    tol = override or pf.tolerance or Tolerance()
     report = dispatch(command, pf, tol, verify=args.verify)
     return emit(report, args.format), _EXIT_BY_STATUS[report["status"]]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is operational: exit code 1, as 2 means "no solution"."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="relcalc",
         description="Linear-relation calculus: projections, weighted least squares, splines, smoothing.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("file", nargs="?", help="problem file (omit with --batch)")
-    parser.add_argument("--tol", type=float, default=None, help="absolute tolerance override")
+    parser.add_argument("--tol", default=None, help="absolute tolerance override")
     parser.add_argument("--verify", action="store_true", help="run the oracle cross-check")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--batch", metavar="DIR", default=None, help="process every .json file in DIR")
@@ -809,9 +829,14 @@ def main(argv=None, out=None) -> int:
     if (args.file is None) == (args.batch is None):
         print("error: provide exactly one of a problem file or --batch DIR", file=sys.stderr)
         return 1
+    try:
+        override = _tolerance_override(args.tol)
+    except ProblemFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.batch is None:
         try:
-            payload, code = _run_file(args.command, Path(args.file), args)
+            payload, code = _run_file(args.command, Path(args.file), args, override)
         except (ProblemFormatError, DimensionMismatchError, NotRepresentableError,
                 ConsistencyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -829,7 +854,7 @@ def main(argv=None, out=None) -> int:
         if path.name.endswith(".report.json"):
             continue
         try:
-            payload, code = _run_file(args.command, path, args)
+            payload, code = _run_file(args.command, path, args, override)
             path.with_name(path.stem + ".report.json").write_bytes(payload)
             status = "ok" if code == 0 else "no-solution"
         except (ProblemFormatError, DimensionMismatchError, NotRepresentableError,
@@ -844,3 +869,7 @@ def main(argv=None, out=None) -> int:
 
 def entrypoint():  # console-script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -5,13 +5,16 @@ dom A some of whose values come W-seminorm-closest to b among all of ran A.
 Existence, the minimum, the attainment set and the full solution coset all
 come out of the weighted projection P onto ran A, taken from the paper's
 block form: along S = ran A, P is (I, a^-1 b; 0, 0) with a = P_S W|_S, so
-one eigendecomposition of the Hermitian corner a = U*WU decides P b.  The
-normal equation 0 in A* W (A x0 - b) reads on the same basis U of ran A:
-(z, 0) lies in A* exactly when U* z = 0, so ``check_normal`` works on U*W.
+one eigendecomposition of the Hermitian corner a = U*WU decides P b.  W
+enters only through a, W^1/2 and ker W, and the last two come from the
+eigenpairs the psd ``Weight`` keeps from its certificate.  The normal
+equation 0 in A* W (A x0 - b) reads on the same basis U of ran A: (z, 0)
+lies in A* exactly when U* z = 0, so ``check_normal`` works on U*W.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,19 +72,23 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     ``weighted._project_by_blocks``): they exist exactly when U*W b lies in
     the range of a = U*WU, up to the allowance a psd W leaves for the
     eigenvalues the cut dropped; P b is empty when W is not psd beyond that.
-    When solvable, the minimum is the W-seminorm of any residual
-    representative (checked constant across representatives), the output
-    directions must be ran A cap ker W, with ker W from the eigendecomposition
-    that gives W^1/2, and the solution set is the inverse image of the
-    output coset.  The check runs before A^-1, which would scale any gap
+    Every cut reads W / lambda for lambda the largest eigenvalue of W (1
+    when none is positive), so the units of W decide no rank: W^1/2 and
+    ker W are cut from the eigenpairs the weight keeps, divided by lambda,
+    and the corner is that of W / lambda.  When solvable, the minimum is sqrt(lambda) times
+    the (W / lambda)-seminorm of any residual representative (checked
+    constant across representatives), the output directions must be ran A
+    cap ker W, and the solution set is the inverse image of the output
+    coset.  The check runs before A^-1, which would scale any gap
     between the two by up to 1 / sigma_min(A).  Both steps read only A's
     output block H: ran A and the point of A^-1 come from H's kept singular
     triplets, the solution directions from a preimage under H; the input
     block is never factored.
     """
-    w_half, ker_w = _psd_root(p.W.matrix, tol)
+    top = float(p.W._eigh[0].max(initial=0.0)) or 1.0
+    w_half, ker_w = _psd_root(p.W, tol, top)
     ran = range_space(p.A, tol)
-    outputs = _project_by_blocks(_factor_corner(p.W.matrix, ran.basis, tol), w_half, p.b)
+    outputs = _project_by_blocks(_factor_corner(p.W.matrix / top, ran.basis, tol), w_half, p.b)
     n = p.A.dim_in
     if outputs.is_empty:
         return LssSolution(
@@ -91,7 +98,7 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
             solution_set=Coset.empty(n),
             minimizing_outputs=Coset.empty(n),
         )
-    min_value = outputs._constant_value(
+    min_value = math.sqrt(top) * outputs._constant_value(
         lambda y: float(np.linalg.norm(w_half @ (y - p.b))), "minimum value varies across coset representatives"
     )
     structural = subspace_intersect(ran, ker_w, tol)
@@ -157,7 +164,7 @@ def w1w2_solve(
         raise NoSolutionError("no W1 least-squares solution exists for this target")
     # solve has checked these directions against A^{-1}(ker W1)
     x0, directions = first.solution_set.point, first.solution_set.direction
-    w2_half = _psd_root(W2.matrix, tol)[0]
+    w2_half = _psd_root(W2, tol)[0]
     projected = _project_by_blocks(_factor_corner(W2.matrix, directions.basis, tol), w2_half, x0)
     if projected.is_empty:
         raise ConsistencyError("minimal-seminorm reduction produced an empty set")

@@ -50,11 +50,13 @@ class Weight:
 
     psd certification uses the eigenvalue threshold -tol; weights with
     slightly negative eigenvalues are accepted and flagged ``borderline``.
+    A psd weight keeps the eigenpairs that certify it, for every root of W.
     """
 
     matrix: np.ndarray
     kind: str = "selfadjoint"
     borderline: bool = field(init=False, default=False)
+    _eigh: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -71,11 +73,14 @@ class Weight:
             raise ValueError("weight matrix is not selfadjoint")
         mat = (mat + mat.conj().T) / 2
         if self.kind == "psd":
-            eigs = np.linalg.eigvalsh(mat)
+            eigs, vecs = np.linalg.eigh(mat)
             if eigs.size and eigs[0] < -thresh:
                 raise ValueError(f"weight is not positive semidefinite (min eig {eigs[0]:.3e})")
             if eigs.size and eigs[0] < 0:
                 object.__setattr__(self, "borderline", True)
+            eigs.setflags(write=False)
+            vecs.setflags(write=False)
+            object.__setattr__(self, "_eigh", (eigs, vecs))
         elif self.kind == "symmetry":
             if np.linalg.norm(mat @ mat - np.eye(n)) > thresh:
                 raise ValueError("weight is not a symmetry (its square is not the identity)")
@@ -106,14 +111,17 @@ class KreinClassification:
     note: str = "pseudo-regularity is automatic: every subspace sum is closed in finite dimensions"
 
 
+def _eig_keep(eigs: np.ndarray, tol: Tolerance | None) -> np.ndarray:
+    """The module's one eigenvalue cut: the mask of |eig| at or above the rank cutoff, zeros never."""
+    mags = np.abs(eigs)
+    return _tol(tol)._keep(mags, float(mags.max(initial=0.0)), eigs.shape * 2)
+
+
 def _signed_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian part, ascending, and the mask of the
-    eigenvalues at or above the rank cutoff in absolute value, zeros never:
-    the one eigenvalue cut of this module."""
+    """Eigenpairs of the Hermitian part, ascending, and the ``_eig_keep`` mask."""
     matrix = np.asarray(matrix, dtype=complex)
     eigs, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
-    mags = np.abs(eigs)
-    return eigs, vecs, _tol(tol)._keep(mags, float(mags.max(initial=0.0)), matrix.shape)
+    return eigs, vecs, _eig_keep(eigs, tol)
 
 
 def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,29 +130,25 @@ def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np
     return eigs, vecs, keep & (eigs > 0)
 
 
-def _psd_root(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, Subspace]:
-    """Hermitian square root of a psd matrix and its kernel, from one eigh.
+def _psd_root(w: Weight, tol: Tolerance | None, top: float = 1.0) -> tuple[np.ndarray, Subspace]:
+    """Hermitian square root of W / top and its kernel, from W's own eigenpairs.
 
-    Eigenvalues below the rank cutoff are flushed to exact zero first;
-    otherwise rounding noise of size eps would surface as sqrt(eps) and the
-    root would no longer share the kernel of its square.  The dropped
-    eigenvectors are an orthonormal basis of that kernel.
+    They are cut as ``_psd_eigh`` cuts, and those below the cutoff are
+    flushed to exact zero; otherwise rounding noise of size eps would
+    surface as sqrt(eps) and the root would no longer share the kernel of
+    its square.  The dropped eigenvectors are an orthonormal basis of it.
     """
-    eigs, vecs, keep = _psd_eigh(matrix, tol)
+    eigs, vecs = w._eigh
+    eigs = eigs / top
+    keep = _eig_keep(eigs, tol) & (eigs > 0)
     root = (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T
     return root, Subspace(vecs[:, ~keep], validate=False)
 
 
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Hermitian square root of a psd matrix, rank-cut as ``_psd_root`` cuts.
-
-    The one eigenvalue cut that takes a matrix from outside the library: an
-    inf entry halves into NaNs in the Hermitian part, and the keep-mask
-    refuses the NaN eigenvalues with ``ValueError``, so the invalid value
-    needs no warning on the way.
-    """
-    with np.errstate(invalid="ignore"):
-        return _psd_root(matrix, tol)[0]
+    """Hermitian square root of a psd matrix, rank-cut as ``_psd_root`` cuts;
+    ``ValueError`` unless ``Weight(matrix, "psd")`` certifies the matrix."""
+    return _psd_root(Weight(matrix, "psd"), tol)[0]
 
 
 def _check_ambient(w: Weight, s: Subspace):

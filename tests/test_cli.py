@@ -3,8 +3,11 @@
 import dataclasses
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +463,53 @@ class TestFlags:
         monkeypatch.setenv("RELCALC_TOL", "1e-7")
         _, payload = run_cli(["lss-solve", str(DATA / "lss-solve.json"), "--tol", "1e-9"])
         assert json.loads(payload)["diagnostics"]["tolerance"]["abs_eps"] == 1e-9
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [("-1", "abs_eps must be finite and nonnegative, got -1.0"),
+         ("abc", "could not convert string to float: 'abc'")],
+    )
+    def test_bad_override_names_its_source_once(self, tmp_path, monkeypatch, capsys, value, message):
+        # the message named neither source, argparse exited 2 on --tol abc,
+        # and under --batch a bad RELCALC_TOL was reported against each file
+        code, payload = run_cli(["lss-solve", str(DATA / "lss-solve.json"), "--tol", value])
+        assert (code, payload) == (1, b"")
+        assert capsys.readouterr().err == f"error: --tol: {message}\n"
+        for name in ("a.json", "b.json"):
+            shutil.copy(DATA / "lss-solve.json", tmp_path / name)
+        monkeypatch.setenv("RELCALC_TOL", value)
+        code, payload = run_cli(["lss-solve", "--batch", str(tmp_path)])
+        assert (code, payload) == (1, b"")
+        assert capsys.readouterr().err == f"error: RELCALC_TOL: {message}\n"
+        assert not list(tmp_path.glob("*.report.json"))
+
+    @pytest.mark.parametrize(
+        "args",
+        [["lss-solve", str(DATA / "lss-solve.json"), "--tol", "-1e-3"], ["no-such-command", "f.json"]],
+        ids=["tol-read-as-an-option", "unknown-command"],
+    )
+    def test_usage_error_is_one(self, capsys, args):
+        # argparse exited 2, the no-solution code
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 1
+        assert "relcalc: error: argument" in capsys.readouterr().err
+
+
+class TestModuleForms:
+    @pytest.mark.parametrize("module", ["relcalc", "relcalc.cli"])
+    def test_reproduces_the_golden(self, module):
+        # python -m relcalc.cli exited 0 with no output, and python -m
+        # relcalc found no __main__ module
+        src = str(Path(relcalc.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("RELCALC_TOL", None)
+        result = subprocess.run(
+            [sys.executable, "-m", module, "lss-solve", str(DATA / "lss-solve.json"), "--verify"],
+            capture_output=True, env=env, timeout=120,
+        )
+        golden = (DATA / "lss-solve.golden.json").read_bytes()
+        assert (result.returncode, result.stdout, result.stderr) == (0, golden, b"")
 
 
 class TestBatch:

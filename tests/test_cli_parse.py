@@ -429,6 +429,14 @@ class TestStrictScalarFields:
         assert code == 1 and payload == b""
         assert f"tolerance.{field}: expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["abs_eps", "rel_eps"])
+    def test_negative_tolerance_names_its_field(self, tmp_path, field):
+        # Tolerance's unlocated ValueError came through
+        doc = _fixture("lss-solve.json")
+        doc["tolerance"] = {field: -1}
+        with pytest.raises(ProblemFormatError, match=f"^tolerance.{field} must be finite and nonnegative"):
+            parse(_write(tmp_path, doc))
+
     @pytest.mark.parametrize("value", ["0.5", True, {"value": 0.5}])
     def test_rho(self, tmp_path, capsys, value):
         doc = _fixture("smooth.json")
@@ -451,6 +459,35 @@ class TestStrictScalarFields:
         pf = parse(_write(tmp_path, doc))
         assert pf.tolerance == Tolerance(rel_eps=1e-9)
         assert pf.tolerance.abs_eps == Tolerance().abs_eps
+
+
+class TestSizeLimit:
+    """A size above ``MAX_DIM`` is refused where it is read; with an empty
+    span, ``"ambient": 2**62`` passed ``parse`` and failed inside numpy.
+    ``parse`` only: nothing here dispatches a large size."""
+
+    @pytest.mark.parametrize("value", [2**62, cli.MAX_DIM + 1])
+    def test_ambient(self, tmp_path, value):
+        doc = _fixture("proj-build.json")
+        doc["subspaces"]["M"] = {"ambient": value, "span": []}
+        with pytest.raises(ProblemFormatError, match=f"^subspaces.M.ambient: {value} exceeds the size limit"):
+            parse(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("field", ["dim_in", "dim_out"])
+    @pytest.mark.parametrize("value", [2**62, cli.MAX_DIM + 1])
+    def test_graph_sizes(self, tmp_path, field, value):
+        doc = _fixture("relation-analyze.json")
+        doc["relations"]["R"].update({field: value, "graph_span": []})
+        with pytest.raises(ProblemFormatError, match=f"^relations.R.{field}: {value} exceeds the size limit"):
+            parse(_write(tmp_path, doc))
+
+    def test_the_limit_itself_parses(self, tmp_path):
+        doc = _fixture("relation-analyze.json")
+        doc["subspaces"] = {"M": {"ambient": cli.MAX_DIM, "span": []}}
+        doc["relations"]["R"] = {"dim_in": cli.MAX_DIM, "dim_out": cli.MAX_DIM, "graph_span": []}
+        pf = parse(_write(tmp_path, doc))
+        assert pf.subspaces["M"]["ambient"] == cli.MAX_DIM
+        assert pf.relations["R"]["dim_in"] == pf.relations["R"]["dim_out"] == cli.MAX_DIM
 
 
 SECTIONS = ["matrices", "vectors", "subspaces", "relations", "weights", "problem"]

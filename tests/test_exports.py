@@ -115,7 +115,8 @@ def test_rank_decisions_and_thresholds_live_in_subspaces():
     # every SVD rank decision is subspaces._cut_svd and every acceptance
     # threshold lives in subspaces.py, so the library modules above it call
     # no np.linalg.svd and write no number but 0, 1 and 2 (oracles.py stays
-    # independent, and cli.py's report constants are its own)
+    # independent, and cli.py's report constants are its own); every
+    # eigendecomposition, a psd weight's own included, is weighted.py's
     for module in THRESHOLD_FREE:
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         svd = [
@@ -123,6 +124,12 @@ def test_rank_decisions_and_thresholds_live_in_subspaces():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "svd"
         ]
+        eig = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+        ]
+        assert module == "weighted.py" or eig == [], module
         numbers = [
             (node.lineno, node.value)
             for node in ast.walk(tree)

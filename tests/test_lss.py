@@ -494,9 +494,10 @@ class TestRankDecisionCount:
         # one-SVD intersection, A's output block as the only block factored
         # (ran A, and A^-1 through its triplets), apply_to_coset's one SVD
         # for the shift and the feasible directions, and the block-form
-        # projection: one eigh for the root of W and ker W, and one of the
-        # block U*WU (the de Morgan kernel made 45 / 56 SVDs, six-SVD parts
-        # 22.7 / 29, the relation route through make_pws and apply
+        # projection: one eigh of the block U*WU, as the root of W and ker W
+        # are cut from the eigenpairs the weight keeps (a second eigh of W
+        # made them before; the de Morgan kernel made 45 / 56 SVDs, six-SVD
+        # parts 22.7 / 29, the relation route through make_pws and apply
         # 11.7 / 15, the structural check through A^-1 (ker W) 5.2 / 8, both
         # blocks factored with an lstsq and a separate intersection for the
         # coset 3.12 / 6 with 0.25 lstsq; 2.16 / 5 now)
@@ -510,7 +511,7 @@ class TestRankDecisionCount:
             svd_calls.clear()
             solve(LssProblem(a, w, b))
             counts.append(svd_calls.count("svd"))
-            assert svd_calls.count("eigh") == 2
+            assert svd_calls.count("eigh") == 1
             assert "lstsq" not in svd_calls
         assert np.mean(counts) <= 2.5
         assert max(counts) <= 5
@@ -550,11 +551,12 @@ class TestRankDecisionCount:
         assert 0 < sum(counts) < len(counts)
 
     def test_svd_calls_per_w1w2_solve(self, svd_calls):
-        # solve's count, plus the root of W2 and the block form of the
-        # W2-projection onto the solution directions: two more eigh and no
-        # SVD (the relation route through make_pws, identity_minus and
-        # apply_to_coset made 20.0 / 26 SVDs, with both blocks of A factored
-        # 2.84 / 6; 1.92 / 5 now)
+        # solve's count, plus the block form of the W2-projection onto the
+        # solution directions: one more eigh, of its corner, and no SVD, as
+        # the root of W2 is cut from W2's own eigenpairs (it made its own
+        # eigh before; the relation route through make_pws, identity_minus
+        # and apply_to_coset made 20.0 / 26 SVDs, with both blocks of A
+        # factored 2.84 / 6; 1.92 / 5 now)
         rng = np.random.default_rng(112)
         counts = []
         for _ in range(300):
@@ -566,7 +568,7 @@ class TestRankDecisionCount:
             svd_calls.clear()
             w1w2_solve(a, w1, w2, b)
             counts.append(svd_calls.count("svd"))
-            assert svd_calls.count("eigh") == 4
+            assert svd_calls.count("eigh") == 2
             assert "lstsq" not in svd_calls
         assert np.mean(counts) <= 2.3
         assert max(counts) <= 5
@@ -834,7 +836,32 @@ class TestBorderlineWeights:
                 # different scales of W (ROADMAP item 5)
                 continue
         assert all(verdicts)
-        # 76 raise here, 74 when the structural check ran after A^-1; the
-        # relation route raised on 149, 134 of them in the companion's two
-        # routes
+        # 80 raise here; 76 when solve cut W itself, not W over its largest
+        # eigenvalue, which moves the cutoff these tiny eigenvalues straddle;
+        # 74 when the structural check ran after A^-1; the relation route
+        # raised on 149, 134 of them in the companion's two routes
         assert len(verdicts) >= 900
+
+
+class TestWeightUnits:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-24, 2.0**20, 1e12, 1e16])
+    def test_scaling_w_scales_the_minimum_by_its_root(self, scale):
+        # solve cuts W divided by its largest eigenvalue, so the units of W
+        # decide no rank: with the absolute cut on W itself, W x 1e-12 and
+        # W x 1e-24 flushed the whole weight on 74 of these 200 instances,
+        # each reporting a minimum of exactly 0, and W x 1e16 raised on 51
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            r = int(rng.integers(1, n + 1))
+            k = int(rng.integers(1, n + 1))
+            a = graph_of_matrix(rng.standard_normal((n, r)) @ rng.standard_normal((r, n)))
+            wh = rng.standard_normal((k, n))
+            w = wh.T @ wh
+            b = rng.standard_normal(n)
+            unit = solve(LssProblem(a, Weight(w, "psd"), b))
+            scaled = solve(LssProblem(a, Weight(scale * w, "psd"), b))
+            assert unit.exists and scaled.exists
+            assert type(scaled.min_value) is float
+            bound = 1e-7 * np.sqrt(scale * np.linalg.norm(w, 2)) * np.linalg.norm(b)
+            assert abs(scaled.min_value - np.sqrt(scale) * unit.min_value) <= bound

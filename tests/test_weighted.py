@@ -81,6 +81,15 @@ class TestWeightValidation:
         with pytest.raises(ValueError, match="finite"):
             Weight(np.array([[1.0, 0.0], [0.0, bad]]), "psd")
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(np.diag([1.0, -1.0]), "not positive semidefinite"), ([[0.0, 1.0], [0.0, 0.0]], "not selfadjoint")],
+    )
+    def test_psd_sqrt_refuses_a_matrix_that_is_not_psd(self, bad, message):
+        # it returned the root of the positive part of the Hermitian part
+        with pytest.raises(ValueError, match=message):
+            psd_sqrt(bad)
+
 
 class TestCompanion:
     def test_identity_weight_gives_complement(self):
@@ -494,6 +503,22 @@ class TestPsdOperatorFacts:
 
 
 class TestRankDecisionCount:
+    def test_a_psd_weight_is_factored_once(self, svd_calls):
+        # the psd certificate is the one eigh of W, kept read-only for every
+        # root of W (it was an eigvalsh, and each root made its own eigh);
+        # the other kinds factor nothing
+        rng = np.random.default_rng(15200)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            svd_calls.clear()
+            w = Weight(random_psd(rng, n), "psd")
+            assert svd_calls == ["eigh"]
+            assert not any(a.flags.writeable for a in w._eigh)
+            svd_calls.clear()
+            Weight(random_selfadjoint(rng, n))
+            Weight(random_symmetry(rng, n), "symmetry")
+            assert svd_calls == []
+
     def test_svd_calls_per_complementability(self, svd_calls):
         # W U, its angle matrix M, the domain sum and, when S is
         # complementable, the complement of S: the off-diagonal block is

@@ -86,19 +86,13 @@ def _number(value, where: str) -> float:
 
 
 def _size(value, where: str) -> int:
-    """A size field that must be a nonnegative JSON integer: bools, floats and
-    strings are refused."""
+    """A size field that must be a JSON integer from 0 to ``MAX_DIM``: bools,
+    floats and strings are refused."""
     if type(value) is not int or value < 0:
         raise ProblemFormatError(f"{where}: expected a nonnegative integer, got {value!r}")
+    if value > MAX_DIM:
+        raise ProblemFormatError(f"{where}: {value} exceeds the size limit {MAX_DIM}")
     return value
-
-
-def _check_max_dim(size: int, where: str):
-    """Refuse a size above ``MAX_DIM``.  Checked after the span, so that a
-    span of the wrong length is reported as such; an empty span would let
-    the size through to dispatch."""
-    if size > MAX_DIM:
-        raise ProblemFormatError(f"{where}: {size} exceeds the size limit {MAX_DIM}")
 
 
 # Numeric sections are read as whole arrays; the per-entry walk below runs
@@ -260,7 +254,6 @@ def _validate_subspace_spec(raw, where: str) -> dict:
         raise ProblemFormatError(f"{where}: expected an object with an 'ambient' field")
     ambient = _size(raw["ambient"], f"{where}.ambient")
     span = _parse_span(raw.get("span", []), f"{where}.span", ambient, f"ambient {ambient}")
-    _check_max_dim(ambient, f"{where}.ambient")
     return {"ambient": ambient, "span": span}
 
 
@@ -284,8 +277,6 @@ def _validate_relation_spec(raw, where: str) -> dict:
         n = _size(raw["dim_in"], f"{where}.dim_in")
         m = _size(raw["dim_out"], f"{where}.dim_out")
         span = _parse_span(raw["graph_span"], f"{where}.graph_span", n + m, str(n + m))
-        _check_max_dim(n, f"{where}.dim_in")
-        _check_max_dim(m, f"{where}.dim_out")
         spec.update(dim_in=n, dim_out=m, span=span)
     elif kind == "product_of":
         pair = raw["product_of"]

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, NoSolutionError
 from .subspaces import Coset, Tolerance, _as_vector, _cut_svd, _tol, subspace_equals, subspace_intersect
 from .relations import LinearRelation, apply, apply_to_coset, invert, parts, range_space
-from .weighted import Weight, _factor_corner, _project_by_blocks, _psd_root
+from .weighted import Weight, _factor_corner, _project_by_blocks, _psd_root, _unit_psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,22 +73,21 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     the range of a = U*WU, up to the allowance a psd W leaves for the
     eigenvalues the cut dropped; P b is empty when W is not psd beyond that.
     Every cut reads W / lambda for lambda the largest eigenvalue of W (1
-    when none is positive), so the units of W decide no rank: W^1/2 and
-    ker W are cut from the eigenpairs the weight keeps, divided by lambda,
-    and the corner is that of W / lambda.  When solvable, the minimum is sqrt(lambda) times
-    the (W / lambda)-seminorm of any residual representative (checked
-    constant across representatives), the output directions must be ran A
-    cap ker W, and the solution set is the inverse image of the output
-    coset.  The check runs before A^-1, which would scale any gap
+    when none is positive), so the units of W decide no rank: W^1/2, ker W
+    and the corner come from ``weighted._unit_psd``, which keeps lambda = 1
+    for a W that is zero up to rounding on its own scale.  When solvable,
+    the minimum is sqrt(lambda) times the (W / lambda)-seminorm of any
+    residual representative (checked constant across representatives), the
+    output directions must be ran A cap ker W, and the solution set is the
+    inverse image of the output coset.  The check runs before A^-1, which would scale any gap
     between the two by up to 1 / sigma_min(A).  Both steps read only A's
     output block H: ran A and the point of A^-1 come from H's kept singular
     triplets, the solution directions from a preimage under H; the input
     block is never factored.
     """
-    top = float(p.W._eigh[0].max(initial=0.0)) or 1.0
-    w_half, ker_w = _psd_root(p.W, tol, top)
+    top, w_unit, w_half, ker_w = _unit_psd(p.W, tol)
     ran = range_space(p.A, tol)
-    outputs = _project_by_blocks(_factor_corner(p.W.matrix / top, ran.basis, tol), w_half, p.b)
+    outputs = _project_by_blocks(_factor_corner(w_unit, ran.basis, tol), w_half, p.b)
     n = p.A.dim_in
     if outputs.is_empty:
         return LssSolution(

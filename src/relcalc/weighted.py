@@ -130,19 +130,40 @@ def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np
     return eigs, vecs, keep & (eigs > 0)
 
 
-def _psd_root(w: Weight, tol: Tolerance | None, top: float = 1.0) -> tuple[np.ndarray, Subspace]:
-    """Hermitian square root of W / top and its kernel, from W's own eigenpairs.
+def _cut_root(eigs: np.ndarray, vecs: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, Subspace]:
+    """Hermitian square root and kernel of the matrix with eigenpairs
+    ``eigs``, ``vecs``, cut as ``_psd_eigh`` cuts.
 
-    They are cut as ``_psd_eigh`` cuts, and those below the cutoff are
-    flushed to exact zero; otherwise rounding noise of size eps would
-    surface as sqrt(eps) and the root would no longer share the kernel of
-    its square.  The dropped eigenvectors are an orthonormal basis of it.
+    The eigenvalues below the cutoff are flushed to exact zero; otherwise
+    rounding noise of size eps would surface as sqrt(eps) and the root would
+    no longer share the kernel of its square.  The dropped eigenvectors are
+    an orthonormal basis of it.
     """
-    eigs, vecs = w._eigh
-    eigs = eigs / top
     keep = _eig_keep(eigs, tol) & (eigs > 0)
     root = (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T
     return root, Subspace(vecs[:, ~keep], validate=False)
+
+
+def _psd_root(w: Weight, tol: Tolerance | None) -> tuple[np.ndarray, Subspace]:
+    """Root and kernel of W, from the eigenpairs of its psd certificate."""
+    return _cut_root(*w._eigh, tol)
+
+
+def _unit_psd(w: Weight, tol: Tolerance | None) -> tuple[float, np.ndarray, np.ndarray, Subspace]:
+    """W on its own scale, so that its units decide no cut: lambda, W / lambda,
+    and the root and kernel of W / lambda from W's own eigenpairs.
+
+    lambda is the largest eigenvalue of W when W / lambda passes the psd
+    certificate that W passed.  Otherwise, or when no eigenvalue is
+    positive, lambda is 1: W is then zero up to rounding, and on its own
+    scale that rounding would read as eigenvalues of order one, of either
+    sign.
+    """
+    eigs, vecs = w._eigh
+    top = float(eigs.max(initial=0.0))
+    if not top or eigs[0] < -top * DEFAULT_TOL._certificate(float(np.linalg.norm(w.matrix)) / top, eigs.size):
+        top = 1.0
+    return top, w.matrix / top, *_cut_root(eigs / top, vecs, tol)
 
 
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:

@@ -865,3 +865,25 @@ class TestWeightUnits:
             assert type(scaled.min_value) is float
             bound = 1e-7 * np.sqrt(scale * np.linalg.norm(w, 2)) * np.linalg.norm(b)
             assert abs(scaled.min_value - np.sqrt(scale) * unit.min_value) <= bound
+
+    @pytest.mark.parametrize("eigs", [(1e-17, -1e-17), (1e-30, -1e-17), (0.0, -1e-17), (1e-17, -3e-17)])
+    def test_a_weight_zero_up_to_rounding_admits_a_zero_minimum(self, eigs):
+        # the certificate accepts the negative eigenvalue as rounding; read
+        # on W's own scale, it became an eigenvalue of -1 that made b = (1, 1)
+        # look unsolvable for A = I.  Cut on the absolute scale, W is zero:
+        # every x minimizes, with minimum 0
+        p = LssProblem(graph_of_matrix(np.eye(2)), Weight(np.diag(eigs), "psd"), np.array([1.0, 1.0]))
+        sol = solve(p)
+        assert sol.exists and sol.min_value == 0.0
+        assert sol.solution_set.direction.dim == 2
+        assert check_normal(p, sol.witness)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_scaling_w_keeps_a_borderline_problem_unsolvable(self, scale):
+        # W / lambda passes the certificate here, so the negative eigenvalue
+        # -eps^2 lambda stays in the corner at every scale: with the absolute
+        # cut on W itself, all 100 read "exists" at 1e-12 and 50 raised at 1e12
+        rng = np.random.default_rng(7100)
+        for _ in range(100):
+            a, w, b = rotated_borderline_problem(rng, int(rng.integers(2, 5)), 1e-6)
+            assert not solve(LssProblem(graph_of_matrix(a), Weight(scale * w, "psd"), b)).exists

@@ -37,7 +37,6 @@ from .relations import (
     identity_on,
     parts,
     product_of_subspaces,
-    range_space,
     zero_on,
 )
 from .mvproj import assemble_representation, classify, make_pmn
@@ -467,7 +466,7 @@ def _cmd_lss_solve(pf, tol, verify):
     }
     diag = {}
     if verify and sol.exists:
-        ran_basis = range_space(rel, tol).basis
+        ran_basis = parts(rel, tol).ran.basis
         diag["oracle_delta"] = abs(
             sol.min_value - oracles.weighted_min_over_span(weight.matrix, ran_basis, b)
         )

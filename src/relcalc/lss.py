@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConsistencyError, NoSolutionError
 from .subspaces import Coset, Tolerance, _as_vector, _cut_svd, _tol, subspace_equals, subspace_intersect
-from .relations import LinearRelation, apply, apply_to_coset, invert, parts, range_space
-from .weighted import Weight, _factor_corner, _project_by_blocks, _psd_root, _unit_psd
+from .relations import LinearRelation, apply, apply_to_coset, invert, parts
+from .weighted import Weight, _factor_corner, _project_by_blocks, _unit_psd
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +77,17 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     and the corner come from ``weighted._unit_psd``, which keeps lambda = 1
     for a W that is zero up to rounding on its own scale.  When solvable,
     the minimum is sqrt(lambda) times the (W / lambda)-seminorm of any
-    residual representative (checked constant across representatives), the
-    output directions must be ran A cap ker W, and the solution set is the
-    inverse image of the output coset.  The check runs before A^-1, which would scale any gap
-    between the two by up to 1 / sigma_min(A).  Both steps read only A's
-    output block H: ran A and the point of A^-1 come from H's kept singular
-    triplets, the solution directions from a preimage under H; the input
-    block is never factored.
+    residual representative, checked constant across representatives on the
+    scale of y and b, which is where the two evaluations round.  The output
+    directions must be ran A cap ker W, and the solution set is the inverse
+    image of the output coset.  The check runs before A^-1, which would
+    scale any gap between the two by up to 1 / sigma_min(A).  Both steps
+    read only A's output block H: ``parts(A).ran`` and the point of A^-1
+    come from H's kept singular triplets, the solution directions from a
+    preimage under H; the input block is never factored.
     """
     top, w_unit, w_half, ker_w = _unit_psd(p.W, tol)
-    ran = range_space(p.A, tol)
+    ran = parts(p.A, tol).ran
     outputs = _project_by_blocks(_factor_corner(w_unit, ran.basis, tol), w_half, p.b)
     n = p.A.dim_in
     if outputs.is_empty:
@@ -97,8 +98,15 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
             solution_set=Coset.empty(n),
             minimizing_outputs=Coset.empty(n),
         )
+    scale = 1.0
+    if outputs.direction.dim:
+        # the root of W / lambda has norm at most 1, so the two evaluations
+        # of the check round on the scale of y and b
+        scale = max(1.0, float(np.linalg.norm(outputs.point)), float(np.linalg.norm(p.b)))
     min_value = math.sqrt(top) * outputs._constant_value(
-        lambda y: float(np.linalg.norm(w_half @ (y - p.b))), "minimum value varies across coset representatives"
+        lambda y: float(np.linalg.norm(w_half @ (y - p.b))),
+        "minimum value varies across coset representatives",
+        scale,
     )
     structural = subspace_intersect(ran, ker_w, tol)
     if not subspace_equals(outputs.direction, structural, tol):
@@ -152,7 +160,10 @@ def w1w2_solve(
 
     With x0 + D the W1 solution set, D = A^{-1}(ker W1), the answer is
     (I - Q) x0 + (D cap ker W2) for the weighted projection Q (weight W2)
-    onto D, taken from its block form on an orthonormal basis of D.
+    onto D, taken from its block form on an orthonormal basis of D.  Q does
+    not change when W2 is scaled, so it is read on W2 / lambda2 from
+    ``weighted._unit_psd``, as ``solve`` reads W, and the units of W2 decide
+    no cut.
     """
     if W1.kind != "psd" or W2.kind != "psd":
         raise ValueError("both weights must be psd")
@@ -163,8 +174,8 @@ def w1w2_solve(
         raise NoSolutionError("no W1 least-squares solution exists for this target")
     # solve has checked these directions against A^{-1}(ker W1)
     x0, directions = first.solution_set.point, first.solution_set.direction
-    w2_half = _psd_root(W2, tol)[0]
-    projected = _project_by_blocks(_factor_corner(W2.matrix, directions.basis, tol), w2_half, x0)
+    _, w2_unit, w2_half, _ = _unit_psd(W2, tol)
+    projected = _project_by_blocks(_factor_corner(w2_unit, directions.basis, tol), w2_half, x0)
     if projected.is_empty:
         raise ConsistencyError("minimal-seminorm reduction produced an empty set")
     return Coset.of(x0 - projected.point, projected.direction)

@@ -21,8 +21,9 @@ def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     sym = (matrix + matrix.conj().T) / 2
     eigs, vecs = np.linalg.eigh(sym)
     top = float(eigs[-1]) if eigs.size else 0.0
-    # flush rounding-level eigenvalues so the root keeps the kernel exact
-    eigs = np.where(eigs >= 1e-12 * max(top, 0.0) + 1e-14, eigs, 0.0)
+    # flush rounding-level eigenvalues, relative to the largest, so the root
+    # keeps the kernel exact whatever the units of the matrix
+    eigs = np.where(eigs > 1e-12 * max(top, 0.0), eigs, 0.0)
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 

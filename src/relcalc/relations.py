@@ -32,7 +32,7 @@ from .subspaces import (
 
 
 class LinearRelation:
-    """A subspace of C^{dim_in} x C^{dim_out} with derived dom/ran/ker/mul."""
+    """A subspace of C^{dim_in} x C^{dim_out}; ``parts`` reads its dom/ran/ker/mul."""
 
     def __init__(self, dim_in: int, dim_out: int, graph: Subspace):
         if graph.ambient_dim != dim_in + dim_out:
@@ -44,7 +44,6 @@ class LinearRelation:
         self.graph = graph
         # one cache per graph block (input F, output H), keyed by tolerance
         self._halves: tuple[dict[Tolerance, _Half], dict[Tolerance, _Half]] = ({}, {})
-        self._parts: dict[Tolerance, RelationParts] = {}
 
     @property
     def in_block(self) -> np.ndarray:
@@ -58,33 +57,10 @@ class LinearRelation:
     def is_square(self) -> bool:
         return self.dim_in == self.dim_out
 
-    @property
-    def dom(self) -> Subspace:
-        return _half(self, None, _IN).span
-
-    @property
-    def ran(self) -> Subspace:
-        return _half(self, None, _OUT).span
-
-    @property
-    def ker(self) -> Subspace:
-        return _half(self, None, _OUT).null_image
-
-    @property
-    def mul(self) -> Subspace:
-        return _half(self, None, _IN).null_image
-
     def __repr__(self):
         return (
             f"LinearRelation({self.dim_in}->{self.dim_out}, graph dim {self.graph.dim})"
         )
-
-
-class RelationParts(NamedTuple):
-    dom: Subspace
-    ran: Subspace
-    ker: Subspace
-    mul: Subspace
 
 
 class Restriction(NamedTuple):
@@ -146,6 +122,33 @@ def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
     return half
 
 
+class RelationParts:
+    """What ``parts`` returns: dom, ran, ker and mul at one tolerance, each
+    read from the cached half of the graph block that decides it."""
+
+    __slots__ = ("relation", "tol")
+
+    def __init__(self, relation: LinearRelation, tol: Tolerance):
+        self.relation = relation
+        self.tol = tol
+
+    @property
+    def dom(self) -> Subspace:
+        return _half(self.relation, self.tol, _IN).span
+
+    @property
+    def ran(self) -> Subspace:
+        return _half(self.relation, self.tol, _OUT).span
+
+    @property
+    def ker(self) -> Subspace:
+        return _half(self.relation, self.tol, _OUT).null_image
+
+    @property
+    def mul(self) -> Subspace:
+        return _half(self.relation, self.tol, _IN).null_image
+
+
 def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
     """Domain, range, kernel and multivalued part of the relation.
 
@@ -156,23 +159,11 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
     space (dropped right singular vectors), so each block decides one half of
     the parts: F gives dom and mul, H gives ran and ker.  Each half is cached
     on the relation per block and tolerance value, with the block's kept
-    singular triplets for ``apply``; ``parts`` assembles both halves (two
-    SVDs in all) and caches the tuple too.  ``None`` and ``Tolerance()``
-    share one entry.  ``range_space`` and the ``dom``/``ran``/``ker``/``mul``
-    properties read one half only.
+    singular triplets for ``apply``; ``None`` and ``Tolerance()`` share one
+    entry.  ``parts`` itself factors nothing: a block is factored the first
+    time one of its two subspaces is read.
     """
-    tol = _tol(tol)
-    cached = T._parts.get(tol)
-    if cached is None:
-        f, h = _half(T, tol, _IN), _half(T, tol, _OUT)
-        cached = T._parts[tol] = RelationParts(f.span, h.span, h.null_image, f.null_image)
-    return cached
-
-
-def range_space(T: LinearRelation, tol: Tolerance | None = None) -> Subspace:
-    """ran T from one SVD of the output block alone, the half of ``parts``
-    it shares: the input block is not factored."""
-    return _half(T, tol, _OUT).span
+    return RelationParts(T, _tol(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -352,15 +352,16 @@ class Coset:
         delta = _as_vector(delta, self.ambient_dim, "translation")
         return Coset(self.ambient_dim, self.point + delta, self.direction)
 
-    def _constant_value(self, value, message: str) -> float:
-        """``value`` at the point, checked to stay within 1e-8 relative one
-        direction further along: an objective that is constant on the coset
-        must not vary across its representatives (else
-        ``ConsistencyError(message)``)."""
+    def _constant_value(self, value, message: str, scale: float = 1.0) -> float:
+        """``value`` at the point, checked to stay within 1e-8 of
+        ``scale + value`` one unit direction further along: an objective that
+        is constant on the coset must not vary across its representatives
+        (else ``ConsistencyError(message)``).  ``scale`` is the size on which
+        the two evaluations round, never below 1 as the step has unit length."""
         at_point = value(self.point)
         if self.direction.dim:
             other = value(self.point + self.direction.basis[:, 0])
-            if abs(other - at_point) > 1e-8 * (1.0 + at_point):
+            if abs(other - at_point) > 1e-8 * (scale + at_point):
                 raise ConsistencyError(message)
         return at_point
 

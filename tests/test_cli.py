@@ -314,6 +314,17 @@ class TestVerifyOwnership:
         report = dispatch(command, parse(DATA / f"{command}.json"), Tolerance(), verify=True)
         assert report["diagnostics"]["oracle_delta"] >= 1e-3
 
+    @pytest.mark.parametrize("c", [1.0, 1e-14, 1e-15, 1e-20])
+    def test_small_weight_leaves_no_delta(self, tmp_path, c):
+        # the oracle cuts the root of W = c I relative to its largest
+        # eigenvalue: with an absolute floor of 1e-14 it flushed W whole and
+        # reported the whole, correct minimum sqrt(c) as the delta
+        path = _write_problem(tmp_path, _with_matrix("lss-solve.json", "W", [[c, 0], [0, c]]))
+        code, payload = run_cli(["lss-solve", str(path), "--verify"])
+        report = json.loads(payload)
+        assert code == 0 and report["result"]["min_value"] == pytest.approx(np.sqrt(c), rel=1e-12)
+        assert report["diagnostics"]["oracle_delta"] == 0.0
+
 
 class TestExitCodes:
     def test_success_is_zero(self):

@@ -70,6 +70,17 @@ def test_only_the_cli_fixes_basis_phases():
     assert users == ["cli.py"]
 
 
+def test_only_relations_reads_the_block_caches():
+    # parts is the one reader of dom, ran, ker and mul: every other module
+    # reaches a graph block's cached half through it
+    users = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if {"_half", "_halves"} & set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+    )
+    assert users == ["relations.py"]
+
+
 def test_weighted_solvers_take_the_block_form():
     # solve, w1w2_solve (lss.py) and spline_solve (splines.py) project
     # through the paper's block form, which weighted.py alone defines, and

@@ -488,6 +488,10 @@ class TestTwoWeights:
             assert refined.contains(point)
 
 
+def _fields(p):
+    return p.dom, p.ran, p.ker, p.mul
+
+
 class TestRankDecisionCount:
     def test_svd_calls_per_solve(self, svd_calls):
         # the instance family of acceptance criterion 7; the count pins the
@@ -518,7 +522,7 @@ class TestRankDecisionCount:
 
     def test_solve_factors_only_the_output_block(self, svd_calls):
         # solve reads ran A and A^-1 from A's output block alone: afterwards
-        # ran A is cached, and dom A costs the one SVD of the input block
+        # ran A and ker A are cached, and dom A costs the one SVD of the input block
         # (none for a zero graph, whose blocks have no columns)
         rng = np.random.default_rng(113)
         for _ in range(100):
@@ -526,13 +530,14 @@ class TestRankDecisionCount:
             a = random_relation(rng, n, n)
             solve(LssProblem(a, Weight(random_psd(rng, n), "psd"), cvec(rng, n)))
             svd_calls.clear()
-            ran = a.ran
-            assert svd_calls == []
-            dom = a.dom
-            assert svd_calls == ["svd"] * (a.graph.dim > 0)
             p = parts(a)
+            ran, ker = p.ran, p.ker
+            assert svd_calls == []
+            dom = p.dom
             assert svd_calls == ["svd"] * (a.graph.dim > 0)
-            assert p.ran is ran and p.dom is dom
+            q = parts(a)
+            assert q.ran is ran and q.ker is ker and q.dom is dom and q.mul is p.mul
+            assert svd_calls == ["svd"] * (a.graph.dim > 0)
 
     def test_svd_calls_per_check_normal(self, svd_calls):
         # with the parts of A cached, one SVD of K = U*W M and only when
@@ -541,7 +546,8 @@ class TestRankDecisionCount:
         rng = np.random.default_rng(107)
         counts = []
         for prob in _criterion_7_instances(rng, 300):
-            dom = parts(prob.A).dom
+            p = parts(prob.A)
+            dom, _ = p.dom, p.ran  # both halves factored before the count
             candidate = dom.basis @ cvec(rng, dom.dim)
             svd_calls.clear()
             check_normal(prob, candidate)
@@ -688,14 +694,23 @@ class TestRankDecisionCount:
             assert svd_calls.count("svd") <= 1
             assert svd_calls.count("eigh") + svd_calls.count("eigvalsh") == 3
 
-    def test_parts_is_two_svds(self, svd_calls):
-        # one full SVD per graph block gives its span and its null space; it
-        # took six: span, null space and re-orthonormalized image per block
+    def test_parts_factors_a_block_when_a_field_is_read(self, svd_calls):
+        # one full SVD per graph block gives its span and its null space (it
+        # took six: span, null space and re-orthonormalized image per block),
+        # made the first time one of the block's two subspaces is read: the
+        # input block for dom and mul, the output block for ran and ker
         rng = np.random.default_rng(109)
-        for _ in range(100):
+        for i in range(100):
             t = relation_with_ker_and_mul(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
             svd_calls.clear()
-            parts(t)
+            p = parts(t)
+            assert svd_calls == []
+            getattr(p, ("dom", "mul")[i % 2])
+            assert svd_calls == ["svd"]
+            getattr(p, ("ran", "ker")[i // 2 % 2])
+            assert svd_calls == ["svd", "svd"]
+            for name in ("dom", "ran", "ker", "mul"):
+                assert getattr(p, name) is getattr(parts(t), name)
             assert svd_calls == ["svd", "svd"]
 
     def test_inverse_shares_the_parts(self, svd_calls):
@@ -703,17 +718,16 @@ class TestRankDecisionCount:
         for _ in range(100):
             n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             t = random_relation(rng, n, m)
-            p = parts(t)
+            dom, ran, ker, mul = _fields(parts(t))
             svd_calls.clear()
             inverse = invert(t)
-            q = parts(inverse)
-            assert parts(invert(inverse)) == p
+            swapped = _fields(parts(inverse))
+            twice = _fields(parts(invert(inverse)))
             assert svd_calls == []
-            for got, want in zip(q, (p.ran, p.dom, p.mul, p.ker)):
-                assert np.array_equal(got.basis, want.basis)
+            assert all(a is b for a, b in zip(twice, (dom, ran, ker, mul)))
+            assert all(a is b for a, b in zip(swapped, (ran, dom, mul, ker)))
             # and they are the parts a fresh analysis of the inverse finds
-            fresh = parts(LinearRelation(m, n, inverse.graph))
-            for got, want in zip(q, fresh):
+            for got, want in zip(swapped, _fields(parts(LinearRelation(m, n, inverse.graph)))):
                 assert got.dim == want.dim
                 assert np.linalg.norm(got.projector() - want.projector()) <= 1e-12
 
@@ -724,7 +738,8 @@ class TestRankDecisionCount:
         for _ in range(100):
             n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             t = random_relation(rng, n, m)
-            dom = parts(t).dom
+            p = parts(t)
+            dom, _ = p.dom, p.ran  # both halves factored before the count
             svd_calls.clear()
             apply(t, dom.basis @ cvec(rng, dom.dim))
             apply(invert(t), cvec(rng, m))
@@ -843,6 +858,17 @@ class TestBorderlineWeights:
         assert len(verdicts) >= 900
 
 
+def _units_instance(rng):
+    """A = n x r times r x n with r in [1, n], W = Wh*Wh for Wh of size k x n
+    with k in [1, n], and a real Gaussian b, for n in [2, 6]."""
+    n = int(rng.integers(2, 7))
+    r = int(rng.integers(1, n + 1))
+    k = int(rng.integers(1, n + 1))
+    a = graph_of_matrix(rng.standard_normal((n, r)) @ rng.standard_normal((r, n)))
+    wh = rng.standard_normal((k, n))
+    return a, wh.T @ wh, rng.standard_normal(n)
+
+
 class TestWeightUnits:
     @pytest.mark.parametrize("scale", [1e-12, 1e-24, 2.0**20, 1e12, 1e16])
     def test_scaling_w_scales_the_minimum_by_its_root(self, scale):
@@ -852,19 +878,61 @@ class TestWeightUnits:
         # each reporting a minimum of exactly 0, and W x 1e16 raised on 51
         rng = np.random.default_rng(11)
         for _ in range(200):
-            n = int(rng.integers(2, 7))
-            r = int(rng.integers(1, n + 1))
-            k = int(rng.integers(1, n + 1))
-            a = graph_of_matrix(rng.standard_normal((n, r)) @ rng.standard_normal((r, n)))
-            wh = rng.standard_normal((k, n))
-            w = wh.T @ wh
-            b = rng.standard_normal(n)
+            a, w, b = _units_instance(rng)
             unit = solve(LssProblem(a, Weight(w, "psd"), b))
             scaled = solve(LssProblem(a, Weight(scale * w, "psd"), b))
             assert unit.exists and scaled.exists
             assert type(scaled.min_value) is float
             bound = 1e-7 * np.sqrt(scale * np.linalg.norm(w, 2)) * np.linalg.norm(b)
             assert abs(scaled.min_value - np.sqrt(scale) * unit.min_value) <= bound
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
+    def test_scaling_b_scales_the_answer(self, scale):
+        # the check that the minimum is constant on the output coset reads
+        # the gap on the scale of y and b: with an absolute floor of 1, b x
+        # 1e12 raised "minimum value varies" on 69 of these 200 instances
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a, w, b = _units_instance(rng)
+            unit = solve(LssProblem(a, Weight(w, "psd"), b))
+            scaled = solve(LssProblem(a, Weight(w, "psd"), scale * b))
+            assert unit.exists and scaled.exists
+            assert scaled.solution_set.direction.dim == unit.solution_set.direction.dim
+            bound = 1e-9 * np.sqrt(np.linalg.norm(w, 2)) * np.linalg.norm(b)
+            assert abs(scaled.min_value / scale - unit.min_value) <= bound
+            witness = unit.witness
+            assert np.linalg.norm(scaled.witness / scale - witness) <= 1e-9 * (1 + np.linalg.norm(witness))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-24, 1e12, 1e16])
+    def test_scaling_w2_keeps_the_w1w2_answer(self, scale):
+        # the W2-weighted projection does not change when W2 is scaled, and
+        # w1w2_solve reads it on W2 / lambda2: with W2's root and corner cut
+        # on W2's own scale, W2 x 1e-12 gave 171 wrong answers and 2 raises
+        # of these 200, and W2 x 1e-24 173 wrong answers
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            a, w1, b = _units_instance(rng)
+            n = b.size
+            wh2 = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            w2 = wh2.T @ wh2
+            unit = w1w2_solve(a, Weight(w1, "psd"), Weight(w2, "psd"), b)
+            scaled = w1w2_solve(a, Weight(w1, "psd"), Weight(scale * w2, "psd"), b)
+            assert scaled.direction.dim == unit.direction.dim
+            point = unit.min_norm_point()
+            assert np.linalg.norm(scaled.min_norm_point() - point) <= 1e-9 * (1 + np.linalg.norm(point))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-24, 1e12])
+    def test_psd_sqrt_scales_by_the_root(self, scale):
+        # psd_sqrt is sqrt(lambda) times the root of M / lambda: cut on the
+        # absolute scale, M x 1e-12 and 1e-24 flushed the whole root to 0 on
+        # all 200 of these
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            wh = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            w = wh.T @ wh
+            root = np.sqrt(scale) * psd_sqrt(w)
+            assert np.linalg.norm(psd_sqrt(scale * w) - root) <= 1e-12 * np.linalg.norm(root)
 
     @pytest.mark.parametrize("eigs", [(1e-17, -1e-17), (1e-30, -1e-17), (0.0, -1e-17), (1e-17, -3e-17)])
     def test_a_weight_zero_up_to_rounding_admits_a_zero_minimum(self, eigs):

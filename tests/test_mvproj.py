@@ -487,6 +487,20 @@ class TestRankDecisionCount:
         assert np.mean(counts) <= 10.5
         assert max(counts) <= 11
 
+    def test_representable_leaves_the_output_block_unfactored(self, svd_calls):
+        # representable reads dom T and mul T, the input block's half of the
+        # parts; the output block is factored only when ran T or ker T is read
+        rng = np.random.default_rng(15100)
+        for _ in range(300):
+            t, s = random_representable(rng, int(rng.integers(2, 9)))
+            representable(t, s)
+            svd_calls.clear()
+            p = parts(t)
+            assert p.dom.dim + p.mul.dim == t.graph.dim
+            assert svd_calls == []
+            assert p.ran.dim + p.ker.dim == t.graph.dim
+            assert svd_calls == ["svd"] * (t.graph.dim > 0)
+
     def test_svd_calls_per_build_super(self, svd_calls):
         # the generated relation is one span and ker(I - E) one SVD, and
         # S1 + mul x is formed once (BlockRep.generate, identity_minus and

@@ -137,11 +137,14 @@ class TestParts:
 
     def test_cache_is_per_tolerance(self):
         t = relation_with_ker_and_mul(np.random.default_rng(460), 3, 3)
-        assert parts(t) is parts(t, Tolerance()) is parts(t, None)
-        coarse = parts(t, Tolerance(abs_eps=1e-3))
-        assert coarse is parts(t, Tolerance(abs_eps=1e-3)) and coarse is not parts(t)
+        default, coarse = parts(t), parts(t, Tolerance(abs_eps=1e-3))
+        for name in ("dom", "ran", "ker", "mul"):
+            field = getattr(default, name)
+            assert getattr(parts(t, Tolerance()), name) is field is getattr(parts(t, None), name)
+            assert getattr(parts(t, Tolerance(abs_eps=1e-3)), name) is getattr(coarse, name)
+            assert getattr(coarse, name) is not field
         # at 1e-3 the tilted pair counts as a kernel direction
-        assert coarse.ker.dim == parts(t).ker.dim + 1
+        assert coarse.ker.dim == default.ker.dim + 1
 
 
 def _sizes(rng):
@@ -206,8 +209,8 @@ class TestPartsEdgeShapes:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_loose_graph_parts_are_orthonormal(self, seed):
-        t = loosely_orthonormal_relation(np.random.default_rng(2220 + seed), 4, 3)
-        for s in parts(t):
+        p = parts(loosely_orthonormal_relation(np.random.default_rng(2220 + seed), 4, 3))
+        for s in (p.dom, p.ran, p.ker, p.mul):
             assert np.allclose(s.basis.conj().T @ s.basis, np.eye(s.dim), atol=1e-13)
 
 

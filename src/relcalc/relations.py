@@ -21,6 +21,7 @@ from .subspaces import (
     Tolerance,
     _as_vector,
     _cut_svd,
+    _null_cut,
     _tol,
     matrix_preimage,
     null_space,
@@ -101,10 +102,11 @@ def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subsp
 
 
 def _factor_half(block: np.ndarray, other: np.ndarray, tol: Tolerance) -> _Half:
-    """One full SVD of a graph block, cut at the tolerance's rank cutoff: the
-    kept triplets, and the other block applied to the dropped right singular
-    vectors, the graph coordinates of the block's null space."""
-    u, s, vh, rank = _cut_svd(block, tol, full_matrices=True)
+    """One SVD of a graph block with all of its right singular vectors, cut
+    at the tolerance's rank cutoff: the kept triplets, and the other block
+    applied to the dropped right singular vectors, the graph coordinates of
+    the block's null space."""
+    u, s, vh, rank = _null_cut(block, tol)
     span = Subspace(u[:, :rank], validate=False)
     null_image = _block_image(other, vh[rank:].conj().T, tol)
     return _Half(span, null_image, Cut(span.basis, s[:rank].copy(), vh[:rank].copy(), rank))
@@ -161,7 +163,8 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
     on the relation per block and tolerance value, with the block's kept
     singular triplets for ``apply``; ``None`` and ``Tolerance()`` share one
     entry.  ``parts`` itself factors nothing: a block is factored the first
-    time one of its two subspaces is read.
+    time one of its two subspaces is read, except that ``graph_of_matrix``
+    seeds both halves at its tolerance from the SVD of the matrix.
     """
     return RelationParts(T, _tol(tol))
 
@@ -180,15 +183,54 @@ def from_graph_basis(dim_in: int, dim_out: int, vectors, tol: Tolerance | None =
 
 
 def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearRelation:
-    """The relation {(x, A x)} of a matrix A."""
+    """The relation {(x, M x)} of an m x n matrix M, from one SVD of M.
+
+    For M = U S V* the graph has the orthonormal basis [V C; U S C] with
+    C = (I + S^2)^(-1/2), its CS form: the input block F = V C and the output
+    block H = U S C arrive factored, with singular values 1 / hypot(1, s)
+    and s / hypot(1, s) and identity rows as right factors in graph
+    coordinates.  Three cuts of these values at the tolerance decide every
+    rank, with s padded by zeros to length n: hypot(1, s) on the shape of
+    [I; M] keeps the g graph columns of largest s (a huge s can drop the
+    smallest, as the SVD of [I; M] would), H's values keep r of them and F's,
+    ascending in s and so read reversed, keep the d of smallest s.  Both
+    per-block caches are seeded at the tolerance, so neither ``parts`` nor
+    ``apply`` factors anything there: ran is U's first r columns, ker V's
+    columns r to g, dom V's last d of the g, and mul the columns of U that F
+    drops and H keeps.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix must be finite")
     m, n = matrix.shape
-    stacked = np.vstack([np.eye(n, dtype=complex), matrix])
-    return LinearRelation(n, m, orthonormalize(stacked, tol))
+    tol = _tol(tol)
+    u, s, vh, _ = _null_cut(matrix, tol)
+    v = vh.conj().T
+    sigma = np.zeros(n)
+    sigma[: s.size] = s
+    norm = np.hypot(1, sigma)  # sqrt(1 + sigma^2) would overflow past 1e154
+    g = tol.rank(norm, (n + m, n))
+    in_s = 1 / norm[:g]
+    out_s = sigma[:g] * in_s
+    k = min(g, s.size)
+    basis = np.zeros((n + m, g), dtype=complex)
+    basis[:n] = v[:, :g] * in_s
+    basis[n:, :k] = u[:, :k] * out_s[:k]
+    T = LinearRelation(n, m, Subspace(basis, validate=False))
+    r = tol.rank(out_s, (m, g))
+    d = tol.rank(in_s[::-1], (n, g))
+    coords = np.eye(g, dtype=complex)
+    ran = Subspace(u[:, :r], validate=False)
+    T._halves[_OUT][tol] = _Half(ran, Subspace(v[:, r:g], validate=False), Cut(ran.basis, out_s[:r], coords[:r], r))
+    dom = Subspace(v[:, g - d : g][:, ::-1], validate=False)
+    # F drops the columns of largest s (only a huge s falls under F's
+    # cutoff), and H on them spans U's columns; H keeps them all unless its
+    # cutoff nears one
+    mul = Subspace(u[:, : min(g - d, r)], validate=False)
+    T._halves[_IN][tol] = _Half(dom, mul, Cut(dom.basis, in_s[::-1][:d], coords[::-1][:d], d))
+    return T
 
 
 def identity_on(s: Subspace) -> LinearRelation:

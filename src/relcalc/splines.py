@@ -19,7 +19,7 @@ from .subspaces import (
     Cut,
     Subspace,
     Tolerance,
-    _cut_svd,
+    _null_cut,
     _solve_rounding,
     _tol,
     orthonormalize,
@@ -57,7 +57,7 @@ class SplineProblem:
             raise ValueError(f"b has length {b.shape[0]}, expected {V.shape[0]}")
         if not all(np.all(np.isfinite(a)) for a in (T, V, b)):
             raise ValueError("T, V and b must be finite")
-        v_cut = _cut_svd(V, None, full_matrices=True)
+        v_cut = _null_cut(V, None)
         if v_cut.rank < V.shape[0]:
             raise ValueError("V must be surjective (full row rank)")
         for name, a in (("T", T), ("V", V), ("b", b)):
@@ -166,7 +166,7 @@ def smooth_solve(p: SmoothingProblem, tol: Tolerance | None = None) -> Smoothing
     T, V, b, rho = p.base.T, p.base.V, p.base.b, p.rho
     stacked = np.vstack([T, np.sqrt(rho) * V])
     target = np.concatenate([np.zeros(T.shape[0], dtype=complex), np.sqrt(rho) * b])
-    cut = _cut_svd(stacked, tol, full_matrices=True)
+    cut = _null_cut(stacked, tol)
     x_star = cut.solve(target)
     min_value = _smoothing_minimum(stacked, target, x_star, cut.u[:, : cut.rank], cut.s)
     argmin = Coset.of(x_star, Subspace(cut.vh[cut.rank :].conj().T, validate=False))

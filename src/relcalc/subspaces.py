@@ -128,6 +128,16 @@ def _cut_svd(matrix: np.ndarray, tol: Tolerance | None, full_matrices: bool) -> 
     return Cut(u, s, vh, _tol(tol).rank(s, matrix.shape))
 
 
+def _null_cut(matrix: np.ndarray, tol: Tolerance | None) -> Cut:
+    """``_cut_svd`` with every right singular vector, so that ``vh[rank:]``
+    spans the null space, and the left ones only as far as ``u[:, :rank]``
+    needs: the thin SVD of a tall or square matrix already has all of V, so
+    only a wide one asks for the full factors (a full U of a tall matrix
+    would be built and thrown away)."""
+    q, p = matrix.shape
+    return _cut_svd(matrix, tol, full_matrices=q < p)
+
+
 class Subspace:
     """A linear subspace of C^n held as an n x k matrix with orthonormal columns.
 
@@ -241,7 +251,7 @@ def null_space(matrix: np.ndarray, tol: Tolerance | None = None) -> Subspace:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    cut = _cut_svd(matrix, tol, full_matrices=True)
+    cut = _null_cut(matrix, tol)
     return Subspace(cut.vh[cut.rank :].conj().T, validate=False)
 
 

@@ -28,6 +28,7 @@ from .subspaces import (
     Subspace,
     Tolerance,
     _cut_svd,
+    _null_cut,
     _solve_rounding,
     _tol,
     matrix_image,
@@ -270,7 +271,7 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     n, u = w.ambient_dim, s.basis
     left, _, _, r = _cut_svd(w.matrix @ u, tol, full_matrices=True)
     w_s, companion = left[:, :r], Subspace(left[:, r:], validate=False)
-    _, _, m_right_h, rank_a = _cut_svd(w_s.conj().T @ u, tol, full_matrices=True)
+    _, _, m_right_h, rank_a = _null_cut(w_s.conj().T @ u, tol)
     ker_a = u @ m_right_h[rank_a:].conj().T
     domain = subspace_sum(s, companion, tol)
     by_domain, by_blocks = domain.dim == n, rank_a == r

@@ -21,3 +21,18 @@ def svd_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The matrix shape and the ``full_matrices`` flag of each
+    numpy.linalg.svd call, in order, as (shape, full_matrices) pairs."""
+    calls = []
+    original = np.linalg.svd
+
+    def recording(a, full_matrices=True, *args, **kwargs):
+        calls.append((np.shape(a)[-2:], full_matrices))
+        return original(a, full_matrices, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls

@@ -520,6 +520,24 @@ class TestRankDecisionCount:
         assert np.mean(counts) <= 2.5
         assert max(counts) <= 5
 
+    def test_svd_calls_per_solve_on_a_matrix_graph(self, svd_calls):
+        # graph_of_matrix seeds A's output half, so solve factors no block:
+        # none when W is definite, else the intersection with ker W,
+        # apply_to_coset's SVD and the image's preimage and span (the graph
+        # factored by the SVD of [I; M] made 3.07 / 5, with the output block)
+        rng = np.random.default_rng(108)
+        counts = []
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            a = graph_of_matrix(cmat(rng, n, n))
+            w = Weight(random_psd(rng, n), "psd")
+            b = cvec(rng, n)
+            svd_calls.clear()
+            solve(LssProblem(a, w, b))
+            counts.append(svd_calls.count("svd"))
+            assert counts[-1] == 4 * (np.linalg.matrix_rank(w.matrix) < n)
+        assert np.mean(counts) <= 2.1
+
     def test_solve_factors_only_the_output_block(self, svd_calls):
         # solve reads ran A and A^-1 from A's output block alone: afterwards
         # ran A and ker A are cached, and dom A costs the one SVD of the input block

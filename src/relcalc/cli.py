@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
@@ -194,7 +193,7 @@ def parse(path: str | Path) -> ProblemFile:
     either way; a size or ``version`` field holding such an integer is
     refused either way, with a message that quotes the float.
     """
-    import orjson  # here, not at the top: code that only dispatches or emits never loads it
+    import orjson  # here and in emit, not at the top: importing relcalc.cli does not load it
 
     path = Path(path)
     try:
@@ -675,7 +674,9 @@ def emit(report: dict, fmt: str = "json") -> bytes:
     """Serialize a report; json output is stable-key-ordered and deterministic.
 
     The json bytes are those of ``json.dumps(report, sort_keys=True,
-    indent=2)``, written by ``_json_at`` without the pure-Python encoder.
+    indent=2)``, written by ``_json_at`` without the pure-Python encoder:
+    dicts and strings in Python, each list of numbers by one ``orjson``
+    call.
     """
     if fmt == "json":
         return (_json_at(report, 0) + "\n").encode("utf-8")
@@ -686,8 +687,17 @@ def emit(report: dict, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-_SCALAR_TYPES = frozenset({int, float, bool, type(None)})
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+# orjson writes what json would not: strings (json escapes non-ASCII, orjson
+# writes UTF-8), objects, and null for NaN and infinities.  A number is made
+# of digits, "-", "." and "e", so these bytes find every such word: true and
+# null hold a u, false and null an l
+_NOT_NUMBERS = (b'"', b"{", b"u", b"l")
+# the only floats orjson writes in other words than repr are those outside
+# [1e-4, 1e16): 0.00001 for 1e-05, 1e16 for 1e+16; each such token holds
+# one of these
+_OTHER_FLOAT_TEXT = (b"e", b"0.0000")
 
 
 def _json_at(value, level: int) -> str:
@@ -695,10 +705,10 @@ def _json_at(value, level: int) -> str:
     write it at nesting ``level``.
 
     Strings go through the C string encoder and finite numbers through
-    ``repr``, as in ``json``; a rectangular nest of numeric lists goes
-    through the C encoder whole (``_numeric_nest``). Anything else
-    (non-finite floats, tuples, dicts with non-string keys) takes the
-    pure-Python encoder, shifted to the level.
+    ``repr``, as in ``json``; a list goes through ``orjson`` whole when it
+    holds only numbers and lists (``_orjson_list``), else item by item.
+    Anything else (non-finite floats, tuples, dicts with non-string keys)
+    takes the pure-Python encoder, shifted to the level.
     """
     kind = type(value)
     if kind is dict and all(type(key) is str for key in value):
@@ -710,9 +720,9 @@ def _json_at(value, level: int) -> str:
     if kind is list:
         if not value:
             return "[]"
-        depth = _nest_depth(value)
-        if depth:
-            return _numeric_nest(value, depth, level)
+        text = _orjson_list(value, level)
+        if text is not None:
+            return text
         inner = "\n" + "  " * (level + 1)
         items = (_json_at(item, level + 1) for item in value)
         return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
@@ -725,35 +735,44 @@ def _json_at(value, level: int) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _nest_depth(value: list) -> int:
-    """Depth of a rectangular nest of nonempty lists of non-string scalars, else 0."""
-    row, depth = value, 1
-    while True:
-        kinds = set(map(type, row))
-        if kinds <= _SCALAR_TYPES:
-            return depth
-        if kinds != {list} or len(set(map(len, row))) != 1 or not row[0]:
-            return 0
-        row = list(chain.from_iterable(row))
-        depth += 1
+def _orjson_list(value: list, level: int) -> str | None:
+    """A list of numbers and lists as ``json.dumps(value, indent=2)`` writes
+    it at nesting ``level``, from one ``orjson.dumps``; None for any other
+    list.
 
-
-def _numeric_nest(value: list, depth: int, level: int) -> str:
-    """A rectangular numeric nest laid out from one C-encoded ``json.dumps``.
-
-    Between two numbers the compact text has ``]`` * j, ``", "``, ``[`` * j
-    when j lists close; each such run becomes its indented form, longest
-    first, since a shorter run is contained in a longer one.
+    orjson lays out the list as json does, one number a line, and writes
+    ints and the floats in [1e-4, 1e16) as ``repr`` does.  The few floats
+    outside that range are found by ``bytes.find`` and rewritten with
+    ``repr``.  A list orjson refuses (an int past 64 bits, a float
+    subclass) or whose text holds a non-number (``_NOT_NUMBERS``) is None.
     """
-    pad = ["\n" + "  " * (level + k) for k in range(depth + 1)]
-    text = json.dumps(value)[depth:-depth]
-    for j in range(depth - 1, -1, -1):
-        closing = "".join(pad[depth - 1 - i] + "]" for i in range(j))
-        opening = "".join("[" + pad[depth - j + 1 + i] for i in range(j))
-        text = text.replace("]" * j + ", " + "[" * j, closing + "," + pad[depth - j] + opening)
-    head = "".join("[" + pad[k + 1] for k in range(depth))
-    tail = "".join(pad[k] + "]" for k in range(depth - 1, -1, -1))
-    return head + text + tail
+    import orjson  # here, not at the top, as in parse
+
+    try:
+        text = orjson.dumps(value, option=orjson.OPT_INDENT_2)
+    except TypeError:  # orjson.JSONEncodeError
+        return None
+    if any(byte in text for byte in _NOT_NUMBERS):
+        return None
+    tokens = {}  # start -> end of each float token to rewrite
+    for marker in _OTHER_FLOAT_TEXT:
+        at = text.find(marker)
+        while at >= 0:
+            end = text.find(b"\n", at)
+            if text[end - 1] == ord(","):
+                end -= 1
+            tokens[text.rfind(b" ", 0, at) + 1] = end
+            at = text.find(marker, end)
+    if tokens:
+        pieces, done = [], 0
+        for start in sorted(tokens):
+            pieces += (text[done:start], repr(float(text[start : tokens[start]])).encode())
+            done = tokens[start]
+        pieces.append(text[done:])
+        text = b"".join(pieces)
+    if level:
+        text = text.replace(b"\n", b"\n" + b"  " * level)
+    return text.decode()
 
 
 def _render_text(value, prefix: str, lines: list[str]):

@@ -53,9 +53,18 @@ def intersect_de_morgan(b1: np.ndarray, b2: np.ndarray, atol: float = 1e-12) -> 
     """Orthonormal basis of span(b1) ∩ span(b2) by de Morgan in the subspace
     lattice, (S1^perp + S2^perp)^perp, each complement a null space of the
     adjoint basis."""
-    perp = np.hstack([_null_basis(b.conj().T, atol=atol) for b in (b1, b2)])
+    return _meet_of_complements(_complement(b1, atol), _complement(b2, atol), atol)
+
+
+def _complement(basis: np.ndarray, atol: float) -> np.ndarray:
+    return _null_basis(basis.conj().T, atol=atol)
+
+
+def _meet_of_complements(perp1: np.ndarray, perp2: np.ndarray, atol: float) -> np.ndarray:
+    """(S1^perp + S2^perp)^perp from bases of the two complements."""
+    perp = np.hstack([perp1, perp2])
     if perp.shape[1] == 0:
-        return np.eye(b1.shape[0], dtype=complex)
+        return np.eye(perp.shape[0], dtype=complex)
     return _null_basis(perp.conj().T, atol=atol)
 
 
@@ -63,11 +72,13 @@ def kernel_and_mul_via_axes(
     graph: np.ndarray, dim_in: int, atol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel and multivalued part of the relation with graph basis ``graph``
-    (inputs stacked on outputs), read off the intersections of the graph with
-    the input axis C^n x {0} and the output axis {0} x C^m."""
+    (inputs stacked on outputs), read off the de Morgan intersections of the
+    graph with the input axis C^n x {0} and the output axis {0} x C^m; the
+    graph's complement, common to both, is computed once."""
     axes = np.eye(graph.shape[0], dtype=complex)
-    ker_pairs = intersect_de_morgan(graph, axes[:, :dim_in], atol)
-    mul_pairs = intersect_de_morgan(graph, axes[:, dim_in:], atol)
+    graph_perp = _complement(graph, atol)
+    ker_pairs = _meet_of_complements(graph_perp, _complement(axes[:, :dim_in], atol), atol)
+    mul_pairs = _meet_of_complements(graph_perp, _complement(axes[:, dim_in:], atol), atol)
     return _span_basis(ker_pairs[:dim_in], atol), _span_basis(mul_pairs[dim_in:], atol)
 
 

@@ -181,12 +181,18 @@ class Subspace:
         """Whether v lies in the subspace, up to the residual threshold.  A
         non-finite v is refused: its residual would be NaN, and NaN fails
         every comparison, so it would read as "not contained"."""
+        return self._contains_at(v, tol, 1.0)
+
+    def _contains_at(self, v: np.ndarray, tol: Tolerance | None, scale: float) -> bool:
+        """``contains_vector`` with the threshold taken at the larger of
+        ``scale`` and ||v||, never below 1: a v computed as the difference of
+        two large vectors rounds on their size."""
         tol = _tol(tol)
         v = _as_vector(v, self.ambient_dim, "vector")
         if not np.isfinite(v).all():
             raise ValueError("vector must be finite")
         resid = np.linalg.norm(v - self.project(v))
-        scale = max(1.0, float(np.linalg.norm(v)))
+        scale = max(1.0, scale, float(np.linalg.norm(v)))
         return resid <= tol.residual(scale, self.ambient_dim)
 
     def __repr__(self):
@@ -381,13 +387,17 @@ class Coset:
         return self.point - self.direction.project(self.point)
 
     def equals(self, other: "Coset", tol: Tolerance | None = None) -> bool:
+        """Same directions, and the gap between the points in them, compared
+        at the larger of the two points' norms: a gap computed from two large
+        points rounds on their size."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("cosets live in different ambient spaces")
         if self.is_empty or other.is_empty:
             return self.is_empty and other.is_empty
-        return subspace_equals(self.direction, other.direction, tol) and self.contains(
-            other.point, tol
-        )
+        if not subspace_equals(self.direction, other.direction, tol):
+            return False
+        scale = float(max(np.linalg.norm(self.point), np.linalg.norm(other.point)))
+        return self.direction._contains_at(other.point - self.point, tol, scale)
 
     def __repr__(self):
         if self.is_empty:

@@ -522,6 +522,20 @@ class TestModuleForms:
         golden = (DATA / "lss-solve.golden.json").read_bytes()
         assert (result.returncode, result.stdout, result.stderr) == (0, golden, b"")
 
+    def test_import_leaves_orjson_unloaded(self):
+        # parse and emit import orjson when first called, so a cold start
+        # that only imports the package does not pay for it
+        src = str(Path(relcalc.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, relcalc, relcalc.cli\n"
+            "print('orjson' in sys.modules)\n"
+            "relcalc.cli.emit({'x': [1.0]})\n"
+            "print('orjson' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (0, b"False\nTrue\n", b"")
+
 
 class TestBatch:
     def test_batch_directory(self, tmp_path):

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
+import orjson
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
-from relcalc.cli import emit  # noqa: E402
+from relcalc import Tolerance  # noqa: E402
+from relcalc.cli import dispatch, emit, parse  # noqa: E402
 
 from test_cli import DATA, GOLDEN_CASES, run_cli  # noqa: E402
 
@@ -77,10 +80,120 @@ def test_bytes_match_json_dumps(report):
     [1, "a, b", None],         # a string among numbers
     [(1, 2), [3, 4]],          # a tuple
     {1: "non-string key"},
+    # lists orjson writes otherwise or refuses, beside the floats it words
+    # differently from repr
+    [1.0, float("nan")],
+    [float("inf"), 2, 1e-05],
+    [[float("-inf"), 1e16], [0.5, 0.25]],
+    [True, 1.5, False],
+    [None, 1e16],
+    [2**64, 1e-05],              # past what orjson writes
+    [-(2**63) - 1, 0.5],
+    [2**64 - 1, -(2**63)],       # the ends of what orjson writes
+    [[1.0, 2.0], ["\u00e9", 1e-07]],
+    ["\x00\x1f\u2028", 3.0],
+    ["na\u00efve", "\u65e5\u672c", "\ud83d\ude00"],
+    ["\ud800", 1.0],            # a lone surrogate, which orjson refuses
+    [1e-05, "e", "0.00001"],
+    [[1e-05], [float("nan")]],
+    ["null", "true", 1.0, "false"],
+    [{"a": 1e-05}, [1e16]],
 ])
 def test_irregular_values_match_json_dumps(value):
     report = {"result": value}
     assert emit(report, "json") == _reference(report)
+
+
+# the floats orjson writes in other words than repr, (0, 1e-4), [1e16, 1e308]
+# and the subnormals, with the two zeros beside them
+SMALLEST_NORMAL = 2.2250738585072014e-308
+other_text_floats = st.one_of(
+    st.floats(min_value=0.0, max_value=1e-4, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e16, max_value=1e308),
+    st.floats(min_value=5e-324, max_value=SMALLEST_NORMAL, exclude_max=True),
+    st.integers(-323, -5).map(lambda e: 10.0**e),
+    st.integers(16, 308).map(lambda e: 10.0**e),
+    st.sampled_from([0.0, -0.0]),
+)
+signed = st.tuples(other_text_floats, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+band_numbers = st.one_of(
+    signed, st.floats(min_value=1e-4, max_value=1e16), st.integers(-(2**63), 2**64 - 1),
+)
+band_lists = st.recursive(
+    st.lists(band_numbers, min_size=1, max_size=12),
+    lambda children: st.lists(children, min_size=1, max_size=4),
+    max_leaves=8,
+)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(band_lists, st.integers(0, 3))
+def test_band_floats_match_json_dumps(value, depth):
+    report = {"result": value}
+    for _ in range(depth):
+        report = {"nested": report}
+    assert emit(report, "json") == _reference(report)
+
+
+mixed_scalars = st.one_of(
+    signed,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.integers(-(2**70), 2**70),
+    st.text(st.characters(codec="utf-8"), max_size=4),
+)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.recursive(
+    st.lists(mixed_scalars, min_size=1, max_size=6),
+    lambda children: st.lists(st.one_of(children, mixed_scalars), min_size=1, max_size=4),
+    max_leaves=10,
+))
+def test_mixed_lists_match_json_dumps(value):
+    report = {"result": {"value": value}}
+    assert emit(report, "json") == _reference(report)
+
+
+def test_large_report_matches_json_dumps(tmp_path):
+    # the write-heavy report of the benchmark: a rank-deficient 48 x 48
+    # matrix relation, whose bases hold a few entries below 1e-4
+    rng = np.random.default_rng(2400)
+    a = ((rng.standard_normal((48, 24)) + 1j * rng.standard_normal((48, 24)))
+         @ (rng.standard_normal((24, 48)) + 1j * rng.standard_normal((24, 48))))
+    doc = {
+        "version": 1, "field": "complex",
+        "matrices": {"A": [[[z.real, z.imag] for z in row] for row in a]},
+        "relations": {"R": {"matrix": "A"}},
+        "problem": {"relation": "R"},
+    }
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    pf = parse(path)
+    report = dispatch("relation-analyze", pf, Tolerance(), verify=True)
+    reference = _reference(report)
+    assert len(reference) > 300_000 and b"e-" in reference
+    assert emit(report, "json") == reference
+
+
+def test_a_list_of_floats_is_one_orjson_call(monkeypatch):
+    calls = []
+    for module, name in ((orjson, "orjson"), (json, "json")):
+        original = module.dumps
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "dumps", counting)
+    report = {"result": [[0.5, 1e-05, -2.0], [1e16, 3, 0.0]]}
+    out = emit(report, "json")
+    assert calls == ["orjson"]
+    monkeypatch.undo()
+    assert out == _reference(report)
 
 
 @pytest.mark.parametrize("command,fixture", GOLDEN_CASES)

@@ -227,6 +227,24 @@ class TestParts:
         # at 1e-3 the tilted pair counts as a kernel direction
         assert coarse.ker.dim == default.ker.dim + 1
 
+    def test_axis_oracle_factors_the_graph_complement_once(self, svd_calls):
+        # the write-heavy relation of the CLI benchmark, rank 24 of 48: the
+        # oracle shares the graph's complement between its two de Morgan
+        # intersections (7 SVDs when each intersection made its own) and
+        # returns what the two full intersections give, bit for bit
+        rng = np.random.default_rng(470)
+        n = 48
+        graph = graph_of_matrix(cmat(rng, n, n // 2) @ cmat(rng, n // 2, n)).graph.basis
+        del svd_calls[:]
+        ker, mul = oracles.kernel_and_mul_via_axes(graph, n, 1e-10)
+        assert svd_calls == ["svd"] * 6
+        axes = np.eye(2 * n, dtype=complex)
+        ker_pairs = oracles.intersect_de_morgan(graph, axes[:, :n], 1e-10)
+        mul_pairs = oracles.intersect_de_morgan(graph, axes[:, n:], 1e-10)
+        assert np.array_equal(ker, oracles._span_basis(ker_pairs[:n], 1e-10))
+        assert np.array_equal(mul, oracles._span_basis(mul_pairs[n:], 1e-10))
+        assert (ker.shape, mul.shape) == ((n, n // 2), (n, 0))
+
 
 def _sizes(rng):
     return int(rng.integers(1, 6)), int(rng.integers(1, 6))

@@ -20,7 +20,7 @@ from relcalc import (
 )
 from relcalc import oracles, splines
 
-from genutil import cmat, cvec
+from genutil import cmat, cvec, random_unitary
 
 
 def random_spline_problem(rng, max_dim=6):
@@ -33,6 +33,12 @@ def random_spline_problem(rng, max_dim=6):
     V = cmat(rng, k, n)
     b = cvec(rng, k)
     return SplineProblem(T, V, b)
+
+
+def well_conditioned(rng, m, n):
+    """m x n with singular values in [0.5, 2] between random unitary factors."""
+    r = min(m, n)
+    return (random_unitary(rng, m)[:, :r] * rng.uniform(0.5, 2.0, r)) @ random_unitary(rng, n)[:, :r].conj().T
 
 
 class TestSplineSolve:
@@ -127,6 +133,24 @@ class TestSplineSolve:
             )
             failures += not ok
         assert failures == 0
+
+    @pytest.mark.parametrize("factor", [1e-12, 1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_large_b_solves(self, factor):
+        # the feasible-point independence check compared the two spline
+        # points at an absolute 1e-10 whatever their size: scaling b by 1e6,
+        # 1e9 and 1e12 raised "spline set depends on the feasible point
+        # chosen" on 250, 297 and 297 of these 300 problems
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n))
+            T, V = well_conditioned(rng, n, n), well_conditioned(rng, k, n)
+            b = factor * cvec(rng, k)
+            point = spline_solve(SplineProblem(T, V, b)).spline_set.point
+            _, oracle_point, _ = oracles.spline_kkt(T, V, b)
+            worst = max(worst, np.linalg.norm(point - oracle_point) / np.linalg.norm(oracle_point))
+        assert worst < 1e-12
 
 
 class TestSmoothSolve:

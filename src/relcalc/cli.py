@@ -542,7 +542,7 @@ def _cmd_shorted(pf, tol, verify):
     mat = shorted(weight, s, tol)
     diag = {}
     if verify:
-        oracle = oracles.shorted_by_root(weight.matrix, s.basis, tol.abs_eps)
+        oracle = oracles.shorted_by_schur(weight.matrix, s.basis, tol.abs_eps)
         diag["oracle_delta"] = float(np.linalg.norm(mat - oracle))
     return "ok", {"shorted": _ser_complex(mat)}, diag
 
@@ -786,6 +786,8 @@ def _render_text(value, prefix: str, lines: list[str]):
 
 
 _EXIT_BY_STATUS = {"ok": 0, "no-solution": 2}
+# what a run reports as "error: ..." with exit 1, in place of a traceback
+_OPERATIONAL_ERRORS = (ProblemFormatError, DimensionMismatchError, NotRepresentableError, ConsistencyError, ValueError)
 
 
 def _tolerance_override(flag: str | None) -> Tolerance | None:
@@ -846,8 +848,7 @@ def main(argv=None, out=None) -> int:
     if args.batch is None:
         try:
             payload, code = _run_file(args.command, Path(args.file), args, override)
-        except (ProblemFormatError, DimensionMismatchError, NotRepresentableError,
-                ConsistencyError, ValueError) as exc:
+        except _OPERATIONAL_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         stream.write(payload)
@@ -866,8 +867,7 @@ def main(argv=None, out=None) -> int:
             payload, code = _run_file(args.command, path, args, override)
             path.with_name(path.stem + ".report.json").write_bytes(payload)
             status = "ok" if code == 0 else "no-solution"
-        except (ProblemFormatError, DimensionMismatchError, NotRepresentableError,
-                ConsistencyError, ValueError) as exc:
+        except _OPERATIONAL_ERRORS as exc:
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             code, status = 1, "error"
         stream.write(f"{path.name}: {status}\n".encode("utf-8"))

@@ -134,14 +134,15 @@ def check_normal(p: LssProblem, x0: np.ndarray, tol: Tolerance | None = None) ->
     mul A, zero is a value when some y0 + M c - b has U*W (y0 + M c - b) = 0:
     when g = U*W (y0 - b) lies in the range of K = U*W M.  One SVD of the
     small matrix K, cut at the rank cutoff (none when mul A = 0), and a
-    residual test at the scale of g decide it.  True exactly for the weighted
-    least-squares solutions.
+    residual test at the scale of g decide it.  W is read as W / lambda from
+    ``weighted._unit_psd``, as ``solve`` reads it, so the units of W decide
+    neither.  True exactly for the weighted least-squares solutions.
     """
     tol = _tol(tol)
     value = apply(p.A, _as_vector(x0, p.A.dim_in, "candidate x0"), tol)
     if value.is_empty:
         raise ValueError("candidate lies outside dom A")
-    uw = parts(p.A, tol).ran.basis.conj().T @ p.W.matrix
+    uw = parts(p.A, tol).ran.basis.conj().T @ _unit_psd(p.W, tol)[1]
     g = uw @ (value.point - p.b)
     threshold = tol.residual(max(1.0, float(np.linalg.norm(g))), p.A.dim_in)
     left, _, _, rank = _cut_svd(uw @ value.direction.basis, tol, full_matrices=False)

@@ -7,9 +7,9 @@ calls an oracle; the test suite and the CLI's ``--verify`` do.  Where the
 library adopts an oracle's formula, the oracle keeps the one the library
 dropped: the de Morgan intersection, the graph-and-axis route to the kernel
 and the multivalued part, the cylinder intersections behind composition,
-the operator sum and restriction, and the companion route to Krein
-regularity (S meets its J-companion in 0 and with it spans everything)
-live on here.
+the operator sum and restriction, the companion route to Krein regularity
+(S meets its J-companion in 0 and with it spans everything) and the Schur
+complement behind the shorted operator live on here.
 """
 
 from __future__ import annotations
@@ -27,26 +27,28 @@ def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
-def _null_basis(matrix: np.ndarray, rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+def _rank(s: np.ndarray, atol: float) -> int:
+    """The oracles' one cut: the singular values above 1e-10 of the largest plus atol."""
+    return int(np.count_nonzero(s > 1e-10 * s.max(initial=0.0) + atol))
+
+
+def _null_basis(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
     if matrix.shape[0] == 0:
         return np.eye(matrix.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(matrix)
-    cutoff = rtol * (s[0] if s.size else 0.0) + atol
-    rank = int(np.count_nonzero(s > cutoff))
-    return vh[rank:].conj().T
+    return vh[_rank(s, atol):].conj().T
 
 
 def _span_basis(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis of the column span, cut like _null_basis."""
+    """Orthonormal basis of the column span, cut by ``_rank`` as ``_null_basis`` is."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[1] == 0:
         return np.zeros((matrix.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    rank = int(np.count_nonzero(s > 1e-10 * s[0] + atol))
-    return u[:, :rank]
+    return u[:, :_rank(s, atol)]
 
 
 def intersect_de_morgan(b1: np.ndarray, b2: np.ndarray, atol: float = 1e-12) -> np.ndarray:
@@ -156,13 +158,17 @@ def krein_regular(J: np.ndarray, B: np.ndarray, atol: float = 1e-12) -> bool:
     return _span_basis(np.hstack([B, companion]), atol).shape[1] == J.shape[0]
 
 
-def shorted_by_root(W: np.ndarray, S: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Shorted operator of the psd W to span(S) by Anderson's formula
-    W^(1/2) (I - Q Q*) W^(1/2), with Q an orthonormal basis of W^(1/2) S-perp:
-    the quadratic form inf over y in S-perp of <W (x + y), x + y>."""
-    w_half = _sqrt_psd(W)
-    q = _span_basis(w_half @ _null_basis(S.conj().T, atol=atol), atol)
-    short = w_half @ (w_half - q @ (q.conj().T @ w_half))
+def shorted_by_schur(W: np.ndarray, S: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+    """Shorted operator of the psd W to span(S): the Schur complement
+    U (a - b c^+ b*) U* of c = V*WV, for a = U*WU, b = U*WV, U and V bases of
+    S and S-perp from one SVD of S, and c^+ dropping eigenvalues up to atol."""
+    left, s, _ = np.linalg.svd(np.asarray(S, dtype=complex))
+    r = _rank(s, atol)
+    u, v = left[:, :r], left[:, r:]
+    eigs, vecs = np.linalg.eigh(v.conj().T @ W @ v)
+    c_pinv = (vecs * np.divide(1.0, eigs, out=np.zeros_like(eigs), where=eigs > atol)) @ vecs.conj().T
+    b = u.conj().T @ W @ v
+    short = u @ (u.conj().T @ W @ u - b @ c_pinv @ b.conj().T) @ u.conj().T
     return (short + short.conj().T) / 2
 
 

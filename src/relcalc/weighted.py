@@ -5,13 +5,14 @@ A selfadjoint weight W replaces the inner product by <Wx, y>.  The weighted
 projection onto a subspace S is the multivalued projection with range S and
 kernel the W-orthogonal companion of S; its domain need not be everything,
 and that defect is exactly what complementability measures.  The solvers'
-``_factor_corner`` and ``_project_by_blocks``, ``complementability``,
-``shorted`` and ``krein_classify`` read the block split of W along
-S = span(U), U orthonormal, through U*WU or U*W, and ``complementability``
-takes its off-diagonal block from ``coefficient_x``.  ``make_pws`` builds
-the same projection by the relation calculus.  No library function calls
-it or the calculus routes the block form replaced (``canonical_blocks``,
-``identity_minus``, ``apply``): they are the tests' cross-checks.
+``_factor_corner`` and ``_project_by_blocks``, ``complementability`` and
+``krein_classify`` read the block split of W along S = span(U), U
+orthonormal, through U*WU or U*W, and ``complementability`` takes its
+off-diagonal block from ``coefficient_x``; ``shorted`` reads the root of W
+from W's own eigenpairs.  ``make_pws`` builds the same projection by the
+relation calculus.  No library function calls it or the calculus routes
+the block form replaced (``canonical_blocks``, ``identity_minus``,
+``apply``): they are the tests' cross-checks.
 """
 
 from __future__ import annotations
@@ -125,16 +126,10 @@ def _signed_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray,
     return eigs, vecs, _eig_keep(eigs, tol)
 
 
-def _psd_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_signed_eigh`` keeping the positive eigenvalues only."""
-    eigs, vecs, keep = _signed_eigh(matrix, tol)
-    return eigs, vecs, keep & (eigs > 0)
-
-
 def _unit_psd(w: Weight, tol: Tolerance | None) -> tuple[float, np.ndarray, np.ndarray, Subspace]:
     """W on its own scale, so that its units decide no cut: lambda, W / lambda,
     and the Hermitian root and kernel of W / lambda from W's own eigenpairs,
-    cut as ``_psd_eigh`` cuts.
+    keeping the positive eigenvalues that pass ``_eig_keep``.
 
     lambda is the largest eigenvalue of W when W / lambda passes the psd
     certificate that W passed.  Otherwise, or when no eigenvalue is
@@ -188,9 +183,9 @@ def make_pws(w: Weight, s: Subspace, tol: Tolerance | None = None) -> LinearRela
 
 class _Corner(NamedTuple):
     """The corner a = U*WU of a psd weight W along S = span(U), factored by
-    one eigh and cut as ``_psd_eigh`` cuts: its eigenpairs, ascending, and
-    the mask of the kept ones.  ``_project_by_blocks`` projects any number
-    of targets through it."""
+    one eigh, keeping the positive eigenvalues that pass ``_eig_keep``: its
+    eigenpairs, ascending, and the mask of the kept ones.
+    ``_project_by_blocks`` projects any number of targets through it."""
 
     w: np.ndarray
     u: np.ndarray
@@ -204,7 +199,8 @@ def _factor_corner(w: np.ndarray, u: np.ndarray, tol: Tolerance | None) -> _Corn
     """The one eigh of the Hermitian k x k corner U*WU, for ``u`` with
     orthonormal columns."""
     tol = _tol(tol)
-    return _Corner(w, u, *_psd_eigh(u.conj().T @ w @ u, tol), tol)
+    eigs, vecs, keep = _signed_eigh(u.conj().T @ w @ u, tol)
+    return _Corner(w, u, eigs, vecs, keep & (eigs > 0), tol)
 
 
 def _project_by_blocks(corner: _Corner, root: np.ndarray, b: np.ndarray) -> Coset:
@@ -297,35 +293,30 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
 def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
     """Largest psd matrix below W with range inside S.
 
-    The Schur complement of the block of W on the complement of S, placed
-    back in ambient coordinates, so that its range lies inside S; checked
-    against the sandwich 0 <= Sigma <= W on the smallest eigenvalues, which
-    bounds Sigma but does not test that it is the largest.
+    lambda times Anderson's R (I - Q Q*) R, for R the root of W / lambda
+    that ``_unit_psd`` cuts and Q an orthonormal basis of R S-perp from one
+    SVD of R (I - U U*), so the units of W decide no cut.  The form lies in
+    0 <= Sigma <= W for every Q, so the sandwich cannot test the rank of Q:
+    a dropped direction of R S-perp shows as a leak of Sigma off S, which
+    must stay under the cutoff it fell below.
     """
     if w.kind != "psd":
         raise ValueError("shorted operator needs a psd weight")
     _check_ambient(w, s)
-    s_perp = subspace_complement(s, tol)
-    u, u_perp = s.basis, s_perp.basis
-    a = u.conj().T @ w.matrix @ u
-    b = u.conj().T @ w.matrix @ u_perp
-    c = u_perp.conj().T @ w.matrix @ u_perp
-    # pseudo-inverse of c under psd_sqrt's rank cutoff: an eigenvalue at
-    # rounding level is dropped, not inverted into a huge spurious term
-    eigs, vecs, keep = _psd_eigh(c, tol)
-    c_pinv = (vecs * np.divide(1.0, eigs, out=np.zeros_like(eigs), where=keep)) @ vecs.conj().T
-    inner = a - b @ c_pinv @ b.conj().T
-    schur = u @ inner @ u.conj().T
-    schur = (schur + schur.conj().T) / 2
-
-    scale = max(1.0, float(np.linalg.norm(w.matrix)))
-    floor = _tol(tol)._sandwich_floor(scale, w.ambient_dim)
-    lowest = min(np.linalg.eigvalsh(m).min(initial=0.0) for m in (schur, w.matrix - schur))
+    tol = _tol(tol)
+    n, u = w.ambient_dim, s.basis
+    top, w_unit, root, _ = _unit_psd(w, tol)
+    left, _, _, rank = _cut_svd(root - (root @ u) @ u.conj().T, tol, full_matrices=False)
+    unit = root @ (root - left[:, :rank] @ (left[:, :rank].conj().T @ root))
+    unit = (unit + unit.conj().T) / 2
+    floor, bound = tol._sandwich_floor(1.0, n), tol.residual(1.0, n)
+    lowest = min(np.linalg.eigvalsh(m).min(initial=0.0) for m in (unit, w_unit - unit))
     if lowest < floor:
-        raise ConsistencyError(
-            f"Schur complement leaves 0 <= Sigma <= W (eigenvalue {lowest:.3e} < {floor:.3e})"
-        )
-    return schur
+        raise ConsistencyError(f"shorted form leaves 0 <= Sigma <= W (eigenvalue {lowest:.3e} < {floor:.3e})")
+    leak = float(np.linalg.norm(unit - (unit @ u) @ u.conj().T, axis=0).max(initial=0.0))
+    if leak > bound:
+        raise ConsistencyError(f"shorted form leaks off S (column norm {leak:.3e} > {bound:.3e})")
+    return top * unit
 
 
 def krein_classify(s: Subspace, w: Weight, tol: Tolerance | None = None) -> KreinClassification:

@@ -81,13 +81,30 @@ def test_only_relations_reads_the_block_caches():
     assert users == ["relations.py"]
 
 
+def test_only_unit_psd_reads_a_weights_eigenpairs():
+    # a psd Weight keeps the eigenpairs that certify it, and every root of W
+    # is cut from them on the scale of W / lambda, in weighted._unit_psd alone
+    readers, reads = [], 0
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += sum(isinstance(node, ast.Attribute) and node.attr == "_eigh" for node in ast.walk(tree))
+        readers += [
+            (path.name, function.name)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and any(isinstance(node, ast.Attribute) and node.attr == "_eigh" for node in ast.walk(function))
+        ]
+    assert readers == [("weighted.py", "_unit_psd")] and reads == 1
+
+
 def test_weighted_solvers_take_the_block_form():
     # solve, w1w2_solve (lss.py) and spline_solve (splines.py) project
     # through the paper's block form, which weighted.py alone defines, and
-    # complementability, shorted and krein_classify (weighted.py) read the
-    # same block split; check_normal (lss.py) reads the normal equation on
-    # U*W for the basis U of ran A; the relation route (make_pws,
-    # identity_minus, the calculus) is a test-only cross-check for all seven
+    # complementability and krein_classify (weighted.py) read the same block
+    # split; shorted reads Anderson's form on the root of W; check_normal
+    # (lss.py) reads the normal equation on U*(W / lambda) for the basis U
+    # of ran A; the relation route (make_pws, identity_minus, the calculus)
+    # is a test-only cross-check for all seven
     for module in ("lss.py", "splines.py"):
         names = set(_names(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))))
         assert not names & {"make_pws", "identity_minus"}, module

@@ -699,9 +699,11 @@ class TestRankDecisionCount:
         assert max(counts) <= 5
 
     def test_svd_calls_per_shorted(self, svd_calls):
-        # S-perp is the one SVD; one eigh for the pseudo-inverse of the
-        # complement block and two eigvalsh for the sandwich 0 <= Sigma <= W
-        # (the relation route W (I - P) made 10.9 / 12)
+        # one SVD of R (I - UU*) for Q, R read from the weight's own
+        # eigenpairs, and two eigvalsh for the sandwich 0 <= Sigma <= W (the
+        # Schur route made an SVD for S-perp and an eigh for the
+        # pseudo-inverse of the complement block; the relation route
+        # W (I - P) made 10.9 / 12)
         rng = np.random.default_rng(3700)
         for _ in range(300):
             n = int(rng.integers(2, 9))
@@ -709,8 +711,8 @@ class TestRankDecisionCount:
             s = random_subspace(rng, n)
             svd_calls.clear()
             shorted(w, s)
-            assert svd_calls.count("svd") <= 1
-            assert svd_calls.count("eigh") + svd_calls.count("eigvalsh") == 3
+            assert svd_calls.count("svd") == 1
+            assert svd_calls.count("eigh") + svd_calls.count("eigvalsh") == 2
 
     def test_parts_factors_a_block_when_a_field_is_read(self, svd_calls):
         # one full SVD per graph block gives its span and its null space (it
@@ -938,6 +940,48 @@ class TestWeightUnits:
             assert scaled.direction.dim == unit.direction.dim
             point = unit.min_norm_point()
             assert np.linalg.norm(scaled.min_norm_point() - point) <= 1e-9 * (1 + np.linalg.norm(point))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-24, 2.0**20, 1e12])
+    def test_scaling_w_keeps_the_check_normal_verdict(self, scale):
+        # check_normal reads U*(W / lambda), as solve reads W: on W itself,
+        # W x 1e-12 and 1e-24 turned the verdict on 193 and 200 of these 200
+        # random candidates to True, and W x 2^20 and 1e12 refused 188 and
+        # 200 of the witnesses
+        rng = np.random.default_rng(11)
+        rejected = 0
+        for _ in range(200):
+            a, w, b = _units_instance(rng)
+            unit, scaled = LssProblem(a, Weight(w, "psd"), b), LssProblem(a, Weight(scale * w, "psd"), b)
+            assert check_normal(scaled, solve(unit).witness)
+            candidate = rng.standard_normal(b.size)
+            verdict = check_normal(unit, candidate)
+            assert check_normal(scaled, candidate) == verdict
+            rejected += not verdict
+        assert rejected >= 100
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-24, 2.0**20, 1e12])
+    def test_scaling_w_scales_the_shorted_operator(self, scale):
+        # shorted is lambda times Anderson's form on W / lambda: the Schur
+        # complement on W itself pseudo-inverted the complement block at
+        # the absolute cutoff, so at W x 1e-12 and 1e-24 it dropped the
+        # whole correction and answered U a U*, wrong on all 200 of these
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            wh = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+            w = wh.T @ wh
+            s = random_subspace(rng, n, int(rng.integers(1, n)))
+            unit = shorted(Weight(w, "psd"), s)
+            assert np.linalg.norm(shorted(Weight(scale * w, "psd"), s) / scale - unit) <= 1e-9 * np.linalg.norm(w)
+
+    def test_shorted_accepts_weights_with_tiny_eigenvalues(self):
+        # an eigenvalue of W's block on S-perp just under the cutoff made the
+        # Schur complement leave 0 <= Sigma <= W: 49 of these 1500 raised
+        rng = np.random.default_rng(4300)
+        for _ in range(1500):
+            n = int(rng.integers(2, 9))
+            w = Weight(psd_with_tiny_eigenvalues(rng, n), "psd")
+            shorted(w, random_subspace(rng, n))
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-24, 1e12])
     def test_psd_sqrt_scales_by_the_root(self, scale):

@@ -316,15 +316,15 @@ class TestComplementabilityAgainstSpan:
 
 
 class TestShorted:
-    def test_matches_the_root_oracle(self):
-        # Anderson's W^(1/2) (I - Q Q*) W^(1/2), the oracle behind
+    def test_matches_the_schur_oracle(self):
+        # the Schur complement of W's block on S-perp, the oracle behind
         # shorted --verify, on psd weights that are singular half the time
         rng = np.random.default_rng(3700)
         for _ in range(300):
             n = int(rng.integers(2, 9))
             w = Weight(random_psd(rng, n), "psd")
             s = random_subspace(rng, n)
-            gap = np.linalg.norm(shorted(w, s) - oracles.shorted_by_root(w.matrix, s.basis, 1e-10))
+            gap = np.linalg.norm(shorted(w, s) - oracles.shorted_by_schur(w.matrix, s.basis, 1e-10))
             assert gap <= 1e-9 * max(1.0, np.linalg.norm(w.matrix))
 
     def test_identity_weight_gives_projector(self):
@@ -343,9 +343,8 @@ class TestShorted:
         assert np.linalg.norm(shorted(w, E2) - as_matrix(rel)) < 1e-10
 
     def test_rank_one_weight_with_rounding_level_block(self):
-        # W = v v* on C^3 and a line S: W's block on the complement of S has
-        # one eigenvalue at rounding level, which the Schur route must drop
-        # rather than invert
+        # W = v v* on C^3 and S of dimension 1 or 2: R (I - UU*) has rank one and
+        # singular values at rounding level, which the cut for Q must drop
         rng = np.random.default_rng(1307)
         v = cmat(rng, 3, 1)
         k = int(rng.integers(1, 3))
@@ -541,32 +540,25 @@ class TestSecondRoutes:
     """Each function's own second route raises when its first route answers
     wrong; the wrong route is patched in."""
 
-    def test_shorted_sandwich_catches_an_inverted_rounding_eigenvalue(self, monkeypatch):
-        # a Schur pseudo-inverse that inverts every nonzero eigenvalue of the
-        # complement block, rounding-level ones included: on rank-one weights
-        # about half of its answers are wrong, and each of those must raise
-        right = weighted._psd_eigh
+    def test_shorted_range_check_catches_a_dropped_direction(self, monkeypatch):
+        # a Q that drops a kept direction of R S-perp: Anderson's form
+        # R (I - QQ*) R still lies in 0 <= Sigma <= W, so only the check that
+        # Sigma vanishes on S-perp sees it, and every such answer must raise
+        right = weighted._cut_svd
 
-        def inverting_every_eigenvalue(matrix, tol):
-            eigs, vecs, _ = right(matrix, tol)
-            return eigs, vecs, eigs != 0
+        def dropping_one(matrix, tol, full_matrices):
+            cut = right(matrix, tol, full_matrices)
+            assert cut.rank >= 1
+            return cut._replace(rank=cut.rank - 1)
 
-        monkeypatch.setattr(weighted, "_psd_eigh", inverting_every_eigenvalue)
+        monkeypatch.setattr(weighted, "_cut_svd", dropping_one)
         rng = np.random.default_rng(1300)
-        raised = 0
         for _ in range(300):
             n = int(rng.integers(2, 7))
             v = cmat(rng, n, 1)
             s = orthonormalize(cmat(rng, n, int(rng.integers(1, n))))
-            w = Weight(v @ v.conj().T, "psd")
-            try:
-                sigma = shorted(w, s)
-            except ConsistencyError:
-                raised += 1
-                continue
-            gap = np.linalg.norm(sigma - oracles.shorted_by_root(w.matrix, s.basis, 1e-10))
-            assert gap <= 1e-9 * max(1.0, np.linalg.norm(w.matrix))
-        assert raised >= 100
+            with pytest.raises(ConsistencyError, match="leaks off S"):
+                shorted(Weight(v @ v.conj().T, "psd"), s)
 
     @pytest.mark.parametrize(
         "w,s,wrong",

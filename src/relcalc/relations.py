@@ -22,6 +22,7 @@ from .subspaces import (
     _as_vector,
     _cut_svd,
     _null_cut,
+    _svd,
     _tol,
     matrix_preimage,
     null_space,
@@ -29,6 +30,7 @@ from .subspaces import (
     subspace_contains,
     subspace_equals,
     subspace_sum,
+    zero_space,
 )
 
 
@@ -43,8 +45,9 @@ class LinearRelation:
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.graph = graph
-        # one cache per graph block (input F, output H), keyed by tolerance
-        self._halves: tuple[dict[Tolerance, _Half], dict[Tolerance, _Half]] = ({}, {})
+        # one cache per graph block (input F, output H), keyed by tolerance;
+        # the key None holds a half that serves every tolerance
+        self._halves: tuple[dict[Tolerance | None, _Half], dict[Tolerance | None, _Half]] = ({}, {})
 
     @property
     def in_block(self) -> np.ndarray:
@@ -114,10 +117,11 @@ def _factor_half(block: np.ndarray, other: np.ndarray, tol: Tolerance) -> _Half:
 
 def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
     """The cached half of the parts that the block on ``side`` (``_IN`` or
-    ``_OUT``) decides at the tolerance; one SVD the first time."""
+    ``_OUT``) decides at the tolerance, else the one cached for every
+    tolerance; one SVD the first time."""
     tol = _tol(tol)
     cache = T._halves[side]
-    half = cache.get(tol)
+    half = cache.get(tol, cache.get(None))
     if half is None:
         block, other = (T.in_block, T.out_block) if side == _IN else (T.out_block, T.in_block)
         half = cache[tol] = _factor_half(block, other, tol)
@@ -164,7 +168,8 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
     singular triplets for ``apply``; ``None`` and ``Tolerance()`` share one
     entry.  ``parts`` itself factors nothing: a block is factored the first
     time one of its two subspaces is read, except that ``graph_of_matrix``
-    seeds both halves at its tolerance from the SVD of the matrix.
+    seeds both halves from the SVD of the matrix: the output half at its
+    tolerance, the input half (dom = C^n, mul = {0}) for every tolerance.
     """
     return RelationParts(T, _tol(tol))
 
@@ -186,18 +191,16 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
     """The relation {(x, M x)} of an m x n matrix M, from one SVD of M.
 
     For M = U S V* the graph has the orthonormal basis [V C; U S C] with
-    C = (I + S^2)^(-1/2), its CS form: the input block F = V C and the output
-    block H = U S C arrive factored, with singular values 1 / hypot(1, s)
-    and s / hypot(1, s) and identity rows as right factors in graph
-    coordinates.  Three cuts of these values at the tolerance decide every
-    rank, with s padded by zeros to length n: hypot(1, s) on the shape of
-    [I; M] keeps the g graph columns of largest s (a huge s can drop the
-    smallest, as the SVD of [I; M] would), H's values keep r of them and F's,
-    ascending in s and so read reversed, keep the d of smallest s.  Both
-    per-block caches are seeded at the tolerance, so neither ``parts`` nor
-    ``apply`` factors anything there: ran is U's first r columns, ker V's
-    columns r to g, dom V's last d of the g, and mul the columns of U that F
-    drops and H keeps.
+    C = (I + S^2)^(-1/2), its CS form, s padded by zeros to length n: the
+    input block F = V C and the output block H = U S C arrive factored, with
+    singular values 1 / hypot(1, s) and s / hypot(1, s) and identity rows as
+    right factors in graph coordinates.  F is invertible, so the graph has
+    all n columns, dom = C^n and mul = {0}: the input half, dom V (columns
+    reversed, so that F's values descend) with all n triplets of F, is
+    seeded once for every tolerance.  The one cut, of H's values at the
+    tolerance, keeps r of them: ran is U's first r columns and ker V's last
+    n - r, seeded at the tolerance.  So ``parts`` and ``apply`` factor
+    nothing there, and dom, mul and ``apply`` nothing at any tolerance.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
@@ -206,30 +209,22 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
         raise ValueError("matrix must be finite")
     m, n = matrix.shape
     tol = _tol(tol)
-    u, s, vh, _ = _null_cut(matrix, tol)
+    u, s, vh = _svd(matrix, full_matrices=m < n)
     v = vh.conj().T
     sigma = np.zeros(n)
     sigma[: s.size] = s
-    norm = np.hypot(1, sigma)  # sqrt(1 + sigma^2) would overflow past 1e154
-    g = tol.rank(norm, (n + m, n))
-    in_s = 1 / norm[:g]
-    out_s = sigma[:g] * in_s
-    k = min(g, s.size)
-    basis = np.zeros((n + m, g), dtype=complex)
-    basis[:n] = v[:, :g] * in_s
-    basis[n:, :k] = u[:, :k] * out_s[:k]
+    in_s = 1 / np.hypot(1, sigma)  # sqrt(1 + sigma^2) would overflow past 1e154
+    out_s = sigma * in_s
+    basis = np.zeros((n + m, n), dtype=complex)
+    basis[:n] = v * in_s
+    basis[n:, : s.size] = u * out_s[: s.size]
     T = LinearRelation(n, m, Subspace(basis, validate=False))
-    r = tol.rank(out_s, (m, g))
-    d = tol.rank(in_s[::-1], (n, g))
-    coords = np.eye(g, dtype=complex)
+    r = tol.rank(out_s, (m, n))
+    coords = np.eye(n, dtype=complex)
     ran = Subspace(u[:, :r], validate=False)
-    T._halves[_OUT][tol] = _Half(ran, Subspace(v[:, r:g], validate=False), Cut(ran.basis, out_s[:r], coords[:r], r))
-    dom = Subspace(v[:, g - d : g][:, ::-1], validate=False)
-    # F drops the columns of largest s (only a huge s falls under F's
-    # cutoff), and H on them spans U's columns; H keeps them all unless its
-    # cutoff nears one
-    mul = Subspace(u[:, : min(g - d, r)], validate=False)
-    T._halves[_IN][tol] = _Half(dom, mul, Cut(dom.basis, in_s[::-1][:d], coords[::-1][:d], d))
+    T._halves[_OUT][tol] = _Half(ran, Subspace(v[:, r:], validate=False), Cut(ran.basis, out_s[:r], coords[:r], r))
+    dom = Subspace(v[:, ::-1], validate=False)
+    T._halves[_IN][None] = _Half(dom, zero_space(m), Cut(dom.basis, in_s[::-1], coords[::-1], n))
     return T
 
 

@@ -19,7 +19,7 @@ from .subspaces import (
     Cut,
     Subspace,
     Tolerance,
-    _null_cut,
+    _data_cut,
     _solve_rounding,
     _tol,
     orthonormalize,
@@ -35,7 +35,8 @@ class SplineProblem:
     edit of their arrays changes neither the problem nor its answer.  It
     also keeps the one full SVD of V, which decides surjectivity at the
     default tolerance here and gives ``spline_solve`` its feasible point and
-    ker V at any tolerance.
+    ker V at any tolerance.  Every rank of V is read on V's own scale
+    (``Tolerance._data_rank``), so the units of V and b decide none.
     """
 
     T: np.ndarray
@@ -57,7 +58,7 @@ class SplineProblem:
             raise ValueError(f"b has length {b.shape[0]}, expected {V.shape[0]}")
         if not all(np.all(np.isfinite(a)) for a in (T, V, b)):
             raise ValueError("T, V and b must be finite")
-        v_cut = _null_cut(V, None)
+        v_cut = _data_cut(V, None)
         if v_cut.rank < V.shape[0]:
             raise ValueError("V must be surjective (full row rank)")
         for name, a in (("T", T), ("V", V), ("b", b)):
@@ -109,34 +110,42 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
     projection P with weight T*T onto ker V, from its block form on an
     orthonormal basis K of ker V: the point x~ - K a^-1 K* T*T x~ with
     a = K* T*T K, and the direction ker V cap ker T.  The problem's full SVD
-    of V, cut here at the rank cutoff of ``tol``, gives both
+    of V, cut on V's own scale at the rank cutoff of ``tol``, gives both
     x~ = V_r S_r^-1 U_r* b from its kept triplets and K from its dropped
-    right singular vectors; one eigh of the corner a serves every feasible
-    point, so the call factors nothing else.  The result must not depend on
-    the feasible point chosen, the objective must be constant on the set,
+    right singular vectors.  The corner is read on T's own scale: with
+    t = ||T||_F (1 when T = 0), one eigh of the corner of T / t serves every
+    feasible point, the reduction takes T / t as the root of the weight,
+    and the minimum is t times the (T / t)-norm of the spline, so the units
+    of T decide no cut; the call factors nothing else.  The result must not
+    depend on the feasible point chosen, the objective must be constant on
+    the set (on the scale of the spline, where its two evaluations round),
     and every member must still interpolate -- all three are checked.
     """
-    cut = p._v_cut._replace(rank=_tol(tol).rank(p._v_cut.s, p.V.shape))
+    cut = p._v_cut._replace(rank=_tol(tol)._data_rank(p._v_cut.s, p.V.shape))
     x_feasible = cut.solve(p.b)
     ker_v = Subspace(cut.vh[cut.rank :].conj().T, validate=False)
-    corner = _factor_corner(p.T.conj().T @ p.T, ker_v.basis, tol)
-    spline_set = _reduce(p, corner, x_feasible)
-    min_value = spline_set._constant_value(
-        lambda x: float(np.linalg.norm(p.T @ x)), "objective varies across the spline set"
+    t = float(np.linalg.norm(p.T)) or 1.0
+    root = p.T / t
+    corner = _factor_corner(root.conj().T @ root, ker_v.basis, tol)
+    spline_set = _reduce(corner, root, x_feasible)
+    min_value = t * spline_set._constant_value(
+        lambda x: float(np.linalg.norm(root @ x)),
+        "objective varies across the spline set",
+        max(1.0, float(np.linalg.norm(spline_set.point))),
     )
     _check_interpolation(p, spline_set, tol)
     if ker_v.dim:
-        alternative = _reduce(p, corner, x_feasible + ker_v.basis[:, 0])
+        alternative = _reduce(corner, root, x_feasible + ker_v.basis[:, 0])
         if not spline_set.equals(alternative, tol):
             raise ConsistencyError("spline set depends on the feasible point chosen")
     return SplineSolution(exists=True, spline_set=spline_set, min_value=min_value)
 
 
-def _reduce(p: SplineProblem, corner: _Corner, x: np.ndarray) -> Coset:
-    """(I - P) x for the weighted projection P with weight T*T onto ker V,
-    whose corner K* T*T K is factored; T*T is psd by construction, so it
-    needs no certificate."""
-    projected = _project_by_blocks(corner, p.T, x)
+def _reduce(corner: _Corner, root: np.ndarray, x: np.ndarray) -> Coset:
+    """(I - P) x for the weighted projection P with weight R*R onto ker V,
+    whose corner K* R*R K is factored, for R = ``root``; R*R is psd by
+    construction, so it needs no certificate."""
+    projected = _project_by_blocks(corner, root, x)
     if projected.is_empty:
         # dom (I - P) = dom P, everything for a psd weight: cannot happen
         raise ConsistencyError("feasible point escaped the projection domain")
@@ -158,15 +167,16 @@ def smooth_solve(p: SmoothingProblem, tol: Tolerance | None = None) -> Smoothing
     """Minimize ||Tx||^2 + rho ||Vx - b||^2 by a rescaled orthogonal projection.
 
     Stacking T over sqrt(rho) V into S turns the objective into the distance
-    from S x to the target (0, sqrt(rho) b).  One SVD of S, cut at the rank
-    cutoff, gives the minimizer x* = S^+ target, the argmin directions
-    ker T cap ker V and an orthonormal basis of the range pairs
-    {(Tx, sqrt(rho) Vx)}; ``_smoothing_minimum`` checks x* against them.
+    from S x to the target (0, sqrt(rho) b).  One SVD of S, cut on S's own
+    scale at the rank cutoff, gives the minimizer x* = S^+ target, the
+    argmin directions ker T cap ker V and an orthonormal basis of the range
+    pairs {(Tx, sqrt(rho) Vx)}; ``_smoothing_minimum`` checks x* against
+    them.
     """
     T, V, b, rho = p.base.T, p.base.V, p.base.b, p.rho
     stacked = np.vstack([T, np.sqrt(rho) * V])
     target = np.concatenate([np.zeros(T.shape[0], dtype=complex), np.sqrt(rho) * b])
-    cut = _null_cut(stacked, tol)
+    cut = _data_cut(stacked, tol)
     x_star = cut.solve(target)
     min_value = _smoothing_minimum(stacked, target, x_star, cut.u[:, : cut.rank], cut.s)
     argmin = Coset.of(x_star, Subspace(cut.vh[cut.rank :].conj().T, validate=False))

@@ -2,8 +2,8 @@
 
 Everything downstream (relations, multivalued projections, the solvers) reduces
 to rank decisions and residual comparisons made in this module, so the cutoff
-rules live here and nowhere else: every SVD rank decision is one ``_cut_svd``,
-every singular-value and eigenvalue cut one ``Tolerance._keep`` mask, and
+rules live here and nowhere else: every SVD is one ``_svd``, every
+singular-value and eigenvalue cut one ``Tolerance._keep`` mask, and
 every acceptance threshold of a library check is a method of ``Tolerance``
 or ``Coset`` or sits at the end of this module.
 """
@@ -65,6 +65,13 @@ class Tolerance:
         of the given shape survive the rank cut; 0 when there are none."""
         return int(np.count_nonzero(self._keep(sigma, float(sigma[0]) if sigma.size else 0.0, shape)))
 
+    def _data_rank(self, sigma: np.ndarray, shape) -> int:
+        """``rank`` of sigma / sigma_max: the rank of raw data (a constraint
+        map V, a smoothing stack) read on its own scale, so that the units
+        of the data decide no cut."""
+        top = float(sigma[0]) if sigma.size else 0.0
+        return self.rank(sigma / top if top > 0 else sigma, shape)
+
     def residual(self, scale: float, dim: int) -> float:
         """Acceptance threshold for a residual norm at the given data scale."""
         return self._rel(dim) * scale + self.abs_eps
@@ -116,15 +123,21 @@ class Cut(NamedTuple):
         return self.vh[:r].conj().T @ ((self.u[:, :r].conj().T @ b) / self.s[:r])
 
 
-def _cut_svd(matrix: np.ndarray, tol: Tolerance | None, full_matrices: bool) -> Cut:
-    """The one SVD rank decision of the package.  An empty matrix gets the
-    factors numpy would return, without an SVD call.  numpy is reached
-    through ``np.linalg.svd`` at call time, where counting wrappers patch it."""
+def _svd(matrix: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one SVD call, with no rank decision.  An empty matrix
+    gets the factors numpy would return, without an SVD call.  numpy is
+    reached through ``np.linalg.svd`` at call time, where counting wrappers
+    patch it."""
     q, p = matrix.shape
     if q == 0 or p == 0:
         ku, kv = (q, p) if full_matrices else (0, 0)
-        return Cut(np.eye(q, ku, dtype=complex), np.zeros(0), np.eye(kv, p, dtype=complex), 0)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=full_matrices)
+        return np.eye(q, ku, dtype=complex), np.zeros(0), np.eye(kv, p, dtype=complex)
+    return np.linalg.svd(matrix, full_matrices=full_matrices)
+
+
+def _cut_svd(matrix: np.ndarray, tol: Tolerance | None, full_matrices: bool) -> Cut:
+    """One SVD and its rank decision."""
+    u, s, vh = _svd(matrix, full_matrices)
     return Cut(u, s, vh, _tol(tol).rank(s, matrix.shape))
 
 
@@ -136,6 +149,13 @@ def _null_cut(matrix: np.ndarray, tol: Tolerance | None) -> Cut:
     would be built and thrown away)."""
     q, p = matrix.shape
     return _cut_svd(matrix, tol, full_matrices=q < p)
+
+
+def _data_cut(matrix: np.ndarray, tol: Tolerance | None) -> Cut:
+    """``_null_cut`` of raw data, its rank read on the data's own scale by
+    ``Tolerance._data_rank``."""
+    u, s, vh = _svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    return Cut(u, s, vh, _tol(tol)._data_rank(s, matrix.shape))
 
 
 class Subspace:

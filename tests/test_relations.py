@@ -98,43 +98,108 @@ class TestGraphOfMatrix:
 
     FIELDS = ("dom", "ran", "ker", "mul")
 
-    def _against_the_stacked_route(self, matrix, tol):
+    def _against_the_stacked_route(self, matrix, tol, fields=FIELDS):
         m, n = matrix.shape
         new = graph_of_matrix(matrix, tol)
         old = from_graph_basis(n, m, np.vstack([np.eye(n), matrix]), tol)
         a, b = parts(new, tol), parts(old, tol)
-        pairs = [(new.graph, old.graph)] + [(getattr(a, f), getattr(b, f)) for f in self.FIELDS]
+        pairs = [(new.graph, old.graph)] + [(getattr(a, f), getattr(b, f)) for f in fields]
         assert [x.dim for x, _ in pairs] == [y.dim for _, y in pairs]
         return max(projector_dist(x, y) for x, y in pairs)
 
+    @staticmethod
+    def _assert_an_operator(t, tols):
+        # graph dim n, dom = C^n and mul = {0}, whatever the tolerance
+        for tol in tols:
+            p = parts(t, tol)
+            assert t.graph.dim == p.dom.dim == t.dim_in and p.mul.dim == 0
+
+    @staticmethod
+    def _graph_residual(t, matrix):
+        # how far the columns of [I; M] leave the graph, each over its norm
+        # (scaled by its largest entry first, whose square may overflow)
+        stacked = np.vstack([np.eye(t.dim_in), matrix])
+        stacked /= np.abs(stacked).max(axis=0)
+        stacked /= np.linalg.norm(stacked, axis=0)
+        off = stacked - t.graph.basis @ (t.graph.basis.conj().T @ stacked)
+        return float(np.linalg.norm(off, axis=0).max(initial=0.0))
+
     @pytest.mark.parametrize("tol", [None, Tolerance(1e-6)], ids=["default", "1e-6"])
     def test_agrees_with_the_stacked_route(self, tol):
-        # the gap is the stacked route's rounding against the separation of
-        # the values around a cutoff: F's values near the 1e-10 cutoff are
-        # 1 / sigma for sigma near 1e10, on which the stacked basis carries
-        # an absolute 1e-16.  The worst over these 300 is 1.4e-4, on dom,
-        # where the stacked route's dom lies 1.4e-4 from the factors M was
-        # built from and the one-SVD route's 3.2e-6
+        # the stacked route's graph drops the directions of small sigma once
+        # sigma_max nears 1e11 (13 of these 300), where the graph of M still
+        # has all n, and its dom and mul read the units of M (its input
+        # block's values 1 / sigma fall under the 1e-10 cutoff for sigma past
+        # 1e10).  Where its graph is whole, graph, ran and ker agree up to
+        # its rounding against the separation of the values around a cutoff
+        # (worst 1.4e-5).  On all 300, ran and ker agree with a fresh
+        # factorization of the relation's own output block (worst 1.3e-11),
+        # dom and mul are C^n and {0}, and the graph spans [I; M]
         rng = np.random.default_rng(2300)
-        worst = max(self._against_the_stacked_route(_matrix_with_placed_values(rng), tol) for _ in range(300))
-        assert worst <= 1e-3
+        worst, worst_own, compared = 0.0, 0.0, 0
+        for _ in range(300):
+            matrix = _matrix_with_placed_values(rng)
+            m, n = matrix.shape
+            t = graph_of_matrix(matrix, tol)
+            if from_graph_basis(n, m, np.vstack([np.eye(n), matrix]), tol).graph.dim == n:
+                worst = max(worst, self._against_the_stacked_route(matrix, tol, ("ran", "ker")))
+                compared += 1
+            seeded, own = parts(t, tol), parts(LinearRelation(n, m, t.graph), tol)
+            for field in ("ran", "ker"):
+                x, y = getattr(seeded, field), getattr(own, field)
+                assert x.dim == y.dim
+                worst_own = max(worst_own, projector_dist(x, y))
+            self._assert_an_operator(t, [tol])
+            assert self._graph_residual(t, matrix) <= 1e-12
+        assert compared == 287
+        assert worst <= 1e-4 and worst_own <= 1e-9
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_shapes(self, shape):
         assert self._against_the_stacked_route(np.zeros(shape), None) == 0.0
 
     def test_entries_near_1e200(self):
-        # hypot(1, sigma) where sqrt(1 + sigma^2) would overflow: F keeps
-        # nothing, the graph drops the directions of sigma = 0 and of
-        # sigma = 1, and mul is all of ran
+        # hypot(1, sigma) where sqrt(1 + sigma^2) would overflow: the graph
+        # keeps every direction, of sigma = 0 and sigma = 1 too, and the
+        # relation stays an operator
         rng = np.random.default_rng(2310)
         matrices = [1e200 * cmat(rng, 3, 5), 1e200 * cmat(rng, 5, 3), np.diag([1e200, 1.0])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for matrix in matrices:
-                assert self._against_the_stacked_route(matrix, None) <= 1e-12
-                p = parts(graph_of_matrix(matrix))
-                assert p.dom.dim == 0 and p.mul.dim == p.ran.dim == np.linalg.matrix_rank(matrix)
+                t = graph_of_matrix(matrix)
+                self._assert_an_operator(t, [None])
+                own = parts(LinearRelation(t.dim_in, t.dim_out, t.graph))
+                assert projector_dist(parts(t).ran, own.ran) <= 1e-12
+                assert projector_dist(parts(t).ker, own.ker) <= 1e-12
+                assert self._graph_residual(t, matrix) <= 1e-12
+
+    def test_a_large_entry_leaves_the_value_single(self):
+        # F's value 1 / hypot(1, 1e11) used to fall under the 1e-10 cutoff,
+        # moving e1 out of dom and into mul: T e2 was the line e2 + span(e1)
+        value = apply(graph_of_matrix(np.diag([1e11, 1.0])), np.array([0.0, 1.0]))
+        assert value.direction.dim == 0
+        assert np.linalg.norm(value.point - [0.0, 1.0]) <= 1e-15
+
+    @pytest.mark.parametrize("exponent", [-12, 0, 12, 100, 200])
+    def test_an_operator_in_any_units(self, exponent):
+        # with the cuts on hypot-derived values, every one of these matrices
+        # at 1e12 had mul != 0 and dom != C^n
+        rng = np.random.default_rng(2330)
+        tols = [None, Tolerance(1e-6), Tolerance(1e-3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(60):
+                m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+                matrix = 10.0**exponent * cmat(rng, m, n)
+                t = graph_of_matrix(matrix)
+                self._assert_an_operator(t, tols)
+                x = cvec(rng, n)
+                y = matrix / 10.0**exponent @ x
+                for tol in tols:
+                    value = apply(t, x, tol)
+                    assert value.direction.dim == 0
+                    assert np.linalg.norm(value.point / 10.0**exponent - y) <= 1e-13 * np.linalg.norm(y)
 
     def test_one_svd_and_none_on_read(self, svd_calls):
         rng = np.random.default_rng(2320)
@@ -152,9 +217,23 @@ class TestGraphOfMatrix:
                 apply(invert(t), cvec(rng, m), tol)
                 assert svd_calls == ["svd"]
                 assert t.graph.dim == n == fields[0].dim + fields[3].dim == fields[1].dim + fields[2].dim
-            # another tolerance factors a block on its first read, as before
-            parts(t, Tolerance(1e-3)).dom
+            # at another tolerance dom, mul and apply, and the inverse's ran
+            # and ker, factor nothing; ran factors the output block
+            other = Tolerance(1e-3)
+            parts(t, other).dom, parts(t, other).mul, apply(t, cvec(rng, n), other)
+            parts(invert(t), other).ran, parts(invert(t), other).ker
+            assert svd_calls == ["svd"]
+            parts(t, other).ran
             assert svd_calls == ["svd"] * 2
+
+    def test_one_rank_decision(self, monkeypatch):
+        # the one cut is H's values at the tolerance: none on F or the graph
+        calls = []
+        rank = Tolerance.rank
+        monkeypatch.setattr(Tolerance, "rank", lambda self, *args: calls.append(args) or rank(self, *args))
+        rng = np.random.default_rng(2340)
+        graph_of_matrix(cmat(rng, 3, 5))
+        assert len(calls) == 1
 
 
 class TestParts:

@@ -282,3 +282,65 @@ class TestProjectionBlocks:
         residual = float(np.linalg.norm(paired - full @ paired))
         sol = smooth_solve(SmoothingProblem(p, 1.0))
         assert abs(residual - sol.min_value) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def units_family():
+    """``default_rng(31)``'s first 150 complex Gaussian problems, n in
+    2..8, T n x n, V k x n with k in 1..n-1, b of length k, each with its
+    raw-numpy references at unit scale: the spline's minimum and point, and
+    the smoothing argmin and minimum at rho = 0.5."""
+    rng = np.random.default_rng(31)
+    family = []
+    for _ in range(150):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, n))
+        T, V, b = cmat(rng, n, n), cmat(rng, k, n), cvec(rng, k)
+        spline_min, spline_point, _ = oracles.spline_kkt(T, V, b)
+        x = oracles.smoothing_stacked_lstsq(T, V, b, 0.5)
+        smooth_min = np.sqrt(np.linalg.norm(T @ x) ** 2 + 0.5 * np.linalg.norm(V @ x - b) ** 2)
+        family.append((T, V, b, spline_min, spline_point, x, smooth_min))
+    return family
+
+
+class TestSplineUnits:
+    """Scaling T scales the spline minimum and keeps the spline, scaling V
+    and b together keeps both, and scaling T, V and b together keeps the
+    smoothing argmin and scales its minimum: against raw-numpy references
+    at unit scale, on 150 problems."""
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
+    def test_spline_in_units_of_t(self, scale, units_family):
+        # the corner K* T*T K is read on T / ||T||: cut at the absolute
+        # abs_eps on T itself, T x 1e-12 gave a wrong answer on all 150 and
+        # T x 1e-6 raised on all 150
+        for T, V, b, oracle_min, oracle_point, _, _ in units_family:
+            sol = spline_solve(SplineProblem(scale * T, V, b))
+            assert sol.spline_set.direction.dim == 0
+            self._assert_close(sol.spline_set.point, oracle_point)
+            self._assert_close(sol.min_value, scale * oracle_min)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_spline_in_units_of_v_and_b(self, scale, units_family):
+        # V's rank is read on sigma / sigma_max: at the absolute cutoff,
+        # SplineProblem refused (V, b) x 1e-12 as not surjective on all 150
+        for T, V, b, oracle_min, oracle_point, _, _ in units_family:
+            sol = spline_solve(SplineProblem(T, scale * V, scale * b))
+            assert sol.spline_set.direction.dim == 0
+            self._assert_close(sol.spline_set.point, oracle_point)
+            self._assert_close(sol.min_value, oracle_min)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_smoothing_in_units_of_the_data(self, scale, units_family):
+        # the stack's rank is read on its own scale as well: with V's rank
+        # relative and the stack's absolute, (T, V, b) x 1e-12 gave a wrong
+        # answer on all 150 (with both absolute, SplineProblem refused them)
+        for T, V, b, _, _, x, value in units_family:
+            sol = smooth_solve(SmoothingProblem(SplineProblem(scale * T, scale * V, scale * b), 0.5))
+            assert sol.argmin_set.direction.dim == 0
+            self._assert_close(sol.argmin_set.point, x)
+            self._assert_close(sol.min_value, scale * value)

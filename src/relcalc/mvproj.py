@@ -10,8 +10,11 @@ relation reproduces the original.
 Each object here is read off the graph blocks F (inputs) over H (outputs)
 of a relation: a corner P_out T|_in is one span of the pairs (F c, P_out H c),
 the super-idempotent generated by the block form is one span, and the fixed
-points ker(I - E) are F times the null space of F - H.  The relation
-calculus routes they replace (projector graphs, ``restrict``, products and
+points ker(I - E) are F times the null space of F - H.  A relation generated
+or rebuilt from several blocks is one span of all their graph columns, and a
+containment such as ran x <= M or x(S2) <= S1 + mul x is a residual of the
+blocks, tested without normalizing them first.  The relation calculus routes
+they replace (projector graphs, ``restrict``, ``image``, products, sums and
 ``identity_minus``) are test-only cross-checks.
 """
 
@@ -21,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, NotRepresentableError
+from .errors import ConsistencyError, DimensionMismatchError, NotRepresentableError
 from .subspaces import (
     Subspace,
     Tolerance,
+    _negligible,
     matrix_preimage,
     null_space,
     orthonormalize,
@@ -38,11 +42,10 @@ from .subspaces import (
 from .relations import (
     LinearRelation,
     _block_image,
+    _op_sum_pairs,
     compose,
     cw_sum,
     identity_on,
-    image,
-    op_sum,
     parts,
     product_of_subspaces,
     relation_contains,
@@ -71,11 +74,11 @@ class BlockRep:
         """The relation generated by the four blocks.
 
         Columns pair a and c (shared input in S), rows pair the two columns by
-        summing inputs and outputs componentwise.
+        summing inputs and outputs componentwise: the componentwise sum of
+        the operator sums a + c and b + d, one span of both sums' pairs.
         """
-        left = op_sum(self.a, self.c, tol)
-        right = op_sum(self.b, self.d, tol)
-        return cw_sum(left, right, tol)
+        pairs = np.hstack([_op_sum_pairs(self.a, self.c, tol), _op_sum_pairs(self.b, self.d, tol)])
+        return _spanned(pairs, tol)
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,12 @@ class SuperIdempotent:
     relation: LinearRelation
     canonical: tuple[Subspace, Subspace, Subspace]
     is_idempotent: bool
+
+
+def _spanned(pairs: np.ndarray, tol: Tolerance | None) -> LinearRelation:
+    """The square relation whose graph the columns of ``pairs`` span: one SVD."""
+    dim = pairs.shape[0] // 2
+    return LinearRelation(dim, dim, orthonormalize(pairs, tol, ambient_dim=2 * dim))
 
 
 def _fixed_points(E: LinearRelation, tol: Tolerance | None) -> Subspace:
@@ -114,7 +123,9 @@ def classify(E: LinearRelation, tol: Tolerance | None = None) -> Classification:
     """Sub/super/idempotent flags by comparing E^2 against E as graphs.
 
     Super-idempotents also get their canonical triple (range-like part,
-    kernel, multivalued part), checked by rebuilding the relation from it.
+    kernel, multivalued part), checked by rebuilding the relation from it:
+    one span of the generators identity-on-M, N x {0} and {0} x S (a lone
+    nonempty generator is its own orthonormal graph).
     """
     if not E.is_square:
         raise ValueError("classification needs a square relation")
@@ -128,9 +139,12 @@ def classify(E: LinearRelation, tol: Tolerance | None = None) -> Classification:
     if is_super:
         m = _fixed_points(E, tol)
         n, s = p.ker, p.mul
-        rebuilt = cw_sum(
-            make_pmn(m, n, tol), product_of_subspaces(zero_space(E.dim_in), s), tol
-        )
+        generators = (identity_on(m), zero_on(n), product_of_subspaces(zero_space(E.dim_in), s))
+        nonempty = [g for g in generators if g.graph.dim]
+        if len(nonempty) == 1:
+            rebuilt = nonempty[0]
+        else:
+            rebuilt = _spanned(np.hstack([g.graph.basis for g in generators]), tol)
         if not relation_equals(rebuilt, E, tol):
             raise ConsistencyError(
                 "canonical super-idempotent data failed to reproduce the relation"
@@ -185,8 +199,7 @@ def canonical_blocks(T: LinearRelation, s: Subspace, tol: Tolerance | None = Non
 
     def corner(out: Subspace, coords: np.ndarray) -> LinearRelation:
         outputs = out.basis @ (out.basis.conj().T @ (T.out_block @ coords))
-        pairs = np.vstack([T.in_block @ coords, outputs])
-        return LinearRelation(T.dim_in, T.dim_in, orthonormalize(pairs, tol, ambient_dim=2 * T.dim_in))
+        return _spanned(np.vstack([T.in_block @ coords, outputs]), tol)
 
     return BlockRep(s, s_perp, corner(s, on_s), corner(s, on_p), corner(s_perp, on_s), corner(s_perp, on_p))
 
@@ -233,10 +246,9 @@ def _generated_super(m: Subspace, s1: Subspace, s2: Subspace, x: LinearRelation,
     along M.  As dom x lies in the complement of M, it is
     I_M + x + {0} x (S1 + S2): one span of the graph blocks
     [[M, F, 0, 0], [M, H, S1, S2]] for x's graph basis F over H."""
-    dim = m.ambient_dim
     lower = np.hstack([s1.basis, s2.basis])
     pairs = np.hstack([identity_on(m).graph.basis, x.graph.basis, np.vstack([np.zeros_like(lower), lower])])
-    return LinearRelation(dim, dim, orthonormalize(pairs, tol, ambient_dim=2 * dim))
+    return _spanned(pairs, tol)
 
 
 def build_super(
@@ -249,23 +261,29 @@ def build_super(
     """Super-idempotent generated by (identity-on-M, x cw+ {0}xS1; {0}xS2-padded 0, 0).
 
     Requires S1 inside M, S2 inside the complement of M, and x mapping the
-    complement into M.  The relation the blocks generate is one span of its
-    graph blocks (``_generated_super``).  Its canonical triple has a closed
-    form, checked against the fixed points ker(I - E) and the kernel and
-    multivalued part of the relation.  Idempotency is decided by the
-    containment x(S2) <= S1 + mul x and cross-checked against literal graph
-    squaring; disagreement raises instead of picking a side.
+    complement into M.  With x's graph basis split into F over H, those are
+    residuals of the blocks: M* S2, (I - P_M) H (ran x) and M* F (dom x)
+    must be negligible, so only mul x, from one SVD of F, is factored.  The
+    relation the blocks generate is one span of its graph blocks
+    (``_generated_super``).  Its canonical triple has a closed form, each
+    sum one span, checked against the fixed points ker(I - E) and the kernel
+    and multivalued part of the relation.  Idempotency is decided by the
+    containment x(S2) <= S1 + mul x, the residual off S1 + mul x of H c for
+    c the coordinates with F c in S2, and cross-checked against literal
+    graph squaring; disagreement raises instead of picking a side.
     """
     dim = m.ambient_dim
-    m_perp = subspace_complement(m, tol)
+    if (s2.ambient_dim, x.dim_in, x.dim_out) != (dim, dim, dim):
+        raise DimensionMismatchError("s2 and x must live on the ambient space of the base subspace")
+    F, H = x.in_block, x.out_block
+    m_adj = m.basis.conj().T
     if not subspace_contains(m, s1, tol):
         raise ValueError("s1 must be contained in the base subspace")
-    if not subspace_contains(m_perp, s2, tol):
+    if not _negligible(m_adj @ s2.basis, dim, tol):
         raise ValueError("s2 must be contained in the complement of the base subspace")
-    px = parts(x, tol)
-    if not subspace_contains(m, px.ran, tol):
+    if not _negligible(H - m.basis @ (m_adj @ H), dim, tol):
         raise ValueError("ran x must be contained in the base subspace")
-    if not subspace_contains(m_perp, px.dom, tol):
+    if not _negligible(m_adj @ F, dim, tol):
         raise ValueError("dom x must be contained in the complement of the base subspace")
 
     E = _generated_super(m, s1, s2, x, tol)
@@ -274,12 +292,10 @@ def build_super(
     # of S2 on which x takes a value inside S1 (mod mul x); on the rest the
     # relation is not locally idempotent and ker(I - E) stays at M.
     anchored = subspace_intersect(x.graph, product_of_subspaces(s2, s1).graph, tol)
-    anchored_dom = orthonormalize(anchored.basis[:dim], tol, ambient_dim=dim)
-    neg_x = orthonormalize(x.in_block - x.out_block, tol, ambient_dim=dim)
-    s1_mul = subspace_sum(s1, px.mul, tol)
+    s1_mul = subspace_sum(s1, parts(x, tol).mul, tol)
     canonical = (
-        subspace_sum(m, anchored_dom, tol),
-        subspace_sum(neg_x, s1, tol),
+        m if anchored.dim == 0 else orthonormalize(np.hstack([m.basis, anchored.basis[:dim]]), tol),
+        s1 if x.graph.dim == 0 else orthonormalize(np.hstack([F - H, s1.basis]), tol),
         subspace_sum(s1_mul, s2, tol),
     )
     pe = parts(E, tol)
@@ -288,7 +304,8 @@ def build_super(
         if not subspace_equals(closed_form, computed, tol):
             raise ConsistencyError("closed-form canonical triple disagrees with ker/mul data")
 
-    criterion = subspace_contains(s1_mul, image(x, s2, tol), tol)
+    x_s2 = H @ matrix_preimage(F, s2, tol).basis
+    criterion = _negligible(x_s2 - s1_mul.basis @ (s1_mul.basis.conj().T @ x_s2), dim, tol)
     squared = relation_equals(compose(E, E, tol), E, tol)
     if criterion != squared:
         raise ConsistencyError(

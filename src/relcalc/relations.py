@@ -315,11 +315,15 @@ def op_sum(T: LinearRelation, S: LinearRelation, tol: Tolerance | None = None) -
     cylinders in C^(n+2m), on a matrix m rows shorter: a cutoff shift of at
     most 1e-12 * m * sigma_max.
     """
+    pairs = _op_sum_pairs(T, S, tol)
+    return LinearRelation(T.dim_in, T.dim_out, orthonormalize(pairs, tol, ambient_dim=T.dim_in + T.dim_out))
+
+
+def _op_sum_pairs(T: LinearRelation, S: LinearRelation, tol: Tolerance | None) -> np.ndarray:
+    """The pairs (F a, H a + z) that span T + S, before their span is cut."""
     _check_same_shape(T, S)
-    n, m = T.dim_in, T.dim_out
-    a, z = _preimage_under_block(T.in_block, m, S.graph, tol)
-    pairs = np.vstack([T.in_block @ a, T.out_block @ a + z])
-    return LinearRelation(n, m, orthonormalize(pairs, tol, ambient_dim=n + m))
+    a, z = _preimage_under_block(T.in_block, T.dim_out, S.graph, tol)
+    return np.vstack([T.in_block @ a, T.out_block @ a + z])
 
 
 def cw_sum(T: LinearRelation, S: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:

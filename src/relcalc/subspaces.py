@@ -3,9 +3,10 @@
 Everything downstream (relations, multivalued projections, the solvers) reduces
 to rank decisions and residual comparisons made in this module, so the cutoff
 rules live here and nowhere else: every SVD is one ``_svd``, every
-singular-value and eigenvalue cut one ``Tolerance._keep`` mask, and
-every acceptance threshold of a library check is a method of ``Tolerance``
-or ``Coset`` or sits at the end of this module.
+singular-value and eigenvalue cut ``Tolerance._keep``'s comparison (made on
+Python floats by ``Tolerance.rank``), every containment one ``_negligible``
+residual, and every acceptance threshold of a library check is a method of
+``Tolerance`` or ``Coset`` or sits at the end of this module.
 """
 
 from __future__ import annotations
@@ -62,8 +63,22 @@ class Tolerance:
 
     def rank(self, sigma: np.ndarray, shape) -> int:
         """How many of the descending singular values ``sigma`` of a matrix
-        of the given shape survive the rank cut; 0 when there are none."""
-        return int(np.count_nonzero(self._keep(sigma, float(sigma[0]) if sigma.size else 0.0, shape)))
+        of the given shape survive the rank cut; 0 when there are none.
+        ``_keep``'s float64 comparisons, made on Python floats: at desk
+        size a loop over a short list costs less than two array
+        comparisons, and no decision can move."""
+        values = sigma.tolist()
+        if not values:
+            return 0
+        top = values[0]
+        if not top < math.inf:
+            raise ValueError("matrix must be finite")
+        cutoff = self.rank_cutoff(top, shape)
+        kept = 0
+        for v in values:
+            if v >= cutoff and v > 0:
+                kept += 1
+        return kept
 
     def _data_rank(self, sigma: np.ndarray, shape) -> int:
         """``rank`` of sigma / sigma_max: the rank of raw data (a constraint
@@ -316,15 +331,22 @@ def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None)
 
 def subspace_contains(outer: Subspace, inner: Subspace, tol: Tolerance | None = None) -> bool:
     """Whether inner is contained in outer, tested columnwise on the inner basis."""
-    tol = _tol(tol)
     _check_same_ambient(outer, inner)
     if inner.dim == 0:
         return True
     if inner.dim > outer.dim:
         return False
     resid = inner.basis - outer.basis @ (outer.basis.conj().T @ inner.basis)
-    thresh = tol.residual(1.0, outer.ambient_dim)
-    return bool(np.all(np.linalg.norm(resid, axis=0) <= thresh))
+    return _negligible(resid, outer.ambient_dim, tol)
+
+
+def _negligible(resid: np.ndarray, dim: int, tol: Tolerance | None) -> bool:
+    """Whether every column of a residual in C^dim is within the residual
+    threshold at scale 1: the containment test for columns of norm at most
+    1 (an orthonormal basis, a graph block, a block times orthonormal
+    coordinates).  The columns of X lie in S when (I - P_S) X is
+    negligible, and in the complement of S when S* X is."""
+    return bool(np.all(np.linalg.norm(resid, axis=0) <= _tol(tol).residual(1.0, dim)))
 
 
 def subspace_equals(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> bool:

@@ -230,6 +230,30 @@ class TestTolerance:
         assert orthonormalize(np.zeros((3, 2)), tol).dim == 0
         assert tol.rank(np.array([1.0, 0.0]), (2, 2)) == 1
 
+    @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(0.0), Tolerance(1e-3, rel_eps=0.1), Tolerance(0.0, 0.0)])
+    def test_rank_counts_the_keep_mask(self, tol):
+        # rank compares on Python floats; it must count exactly what the
+        # float64 mask of _keep keeps, ties at the cutoff and zeros included
+        shape = (4, 3)
+        cutoff = tol.rank_cutoff(2.0, shape)
+        cases = [
+            np.zeros(0),
+            np.zeros(3),
+            np.array([2.0, cutoff, cutoff, np.nextafter(cutoff, 0.0)]),
+            np.array([2.0, 1e-11, 1e-17, 0.0]),
+            np.array([1e-300, 1e-310, 0.0]),
+        ]
+        for sigma in cases:
+            top = float(sigma[0]) if sigma.size else 0.0
+            assert tol.rank(sigma, shape) == np.count_nonzero(tol._keep(sigma, top, shape))
+
+    def test_rank_refuses_an_infinite_top_value(self):
+        for sigma in (np.array([np.inf, 1.0]), np.array([np.nan, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                Tolerance().rank(sigma, (2, 2))
+            with pytest.raises(ValueError, match="finite"):
+                Tolerance()._keep(sigma, float(sigma[0]), (2, 2))
+
 
 class TestNonFiniteData:
     """An inf entry factors into NaN singular values or eigenvalues, which

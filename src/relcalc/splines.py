@@ -153,8 +153,11 @@ def _reduce(corner: _Corner, root: np.ndarray, x: np.ndarray) -> Coset:
 
 
 def _check_interpolation(p: SplineProblem, spline_set: Coset, tol: Tolerance | None):
-    scale = max(1.0, float(np.linalg.norm(p.b)))
-    thresh = _tol(tol)._interpolation(scale, p.V.shape[0])
+    """V x = b up to ``_interpolation`` plus the rounding of x: an
+    ill-conditioned V has a large x, and V x rounds at eps ||V|| ||x||."""
+    k, norm_b, norm_v = p.V.shape[0], float(np.linalg.norm(p.b)), float(p._v_cut.s.max(initial=0.0))
+    rounding = _solve_rounding(k, norm_v, float(np.linalg.norm(spline_set.point)), norm_b)
+    thresh = _tol(tol)._interpolation(max(1.0, norm_b), k) + rounding
     if np.linalg.norm(p.V @ spline_set.point - p.b) > thresh:
         raise ConsistencyError("spline representative misses the interpolation constraint")
     if spline_set.direction.dim:

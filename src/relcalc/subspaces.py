@@ -3,10 +3,10 @@
 Everything downstream (relations, multivalued projections, the solvers) reduces
 to rank decisions and residual comparisons made in this module, so the cutoff
 rules live here and nowhere else: every SVD is one ``_svd``, every
-singular-value and eigenvalue cut ``Tolerance._keep``'s comparison (made on
-Python floats by ``Tolerance.rank``), every containment one ``_negligible``
-residual, and every acceptance threshold of a library check is a method of
-``Tolerance`` or ``Coset`` or sits at the end of this module.
+singular-value and eigenvalue cut one ``Tolerance.rank`` count, every
+containment one ``_negligible`` residual, and every acceptance threshold of
+a library check is a method of ``Tolerance`` or ``Coset`` or sits at the end
+of this module.
 """
 
 from __future__ import annotations
@@ -50,27 +50,21 @@ class Tolerance:
     def rank_cutoff(self, sigma_max: float, shape) -> float:
         return self._rel(max(shape)) * sigma_max + self.abs_eps
 
-    def _keep(self, mags: np.ndarray, top: float, shape) -> np.ndarray:
-        """The mask of the magnitudes (singular values, or absolute
-        eigenvalues) of a matrix of the given shape that survive the rank
-        cut, for ``top`` the largest of them.  A zero never survives, even
-        at a zero cutoff.  A matrix with an inf entry factors into NaNs,
-        which would fail every comparison and read as rank 0, so a largest
-        magnitude that is not finite is refused instead."""
-        if not top < math.inf:
-            raise ValueError("matrix must be finite")
-        return (mags >= self.rank_cutoff(top, shape)) & (mags > 0)
-
-    def rank(self, sigma: np.ndarray, shape) -> int:
-        """How many of the descending singular values ``sigma`` of a matrix
-        of the given shape survive the rank cut; 0 when there are none.
-        ``_keep``'s float64 comparisons, made on Python floats: at desk
-        size a loop over a short list costs less than two array
-        comparisons, and no decision can move."""
-        values = sigma.tolist()
+    def rank(self, values: np.ndarray, shape) -> int:
+        """How many of the descending ``values`` of a matrix of the given
+        shape survive the rank cut: the positive ones at or above
+        ``rank_cutoff`` of the largest magnitude ``max(values[0],
+        -values[-1])``, so a zero never does.  ``values`` are singular values
+        (the top is ``values[0]``), or ``eigs[::-1]`` for the positive and
+        ``-eigs`` for the negative eigenvalues of a Hermitian matrix.  An inf
+        entry factors into NaNs, which would fail every comparison and read
+        as rank 0, so a top that is not finite is refused.  Python floats: at
+        desk size a loop over a short list costs less than two array
+        comparisons."""
+        values = values.tolist()
         if not values:
             return 0
-        top = values[0]
+        top = max(values[0], -values[-1])
         if not top < math.inf:
             raise ValueError("matrix must be finite")
         cutoff = self.rank_cutoff(top, shape)

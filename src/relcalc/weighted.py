@@ -113,23 +113,19 @@ class KreinClassification:
     note: str = "pseudo-regularity is automatic: every subspace sum is closed in finite dimensions"
 
 
-def _eig_keep(eigs: np.ndarray, tol: Tolerance | None) -> np.ndarray:
-    """The module's one eigenvalue cut: the mask of |eig| at or above the rank cutoff, zeros never."""
-    mags = np.abs(eigs)
-    return _tol(tol)._keep(mags, float(mags.max(initial=0.0)), eigs.shape * 2)
-
-
-def _signed_eigh(matrix: np.ndarray, tol: Tolerance | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian part, ascending, and the ``_eig_keep`` mask."""
+def _signed_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part, ascending.  Fortran-ordered vectors
+    lay out a block of columns as a boolean mask's copy did, so BLAS rounds
+    every product with it alike, bit for bit."""
     matrix = np.asarray(matrix, dtype=complex)
     eigs, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2)
-    return eigs, vecs, _eig_keep(eigs, tol)
+    return eigs, np.asfortranarray(vecs)
 
 
 def _unit_psd(w: Weight, tol: Tolerance | None) -> tuple[float, np.ndarray, np.ndarray, Subspace]:
     """W on its own scale, so that its units decide no cut: lambda, W / lambda,
     and the Hermitian root and kernel of W / lambda from W's own eigenpairs,
-    keeping the positive eigenvalues that pass ``_eig_keep``.
+    keeping the positive eigenvalues that pass the rank cut.
 
     lambda is the largest eigenvalue of W when W / lambda passes the psd
     certificate that W passed.  Otherwise, or when no eigenvalue is
@@ -145,9 +141,11 @@ def _unit_psd(w: Weight, tol: Tolerance | None) -> tuple[float, np.ndarray, np.n
     if not top or eigs[0] < -top * DEFAULT_TOL._certificate(float(np.linalg.norm(w.matrix)) / top, eigs.size):
         top = 1.0
     eigs = eigs / top
-    keep = _eig_keep(eigs, tol) & (eigs > 0)
-    root = (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T
-    return top, w.matrix / top, root, Subspace(vecs[:, ~keep], validate=False)
+    cut = eigs.size - _tol(tol).rank(eigs[::-1], eigs.shape * 2)
+    eigs[:cut] = 0.0
+    root = (vecs * np.sqrt(eigs)) @ vecs.conj().T
+    kernel = np.asfortranarray(vecs[:, :cut])  # laid out as in _signed_eigh
+    return top, w.matrix / top, root, Subspace(kernel, validate=False)
 
 
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
@@ -183,15 +181,15 @@ def make_pws(w: Weight, s: Subspace, tol: Tolerance | None = None) -> LinearRela
 
 class _Corner(NamedTuple):
     """The corner a = U*WU of a psd weight W along S = span(U), factored by
-    one eigh, keeping the positive eigenvalues that pass ``_eig_keep``: its
-    eigenpairs, ascending, and the mask of the kept ones.
+    one eigh, keeping the positive eigenvalues that pass the rank cut: its
+    eigenpairs, ascending, and the number of kept ones, which are the last.
     ``_project_by_blocks`` projects any number of targets through it."""
 
     w: np.ndarray
     u: np.ndarray
     eigs: np.ndarray
     vecs: np.ndarray
-    keep: np.ndarray
+    rank: int
     tol: Tolerance
 
 
@@ -199,8 +197,8 @@ def _factor_corner(w: np.ndarray, u: np.ndarray, tol: Tolerance | None) -> _Corn
     """The one eigh of the Hermitian k x k corner U*WU, for ``u`` with
     orthonormal columns."""
     tol = _tol(tol)
-    eigs, vecs, keep = _signed_eigh(u.conj().T @ w @ u, tol)
-    return _Corner(w, u, eigs, vecs, keep & (eigs > 0), tol)
+    eigs, vecs = _signed_eigh(u.conj().T @ w @ u)
+    return _Corner(w, u, eigs, vecs, tol.rank(eigs[::-1], eigs.shape * 2), tol)
 
 
 def _project_by_blocks(corner: _Corner, root: np.ndarray, b: np.ndarray) -> Coset:
@@ -226,18 +224,17 @@ def _project_by_blocks(corner: _Corner, root: np.ndarray, b: np.ndarray) -> Cose
     plus the rounding of the solve, ``_solve_rounding`` of a c = g in
     dimension n.
     """
-    w, u, eigs, vecs, keep, tol = corner
-    n = u.shape[0]
+    w, u, eigs, vecs, rank, tol = corner
+    n, cut = u.shape[0], eigs.size - rank
     g = u.conj().T @ (w @ b)
-    q = vecs[:, keep]
-    dropped = eigs[~keep]
-    mu = max(float(dropped[-1]), 0.0) if dropped.size else 0.0
+    q = vecs[:, cut:]
+    mu = max(float(eigs[cut - 1]), 0.0) if cut else 0.0
     norm_g = float(np.linalg.norm(g))
     allowance = np.sqrt(mu) * float(np.linalg.norm(root @ b)) + tol.residual(max(1.0, norm_g), n)
     coeffs = q.conj().T @ g
     if np.linalg.norm(g - q @ coeffs) > allowance:
         return Coset.empty(n)
-    c = q @ (coeffs / eigs[keep])
+    c = q @ (coeffs / eigs[cut:])
     point = u @ c
     rounding = _solve_rounding(n, float(np.abs(eigs).max(initial=0.0)), float(np.linalg.norm(c)), norm_g)
     gap = float(np.linalg.norm(u.conj().T @ (w @ (point - b))))
@@ -246,7 +243,7 @@ def _project_by_blocks(corner: _Corner, root: np.ndarray, b: np.ndarray) -> Cose
             "block-form point fails the normal equation U*W(x - b) = 0 on the ambient "
             f"vectors (gap {gap:.3e} > threshold {allowance + rounding:.3e})"
         )
-    return Coset.of(point, Subspace(u @ vecs[:, ~keep], validate=False))
+    return Coset.of(point, Subspace(u @ vecs[:, :cut], validate=False))
 
 
 def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> ComplementabilityReport:
@@ -324,18 +321,21 @@ def krein_classify(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Krei
 
     The isotropic part S cap S^[perp] is U ker(U*JU) for S = span(U), from
     one eigh cut on |lambda|, the sine of the angle between U v and
-    S^[perp] = (J S)-perp for a unit eigenvector v as J is unitary; it must
-    equal S cap ker(U*J), ranked by principal angles.  As J is invertible,
+    S^[perp] = (J S)-perp for a unit eigenvector v as J is unitary: the
+    eigenvectors between the negative and the positive eigenvalues that the
+    rank cut keeps.  It must equal S cap ker(U*J), ranked by principal
+    angles.  As J is invertible,
     dim S^[perp] = n - dim S and S + S^[perp] is everything exactly when
     S cap S^[perp] = 0: regular and nondegenerate are one flag.
     """
     if w.kind != "symmetry":
         raise ValueError("classification needs a symmetry weight (W^2 = I)")
     _check_ambient(w, s)
-    u = s.basis
+    tol, u = _tol(tol), s.basis
     h = u.conj().T @ w.matrix
-    _, vecs, keep = _signed_eigh(h @ u, tol)
-    isotropic = Subspace(u @ vecs[:, ~keep], validate=False)
+    eigs, vecs = _signed_eigh(h @ u)
+    negative, positive = tol.rank(-eigs, eigs.shape * 2), tol.rank(eigs[::-1], eigs.shape * 2)
+    isotropic = Subspace(u @ vecs[:, negative : eigs.size - positive], validate=False)
     by_intersection = subspace_intersect(s, null_space(h, tol), tol)
     if not subspace_equals(by_intersection, isotropic, tol):
         raise ConsistencyError(

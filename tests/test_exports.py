@@ -97,6 +97,41 @@ def test_only_unit_psd_reads_a_weights_eigenpairs():
     assert readers == [("weighted.py", "_unit_psd")] and reads == 1
 
 
+class _RankCutoffReaders(ast.NodeVisitor):
+    """The enclosing class and function of every reference to rank_cutoff."""
+
+    def __init__(self):
+        self.scope, self.readers = [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+    def visit_Attribute(self, node):
+        if node.attr == "rank_cutoff":
+            self.readers.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "rank_cutoff":
+            self.readers.append(".".join(self.scope))
+
+
+def test_only_tolerance_rank_reads_the_cutoff():
+    # one rank rule: every singular-value and eigenvalue cut is a
+    # Tolerance.rank count, so a second copy of the comparison (a mask, a
+    # threshold of its own) fails here
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _RankCutoffReaders()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        readers += [f"{path.name}:{name}" for name in visitor.readers]
+    assert readers == ["subspaces.py:Tolerance.rank"]
+
+
 def test_weighted_solvers_take_the_block_form():
     # solve, w1w2_solve (lss.py) and spline_solve (splines.py) project
     # through the paper's block form, which weighted.py alone defines, and

@@ -134,6 +134,45 @@ class TestSplineSolve:
             failures += not ok
         assert failures == 0
 
+    def test_ill_conditioned_v_interpolates_up_to_rounding(self):
+        # V's smallest singular value scaled by 10^U(-9, 0): the feasible
+        # point grows to about ||b|| / sigma_min(V), and V x rounds at
+        # eps ||V|| ||x||, which the interpolation check once ignored: 98 of
+        # these 499 accepted problems raised "misses the interpolation
+        # constraint".  The answers are as accurate as numpy's: the worst
+        # residual is 18.0 eps ||V|| ||x|| (lstsq's reaches 18.2) and the
+        # worst minimum gap to the oracle 14.1 eps kappa(V) ||b|| max(1, min)
+        rng = np.random.default_rng(4321)
+        eps = np.finfo(float).eps
+        accepted, residual, gap = 0, 0.0, 0.0
+        for _ in range(500):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n + 1))
+            T, V, b = cmat(rng, n, n), cmat(rng, k, n), cvec(rng, k)
+            u, sigma, vh = np.linalg.svd(V, full_matrices=False)
+            sigma[-1] *= 10.0 ** rng.uniform(-9, 0)
+            V = (u * sigma) @ vh
+            try:
+                p = SplineProblem(T, V, b)
+            except ValueError:
+                continue
+            accepted += 1
+            sol = spline_solve(p)
+            x = sol.spline_set.point
+            residual = max(residual, np.linalg.norm(V @ x - b) / (eps * sigma[0] * np.linalg.norm(x)))
+            oracle_min, _, _ = oracles.spline_kkt(T, V, b)
+            scale = eps * sigma[0] / sigma[-1] * np.linalg.norm(b) * max(1.0, oracle_min)
+            gap = max(gap, abs(sol.min_value - oracle_min) / scale)
+        assert accepted == 499
+        assert residual < 20 and gap < 16
+
+    def test_an_empty_constraint_leaves_the_minimum_of_t(self):
+        # k = 0: V has no rows, so its SVD has no singular values and every
+        # x is feasible; the spline is the minimum of ||T x||, at zero
+        sol = spline_solve(SplineProblem(np.eye(2), np.zeros((0, 2)), np.zeros(0)))
+        assert sol.spline_set.direction.dim == 0
+        assert np.array_equal(sol.spline_set.point, np.zeros(2)) and sol.min_value == 0.0
+
     @pytest.mark.parametrize("factor", [1e-12, 1.0, 1e3, 1e6, 1e9, 1e12])
     def test_large_b_solves(self, factor):
         # the feasible-point independence check compared the two spline

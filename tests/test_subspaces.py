@@ -232,8 +232,8 @@ class TestTolerance:
 
     @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(0.0), Tolerance(1e-3, rel_eps=0.1), Tolerance(0.0, 0.0)])
     def test_rank_counts_the_keep_mask(self, tol):
-        # rank compares on Python floats; it must count exactly what the
-        # float64 mask of _keep keeps, ties at the cutoff and zeros included
+        # rank compares on Python floats; it must count exactly what a
+        # float64 mask keeps, ties at the cutoff and zeros included
         shape = (4, 3)
         cutoff = tol.rank_cutoff(2.0, shape)
         cases = [
@@ -245,20 +245,39 @@ class TestTolerance:
         ]
         for sigma in cases:
             top = float(sigma[0]) if sigma.size else 0.0
-            assert tol.rank(sigma, shape) == np.count_nonzero(tol._keep(sigma, top, shape))
+            mask = (sigma >= tol.rank_cutoff(top, shape)) & (sigma > 0)
+            assert tol.rank(sigma, shape) == np.count_nonzero(mask)
+
+    @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(1e-6), Tolerance(0.0, 1e-9), Tolerance(0.0, 0.0)])
+    def test_rank_of_signed_values_counts_the_eigenvalue_mask(self, tol):
+        # descending eigenvalues: the cutoff is taken at the largest
+        # magnitude, which may sit at the negative end, and rank counts the
+        # positive survivors; the negated reversal counts the negative ones
+        shape = (5, 5)
+        cutoff = tol.rank_cutoff(2.0, shape)
+        cases = [
+            np.array([1.0, 1e-9, 1e-11, -3.0]),
+            np.array([2.0, cutoff, np.nextafter(cutoff, 0.0), 0.0, -np.nextafter(cutoff, 0.0), -cutoff, -2.0]),
+            np.array([-1e-12, -0.5, -2.0]),
+            np.array([0.0, 0.0, -0.0]),
+            np.array([2.0, -0.0, -1e-17]),
+        ]
+        for eigs in cases:
+            mags = np.abs(eigs)
+            keep = (mags >= tol.rank_cutoff(float(mags.max()), shape)) & (mags > 0)
+            assert tol.rank(eigs, shape) == np.count_nonzero(keep & (eigs > 0))
+            assert tol.rank(-eigs[::-1], shape) == np.count_nonzero(keep & (eigs < 0))
 
     def test_rank_refuses_an_infinite_top_value(self):
-        for sigma in (np.array([np.inf, 1.0]), np.array([np.nan, 1.0])):
+        for sigma in (np.array([np.inf, 1.0]), np.array([np.nan, 1.0]), np.array([1.0, -np.inf])):
             with pytest.raises(ValueError, match="finite"):
                 Tolerance().rank(sigma, (2, 2))
-            with pytest.raises(ValueError, match="finite"):
-                Tolerance()._keep(sigma, float(sigma[0]), (2, 2))
 
 
 class TestNonFiniteData:
     """An inf entry factors into NaN singular values or eigenvalues, which
     failed every cutoff comparison and read as rank 0: a silent wrong
-    answer.  The keep-mask refuses a largest magnitude that is not finite."""
+    answer.  ``Tolerance.rank`` refuses a largest magnitude that is not finite."""
 
     @pytest.mark.parametrize(
         "call",

@@ -6,6 +6,7 @@ import pytest
 from relcalc import (
     ConsistencyError,
     Subspace,
+    Tolerance,
     Weight,
     adjoint,
     apply,
@@ -499,6 +500,73 @@ class TestPsdOperatorFacts:
         mat = as_matrix(wp)
         assert np.linalg.norm(mat - mat.conj().T) < 1e-8
         assert np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] > -1e-8
+
+
+CUT_TOLERANCES = [Tolerance(), Tolerance(1e-6), Tolerance(0.0, 1e-9), Tolerance(0.0, 0.0)]
+
+
+def eigenvalue_keep_mask(eigs, tol):
+    """The eigenvalue cut as a mask: |lambda| at or above the rank cutoff of
+    the largest |lambda|, and never zero."""
+    mags = np.abs(eigs)
+    return (mags >= tol.rank_cutoff(float(mags.max(initial=0.0)), eigs.shape * 2)) & (mags > 0)
+
+
+def psd_weights(rng, count):
+    makers = (random_psd, psd_with_tiny_eigenvalues)
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        yield makers[i % 2](rng, n) * (1.0, 1e12, 1e-12)[i % 3], random_subspace(rng, n)
+
+
+class TestEigenvalueCuts:
+    """Every eigenvalue cut is a ``Tolerance.rank`` count on eigh's ascending
+    order; each must pick exactly the columns the mask picks."""
+
+    @pytest.mark.parametrize("tol", CUT_TOLERANCES)
+    def test_unit_psd_drops_the_masked_eigenpairs(self, tol):
+        rng = np.random.default_rng(15300)
+        for w, _ in psd_weights(rng, 60):
+            weight = Weight(w, "psd")
+            top, _, root, kernel = weighted._unit_psd(weight, tol)
+            eigs, vecs = weight._eigh
+            eigs = eigs / top
+            keep = eigenvalue_keep_mask(eigs, tol) & (eigs > 0)
+            assert np.array_equal(kernel.basis, vecs[:, ~keep])
+            # laid out as the mask's copy, so BLAS multiplies it bit for bit alike
+            assert kernel.basis.flags.f_contiguous
+            assert np.array_equal(root, (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T)
+
+    @pytest.mark.parametrize("tol", CUT_TOLERANCES)
+    def test_factor_corner_drops_the_masked_eigenvectors(self, tol):
+        rng = np.random.default_rng(15301)
+        for w, s in psd_weights(rng, 60):
+            corner = weighted._factor_corner(w, s.basis, tol)
+            keep = eigenvalue_keep_mask(corner.eigs, tol) & (corner.eigs > 0)
+            assert corner.rank == np.count_nonzero(keep) and corner.vecs.flags.f_contiguous
+            # the zero target lies in every domain, and its coset's
+            # direction is U times the dropped eigenvectors
+            direction = weighted._project_by_blocks(corner, psd_sqrt(w), np.zeros(s.ambient_dim)).direction
+            assert np.array_equal(direction.basis, s.basis @ corner.vecs[:, ~keep])
+
+    @pytest.mark.parametrize("tol", CUT_TOLERANCES)
+    def test_krein_isotropic_part_is_the_masked_band(self, tol):
+        rng = np.random.default_rng(15302)
+        checked = 0
+        for i in range(60):
+            n = int(rng.integers(2, 9))
+            j = Weight(random_symmetry(rng, n), "symmetry")
+            # every other S holds a J-neutral vector of its J-companion
+            s = degenerate_subspace(rng, j.matrix) if i % 2 else random_subspace(rng, n)
+            try:
+                isotropic = krein_classify(s, j, tol).isotropic
+            except ConsistencyError:
+                continue
+            gram = s.basis.conj().T @ j.matrix @ s.basis
+            eigs, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
+            assert np.array_equal(isotropic.basis, s.basis @ vecs[:, ~eigenvalue_keep_mask(eigs, tol)])
+            checked += 1
+        assert checked >= 40
 
 
 class TestRankDecisionCount:

@@ -145,7 +145,7 @@ def check_normal(p: LssProblem, x0: np.ndarray, tol: Tolerance | None = None) ->
     uw = parts(p.A, tol).ran.basis.conj().T @ _unit_psd(p.W, tol)[1]
     g = uw @ (value.point - p.b)
     threshold = tol.residual(max(1.0, float(np.linalg.norm(g))), p.A.dim_in)
-    left, _, _, rank = _cut_svd(uw @ value.direction.basis, tol, full_matrices=False)
+    left, _, _, rank = _cut_svd(uw @ value.direction.basis, tol)
     g = g - left[:, :rank] @ (left[:, :rank].conj().T @ g)
     return float(np.linalg.norm(g)) <= threshold
 

@@ -45,6 +45,7 @@ from .relations import (
     _op_sum_pairs,
     compose,
     cw_sum,
+    from_graph_basis,
     identity_on,
     parts,
     product_of_subspaces,
@@ -78,7 +79,8 @@ class BlockRep:
         the operator sums a + c and b + d, one span of both sums' pairs.
         """
         pairs = np.hstack([_op_sum_pairs(self.a, self.c, tol), _op_sum_pairs(self.b, self.d, tol)])
-        return _spanned(pairs, tol)
+        dim = self.splitter.ambient_dim
+        return from_graph_basis(dim, dim, pairs, tol)
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,6 @@ class SuperIdempotent:
     relation: LinearRelation
     canonical: tuple[Subspace, Subspace, Subspace]
     is_idempotent: bool
-
-
-def _spanned(pairs: np.ndarray, tol: Tolerance | None) -> LinearRelation:
-    """The square relation whose graph the columns of ``pairs`` span: one SVD."""
-    dim = pairs.shape[0] // 2
-    return LinearRelation(dim, dim, orthonormalize(pairs, tol, ambient_dim=2 * dim))
 
 
 def _fixed_points(E: LinearRelation, tol: Tolerance | None) -> Subspace:
@@ -144,7 +140,8 @@ def classify(E: LinearRelation, tol: Tolerance | None = None) -> Classification:
         if len(nonempty) == 1:
             rebuilt = nonempty[0]
         else:
-            rebuilt = _spanned(np.hstack([g.graph.basis for g in generators]), tol)
+            pairs = np.hstack([g.graph.basis for g in generators])
+            rebuilt = from_graph_basis(E.dim_in, E.dim_in, pairs, tol)
         if not relation_equals(rebuilt, E, tol):
             raise ConsistencyError(
                 "canonical super-idempotent data failed to reproduce the relation"
@@ -158,7 +155,8 @@ def decompose(P: LinearRelation, tol: Tolerance | None = None) -> tuple[LinearRe
 
     The operator part projects onto M minus the overlap along N; its graph is
     orthogonal to the purely multivalued remainder, and their componentwise
-    sum restores the input.
+    sum restores the input.  As the overlap lies in M, M minus the overlap
+    is M times the null space of overlap* M: one SVD.
     """
     if not P.is_square:
         raise ValueError("decompose needs a square relation")
@@ -168,7 +166,7 @@ def decompose(P: LinearRelation, tol: Tolerance | None = None) -> tuple[LinearRe
         raise ValueError("input is not a multivalued projection")
     m, n = p.ran, p.ker
     overlap = subspace_intersect(m, n, tol)
-    reduced = subspace_intersect(m, subspace_complement(overlap, tol), tol)
+    reduced = Subspace(m.basis @ null_space(overlap.basis.conj().T @ m.basis, tol).basis, validate=False)
     return make_pmn(reduced, n, tol), overlap
 
 
@@ -199,7 +197,7 @@ def canonical_blocks(T: LinearRelation, s: Subspace, tol: Tolerance | None = Non
 
     def corner(out: Subspace, coords: np.ndarray) -> LinearRelation:
         outputs = out.basis @ (out.basis.conj().T @ (T.out_block @ coords))
-        return _spanned(np.vstack([T.in_block @ coords, outputs]), tol)
+        return from_graph_basis(T.dim_in, T.dim_in, np.vstack([T.in_block @ coords, outputs]), tol)
 
     return BlockRep(s, s_perp, corner(s, on_s), corner(s, on_p), corner(s_perp, on_s), corner(s_perp, on_p))
 
@@ -248,7 +246,7 @@ def _generated_super(m: Subspace, s1: Subspace, s2: Subspace, x: LinearRelation,
     [[M, F, 0, 0], [M, H, S1, S2]] for x's graph basis F over H."""
     lower = np.hstack([s1.basis, s2.basis])
     pairs = np.hstack([identity_on(m).graph.basis, x.graph.basis, np.vstack([np.zeros_like(lower), lower])])
-    return _spanned(pairs, tol)
+    return from_graph_basis(m.ambient_dim, m.ambient_dim, pairs, tol)
 
 
 def build_super(

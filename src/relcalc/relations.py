@@ -21,7 +21,6 @@ from .subspaces import (
     Tolerance,
     _as_vector,
     _cut_svd,
-    _null_cut,
     _svd,
     _tol,
     matrix_preimage,
@@ -73,7 +72,7 @@ class Restriction(NamedTuple):
 
 
 class _Half(NamedTuple):
-    """What one full SVD of a graph block decides, cut at one tolerance: the
+    """What one SVD of a graph block decides, cut at one tolerance: the
     block's span (dom for the input block F, ran for the output block H), the
     other block applied to its null space (mul = H null(F), ker = F null(H))
     and the cut trimmed to the block's kept singular triplets,
@@ -109,7 +108,7 @@ def _factor_half(block: np.ndarray, other: np.ndarray, tol: Tolerance) -> _Half:
     at the tolerance's rank cutoff: the kept triplets, and the other block
     applied to the dropped right singular vectors, the graph coordinates of
     the block's null space."""
-    u, s, vh, rank = _null_cut(block, tol)
+    u, s, vh, rank = _cut_svd(block, tol)
     span = Subspace(u[:, :rank], validate=False)
     null_image = _block_image(other, vh[rank:].conj().T, tol)
     return _Half(span, null_image, Cut(span.basis, s[:rank].copy(), vh[:rank].copy(), rank))
@@ -160,7 +159,7 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
 
     With the graph basis split into its input block F and output block H,
     dom and ran are the column spans of F and H, ker is F applied to the null
-    space of H, and mul is H applied to the null space of F.  One full SVD of
+    space of H, and mul is H applied to the null space of F.  One SVD of
     a block gives both its span (kept left singular vectors) and its null
     space (dropped right singular vectors), so each block decides one half of
     the parts: F gives dom and mul, H gives ran and ker.  Each half is cached
@@ -179,6 +178,8 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
 
 
 def from_graph_basis(dim_in: int, dim_out: int, vectors, tol: Tolerance | None = None) -> LinearRelation:
+    """The relation whose graph the given pairs span, inputs stacked on top
+    of outputs: one span at the tolerance's rank cut."""
     graph = orthonormalize(vectors, tol, ambient_dim=dim_in + dim_out)
     if graph.ambient_dim != dim_in + dim_out:
         raise DimensionMismatchError(
@@ -209,7 +210,7 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
         raise ValueError("matrix must be finite")
     m, n = matrix.shape
     tol = _tol(tol)
-    u, s, vh = _svd(matrix, full_matrices=m < n)
+    u, s, vh = _svd(matrix)
     v = vh.conj().T
     sigma = np.zeros(n)
     sigma[: s.size] = s
@@ -303,7 +304,7 @@ def compose(R: LinearRelation, T: LinearRelation, tol: Tolerance | None = None) 
     n, e = T.dim_in, R.dim_out
     a, y = _preimage_under_block(T.out_block, e, R.graph, tol)
     pairs = np.vstack([T.in_block @ a, y])
-    return LinearRelation(n, e, orthonormalize(pairs, tol, ambient_dim=n + e))
+    return from_graph_basis(n, e, pairs, tol)
 
 
 def op_sum(T: LinearRelation, S: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
@@ -316,7 +317,7 @@ def op_sum(T: LinearRelation, S: LinearRelation, tol: Tolerance | None = None) -
     most 1e-12 * m * sigma_max.
     """
     pairs = _op_sum_pairs(T, S, tol)
-    return LinearRelation(T.dim_in, T.dim_out, orthonormalize(pairs, tol, ambient_dim=T.dim_in + T.dim_out))
+    return from_graph_basis(T.dim_in, T.dim_out, pairs, tol)
 
 
 def _op_sum_pairs(T: LinearRelation, S: LinearRelation, tol: Tolerance | None) -> np.ndarray:
@@ -335,7 +336,7 @@ def cw_sum(T: LinearRelation, S: LinearRelation, tol: Tolerance | None = None) -
 def scale(T: LinearRelation, lam: complex, tol: Tolerance | None = None) -> LinearRelation:
     """{(x, lam * y) : (x, y) in T}; lam = 0 collapses onto dom T x {0}."""
     stacked = np.vstack([T.in_block, lam * T.out_block])
-    return LinearRelation(T.dim_in, T.dim_out, orthonormalize(stacked, tol, ambient_dim=T.dim_in + T.dim_out))
+    return from_graph_basis(T.dim_in, T.dim_out, stacked, tol)
 
 
 def identity_minus(T: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
@@ -343,7 +344,7 @@ def identity_minus(T: LinearRelation, tol: Tolerance | None = None) -> LinearRel
     if not T.is_square:
         raise DimensionMismatchError("identity_minus needs a square relation")
     pairs = np.vstack([T.in_block, T.in_block - T.out_block])
-    return LinearRelation(T.dim_in, T.dim_out, orthonormalize(pairs, tol, ambient_dim=2 * T.dim_in))
+    return from_graph_basis(T.dim_in, T.dim_out, pairs, tol)
 
 
 def restrict(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Restriction:
@@ -409,7 +410,7 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
     f = _half(T, tol, _IN)
     dom, d = f.span.basis, c.direction.basis
     off_dom = d - dom @ (dom.conj().T @ d)
-    cut = _cut_svd(off_dom, tol, full_matrices=False)
+    cut = _cut_svd(off_dom, tol)
     value = apply(T, c.point - d @ cut.solve(c.point - dom @ (dom.conj().T @ c.point)), tol)
     if value.is_empty:
         return value

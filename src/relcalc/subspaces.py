@@ -132,38 +132,32 @@ class Cut(NamedTuple):
         return self.vh[:r].conj().T @ ((self.u[:, :r].conj().T @ b) / self.s[:r])
 
 
-def _svd(matrix: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The package's one SVD call, with no rank decision.  An empty matrix
-    gets the factors numpy would return, without an SVD call.  numpy is
-    reached through ``np.linalg.svd`` at call time, where counting wrappers
-    patch it."""
+def _svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one SVD call, with no rank decision.  It asks numpy for
+    the full factors exactly when the matrix is wide: a wide matrix's thin U
+    and a tall matrix's thin V are already square, so every SVD returns all
+    of V, ``vh[rank:]`` spans the null space at any cut, and no tall matrix
+    builds a full U to throw away.  An empty matrix gets the factors numpy
+    would return, without an SVD call.  numpy is reached through
+    ``np.linalg.svd`` at call time, where counting wrappers patch it."""
     q, p = matrix.shape
     if q == 0 or p == 0:
-        ku, kv = (q, p) if full_matrices else (0, 0)
-        return np.eye(q, ku, dtype=complex), np.zeros(0), np.eye(kv, p, dtype=complex)
-    return np.linalg.svd(matrix, full_matrices=full_matrices)
+        return np.eye(q, 0, dtype=complex), np.zeros(0), np.eye(p, dtype=complex)
+    return np.linalg.svd(matrix, full_matrices=q < p)
 
 
-def _cut_svd(matrix: np.ndarray, tol: Tolerance | None, full_matrices: bool) -> Cut:
-    """One SVD and its rank decision."""
-    u, s, vh = _svd(matrix, full_matrices)
+def _cut_svd(matrix: np.ndarray, tol: Tolerance | None) -> Cut:
+    """One SVD and its rank decision: the kept left singular vectors
+    ``u[:, :rank]`` span the range, the dropped right ones ``vh[rank:]`` the
+    null space."""
+    u, s, vh = _svd(matrix)
     return Cut(u, s, vh, _tol(tol).rank(s, matrix.shape))
 
 
-def _null_cut(matrix: np.ndarray, tol: Tolerance | None) -> Cut:
-    """``_cut_svd`` with every right singular vector, so that ``vh[rank:]``
-    spans the null space, and the left ones only as far as ``u[:, :rank]``
-    needs: the thin SVD of a tall or square matrix already has all of V, so
-    only a wide one asks for the full factors (a full U of a tall matrix
-    would be built and thrown away)."""
-    q, p = matrix.shape
-    return _cut_svd(matrix, tol, full_matrices=q < p)
-
-
 def _data_cut(matrix: np.ndarray, tol: Tolerance | None) -> Cut:
-    """``_null_cut`` of raw data, its rank read on the data's own scale by
+    """``_cut_svd`` of raw data, its rank read on the data's own scale by
     ``Tolerance._data_rank``."""
-    u, s, vh = _svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    u, s, vh = _svd(matrix)
     return Cut(u, s, vh, _tol(tol)._data_rank(s, matrix.shape))
 
 
@@ -277,7 +271,7 @@ def orthonormalize(vectors, tol: Tolerance | None = None, *, ambient_dim: int | 
             if ambient_dim is None:
                 raise ValueError("ambient_dim is required for an empty span")
             mat = np.zeros((ambient_dim, 0), dtype=complex)
-    cut = _cut_svd(mat, tol, full_matrices=False)
+    cut = _cut_svd(mat, tol)
     return Subspace(cut.u[:, : cut.rank], validate=False)
 
 
@@ -286,7 +280,7 @@ def null_space(matrix: np.ndarray, tol: Tolerance | None = None) -> Subspace:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    cut = _null_cut(matrix, tol)
+    cut = _cut_svd(matrix, tol)
     return Subspace(cut.vh[cut.rank :].conj().T, validate=False)
 
 

@@ -29,7 +29,6 @@ from .subspaces import (
     Subspace,
     Tolerance,
     _cut_svd,
-    _null_cut,
     _solve_rounding,
     _tol,
     matrix_image,
@@ -250,21 +249,22 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     """Whether S plus its W-companion fills the space, decided two ways.
 
     P is (I, a^-1 b; 0, 0) along S = span(U), with a = U*WU and b = U*W on
-    S-perp.  Both share the factor U*W = V D R*, cut at the rank of W U, so
-    a = V D M for M = R*U, whose singular values are the sines of the
-    angles between S and its companion (W S)-perp: rank a is decided on the
-    scale of the angles, not on that of a, which is quadratic in W.  mul P
-    = U ker M, and the paper's criterion ran b <= ran a reads rank a =
-    rank U*W; the second route, S complementable when S + (W S)-perp is
-    everything, must agree.  Then (W S)-perp, the dropped left singular
-    vectors of W U, is the kernel of P, and the off-diagonal block a^-1 b is
+    S-perp.  Both share the wide factor G = U*W = V D R*, cut at its rank
+    r: the kept right singular vectors R_r span W S and the dropped ones
+    its companion (W S)-perp.  So a = V D M for M = R_r*U, whose singular
+    values are the sines of the angles between S and (W S)-perp: rank a is
+    decided on the scale of the angles, not on that of a, which is
+    quadratic in W.  mul P = U ker M, and the paper's criterion
+    ran b <= ran a reads rank a = rank G; the second route, S
+    complementable when S + (W S)-perp is everything, must agree.  Then
+    (W S)-perp is the kernel of P, and the off-diagonal block a^-1 b is
     ``coefficient_x`` of S and that kernel, with no further rank decision.
     """
     _check_ambient(w, s)
     n, u = w.ambient_dim, s.basis
-    left, _, _, r = _cut_svd(w.matrix @ u, tol, full_matrices=True)
-    w_s, companion = left[:, :r], Subspace(left[:, r:], validate=False)
-    _, _, m_right_h, rank_a = _null_cut(w_s.conj().T @ u, tol)
+    _, _, g_right_h, r = _cut_svd(u.conj().T @ w.matrix, tol)
+    companion = Subspace(g_right_h[r:].conj().T, validate=False)
+    _, _, m_right_h, rank_a = _cut_svd(g_right_h[:r] @ u, tol)
     ker_a = u @ m_right_h[rank_a:].conj().T
     domain = subspace_sum(s, companion, tol)
     by_domain, by_blocks = domain.dim == n, rank_a == r
@@ -303,7 +303,7 @@ def shorted(w: Weight, s: Subspace, tol: Tolerance | None = None) -> np.ndarray:
     tol = _tol(tol)
     n, u = w.ambient_dim, s.basis
     top, w_unit, root, _ = _unit_psd(w, tol)
-    left, _, _, rank = _cut_svd(root - (root @ u) @ u.conj().T, tol, full_matrices=False)
+    left, _, _, rank = _cut_svd(root - (root @ u) @ u.conj().T, tol)
     unit = root @ (root - left[:, :rank] @ (left[:, :rank].conj().T @ root))
     unit = (unit + unit.conj().T) / 2
     floor, bound = tol._sandwich_floor(1.0, n), tol.residual(1.0, n)

@@ -203,6 +203,30 @@ def test_rank_decisions_and_thresholds_live_in_subspaces():
         assert (svd, numbers) == ([], []), module
 
 
+def _full_matrices_uses(tree: ast.AST) -> int:
+    return sum(
+        isinstance(node, (ast.keyword, ast.arg)) and node.arg == "full_matrices" for node in ast.walk(tree)
+    )
+
+
+def test_only_svd_chooses_the_factor_shapes():
+    # subspaces._svd asks for the full factors exactly when a matrix is wide,
+    # so no other code passes or takes full_matrices (oracles.py stays
+    # independent)
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+        if path.name != "oracles.py"
+    }
+    uses = {name: count for name, tree in trees.items() if (count := _full_matrices_uses(tree))}
+    svd = next(
+        node
+        for node in ast.walk(trees["subspaces.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_svd"
+    )
+    assert uses == {"subspaces.py": 1} and _full_matrices_uses(svd) == 1
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never reads; names listed in ``__all__``
     count as read, and ``from __future__`` imports are exempt."""

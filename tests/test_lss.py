@@ -680,7 +680,7 @@ class TestRankDecisionCount:
         assert max(counts) <= 2
 
     def test_svd_calls_per_complementability(self, svd_calls):
-        # one SVD of W U and one of the cosines R*U decide rank U*W and
+        # one SVD of U*W and one of the cosines R*U decide rank U*W and
         # rank a on the scales of W and of the angles, one more the domain
         # S + (W S)-perp, and when complementable S-perp and the span of the
         # off-diagonal block; no eigh of the quadratic corner U*WU (the

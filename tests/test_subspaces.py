@@ -6,21 +6,40 @@ import pytest
 from relcalc import (
     Coset,
     DimensionMismatchError,
+    LssProblem,
     SmoothingProblem,
     SplineProblem,
     Subspace,
     Tolerance,
     Weight,
+    adjoint,
+    apply,
+    apply_to_coset,
+    assemble_representation,
+    canonical_blocks,
+    check_normal,
+    classify,
     complementability,
+    compose,
+    decompose,
     from_graph_basis,
     full_space,
     graph_of_matrix,
+    identity_minus,
+    krein_classify,
+    matrix_image,
     matrix_preimage,
     null_space,
+    op_sum,
     orthonormalize,
     parts,
     psd_sqrt,
+    restrict,
+    scale,
+    shorted,
     smooth_solve,
+    solve,
+    spline_solve,
     subspace_complement,
     subspace_contains,
     subspace_equals,
@@ -34,10 +53,14 @@ from genutil import (
     cmat,
     cvec,
     projector_dist,
+    random_mv_projection,
     random_psd,
     random_relation,
+    random_representable,
     random_subspace,
+    random_symmetry,
     random_unitary,
+    weight_and_subspace,
 )
 
 
@@ -358,13 +381,40 @@ class TestSvdFactors:
         assert any(shape[0] > shape[1] for shape, _ in svd_shapes)
         assert _tall_full(svd_shapes) == []
 
-    def test_complementability_keeps_the_full_left_factor_of_w_u(self, svd_shapes):
-        # the dropped left singular vectors of W U span (W S)-perp
+    def test_every_svd_takes_full_factors_exactly_when_wide(self, svd_shapes):
+        # one rule in subspaces._svd: the full factors of a wide matrix (its
+        # thin U is square, and the full V holds its null space), the thin
+        # ones of a tall or square matrix (its thin V is already square)
         rng = np.random.default_rng(2601)
-        for _ in range(40):
-            n = int(rng.integers(3, 9))
-            s = random_subspace(rng, n, int(rng.integers(1, n)))
-            svd_shapes.clear()
-            complementability(Weight(random_psd(rng, n), "psd"), s)
-            assert svd_shapes[0] == ((n, s.dim), True)
-            assert _tall_full(svd_shapes) == [(n, s.dim)]
+        for i in range(20):
+            n, k = int(rng.integers(3, 9)), int(rng.integers(1, 3))
+            s1, s2 = random_subspace(rng, n), random_subspace(rng, n)
+            orthonormalize(cmat(rng, n, k)), orthonormalize(cmat(rng, k, n))
+            null_space(cmat(rng, n, k)), null_space(cmat(rng, k, n))
+            subspace_intersect(s1, s2), subspace_sum(s1, s2), subspace_complement(s1)
+            matrix_image(cmat(rng, k, n), s1), matrix_preimage(cmat(rng, n, k), s1)
+            t, r = random_relation(rng, n, k), random_relation(rng, k, n)
+            p = parts(t)
+            p.dom, p.ran, p.ker, p.mul
+            apply(t, cvec(rng, n)), apply_to_coset(t, Coset.of(cvec(rng, n), s1)), restrict(t, s2)
+            compose(r, t), op_sum(t, random_relation(rng, n, k)), adjoint(t), scale(t, 2.0)
+            g = parts(graph_of_matrix(cmat(rng, k, n)))
+            g.dom, g.ran, g.ker, g.mul
+            e, m, kernel = random_mv_projection(rng, n)
+            classify(e), decompose(e), identity_minus(e)
+            canonical_blocks(*random_representable(rng, n)).generate()
+            assemble_representation(m, kernel)
+            w, s = weight_and_subspace(rng)
+            complementability(Weight(w), s)
+            krein_classify(random_subspace(rng, n), Weight(random_symmetry(rng, n), "symmetry"))
+            psd = Weight(random_psd(rng, n), "psd")
+            shorted(psd, s1)
+            problem = LssProblem(random_relation(rng, n, n), psd, cvec(rng, n))
+            solution = solve(problem)
+            if solution.exists:
+                check_normal(problem, solution.witness)
+            spline = SplineProblem(cmat(rng, n, n), cmat(rng, k, n), cvec(rng, k))
+            spline_solve(spline), smooth_solve(SmoothingProblem(spline, 1.0))
+        assert any(shape[0] < shape[1] for shape, _ in svd_shapes)
+        assert any(shape[0] > shape[1] for shape, _ in svd_shapes)
+        assert [(shape, full) for shape, full in svd_shapes if full != (shape[0] < shape[1])] == []

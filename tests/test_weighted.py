@@ -1,5 +1,7 @@
 """Weighted companions, projections, complementability, shorted operators, Krein flags."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -242,7 +244,7 @@ class TestComplementabilityAgainstSpan:
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-8])
     def test_a_line_close_to_the_kernel_of_w(self, delta):
-        # W U keeps its singular value delta, far above the cutoff, while the
+        # U*W keeps its singular value delta, far above the cutoff, while the
         # corner a = U*WU is about delta^2, under it: S is complementable,
         # with mul P = 0 and P e1 = (1, 1/delta)
         w = np.diag([1.0, 0.0])
@@ -256,7 +258,7 @@ class TestComplementabilityAgainstSpan:
 
     @pytest.mark.parametrize(
         "family,mul_bound",
-        # W U keeps singular values down to the cutoff 1e-10 on the tiny-
+        # U*W keeps singular values down to the cutoff 1e-10 on the tiny-
         # eigenvalue family, where its singular vectors, and so mul, are
         # fixed only to about eps / 1e-10 = 2e-6
         [("tiny eigenvalues", 1e-5), ("rotated line near the kernel", 1e-9)],
@@ -569,6 +571,71 @@ class TestEigenvalueCuts:
         assert checked >= 40
 
 
+def _complementability_verdict(w, s):
+    report = complementability(Weight(w, "selfadjoint"), s)
+    return report.is_complementable, report.criterion_ab, report.domain.dim, report.mul.dim
+
+
+@functools.cache
+def _complementability_family():
+    """300 weight-subspace pairs from default_rng(105), then one unitary
+    each, with the verdict on each pair."""
+    rng = np.random.default_rng(105)
+    pairs = [weight_and_subspace(rng) for _ in range(300)]
+    return [(w, s, random_unitary(rng, s.ambient_dim), _complementability_verdict(w, s)) for w, s in pairs]
+
+
+class TestMetamorphic:
+    """Verdicts that must not move when the data change without changing the
+    question: the units of W, and a unitary change of coordinates."""
+
+    @pytest.mark.parametrize(
+        "factor",
+        [2.0**20, 2.0**-20, 1e6, 1e-6, 1e12]
+        + [
+            pytest.param(
+                factor,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="complementability cuts U*W at abs_eps on W's own units, so at W x 1e-10 "
+                    "the cut drops singular values that are small only in those units (55 of 300 "
+                    "verdicts and 164 mul dimensions move; at W x 1e-12, 55 and 236)",
+                ),
+            )
+            for factor in (1e-10, 1e-12)
+        ],
+    )
+    def test_complementability_ignores_the_units_of_w(self, factor):
+        moved = [
+            (w, s)
+            for w, s, _, verdict in _complementability_family()
+            if _complementability_verdict(w * factor, s) != verdict
+        ]
+        assert moved == []
+
+    def test_complementability_ignores_a_unitary_change_of_coordinates(self):
+        moved = [
+            (w, s)
+            for w, s, q, verdict in _complementability_family()
+            if _complementability_verdict(q @ w @ q.conj().T, Subspace(q @ s.basis, validate=False)) != verdict
+        ]
+        assert moved == []
+
+    def test_krein_classify_ignores_a_unitary_change_of_coordinates(self):
+        rng = np.random.default_rng(15302)
+        degenerate = 0
+        for i in range(300):
+            n = int(rng.integers(2, 9))
+            j = random_symmetry(rng, n)
+            s = degenerate_subspace(rng, j) if i % 2 else random_subspace(rng, n)
+            q = random_unitary(rng, n)
+            report = krein_classify(s, Weight(j, "symmetry"))
+            turned = krein_classify(Subspace(q @ s.basis, validate=False), Weight(q @ j @ q.conj().T, "symmetry"))
+            assert (turned.isotropic.dim, turned.regular) == (report.isotropic.dim, report.regular)
+            degenerate += not report.regular
+        assert degenerate >= 100
+
+
 class TestRankDecisionCount:
     def test_a_psd_weight_is_factored_once(self, svd_calls):
         # the psd certificate is the one eigh of W, kept read-only for every
@@ -587,7 +654,7 @@ class TestRankDecisionCount:
             assert svd_calls == []
 
     def test_svd_calls_per_complementability(self, svd_calls):
-        # W U, its angle matrix M, the domain sum and, when S is
+        # U*W, its angle matrix M, the domain sum and, when S is
         # complementable, the complement of S: the off-diagonal block is
         # coefficient_x of S and (W S)-perp, with no rank decision (its own
         # span of the pairs (x, U M^+ R* x) made a mean of 4.0 and a max of
@@ -614,8 +681,8 @@ class TestSecondRoutes:
         # Sigma vanishes on S-perp sees it, and every such answer must raise
         right = weighted._cut_svd
 
-        def dropping_one(matrix, tol, full_matrices):
-            cut = right(matrix, tol, full_matrices)
+        def dropping_one(matrix, tol):
+            cut = right(matrix, tol)
             assert cut.rank >= 1
             return cut._replace(rank=cut.rank - 1)
 

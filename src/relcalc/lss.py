@@ -9,7 +9,9 @@ one eigendecomposition of the Hermitian corner a = U*WU decides P b.  W
 enters only through a, W^1/2 and ker W, and the last two come from the
 eigenpairs the psd ``Weight`` keeps from its certificate.  The normal
 equation 0 in A* W (A x0 - b) reads on the same basis U of ran A: (z, 0)
-lies in A* exactly when U* z = 0, so ``check_normal`` works on U*W.
+lies in A* exactly when U* z = 0, so ``check_normal`` works on U*W.  The
+solutions A^-1(P b) read U too: it is the kept left factor of A's output
+block H, whose kept triplets invert H on ran A, so H is factored once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NoSolutionError
 from .subspaces import Coset, Tolerance, _as_vector, _cut_svd, _tol, subspace_equals, subspace_intersect
-from .relations import LinearRelation, apply, apply_to_coset, invert, parts
+from .relations import LinearRelation, _inverse_on_ran, apply, parts
 from .weighted import Weight, _factor_corner, _project_by_blocks, _unit_psd
 
 
@@ -82,13 +84,15 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     directions must be ran A cap ker W, and the solution set is the inverse
     image of the output coset.  The check runs before A^-1, which would
     scale any gap between the two by up to 1 / sigma_min(A).  Both steps
-    read only A's output block H: ``parts(A).ran`` and the point of A^-1
-    come from H's kept singular triplets, the solution directions from a
-    preimage under H; the input block is never factored.
+    read only A's output block H, factored once: ``parts(A).ran`` is its
+    kept left factor U, the outputs are U c + span(U Y) for Y the corner's
+    dropped eigenvectors, and A^-1 of them comes from H's kept triplets
+    (``relations._inverse_on_ran``); the input block is never factored.
     """
     top, w_unit, w_half, ker_w = _unit_psd(p.W, tol)
     ran = parts(p.A, tol).ran
-    outputs = _project_by_blocks(_factor_corner(w_unit, ran.basis, tol), w_half, p.b)
+    corner = _factor_corner(w_unit, ran.basis, tol)
+    outputs = _project_by_blocks(corner, w_half, p.b)
     n = p.A.dim_in
     if outputs.is_empty:
         return LssSolution(
@@ -114,9 +118,8 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
             f"minimizing output directions (dim {outputs.direction.dim}) differ from "
             f"ran A cap ker W (dim {structural.dim})"
         )
-    solution_set = apply_to_coset(invert(p.A), outputs, tol)  # reads A's output half
-    if solution_set.is_empty:
-        raise ConsistencyError("minimizing outputs fell outside ran A")
+    dropped = corner.vecs[:, : corner.eigs.size - corner.rank]  # outputs.direction is U @ dropped
+    solution_set = _inverse_on_ran(p.A, outputs.point, dropped, tol)
     return LssSolution(
         exists=True,
         min_value=min_value,
@@ -142,7 +145,7 @@ def check_normal(p: LssProblem, x0: np.ndarray, tol: Tolerance | None = None) ->
     value = apply(p.A, _as_vector(x0, p.A.dim_in, "candidate x0"), tol)
     if value.is_empty:
         raise ValueError("candidate lies outside dom A")
-    uw = parts(p.A, tol).ran.basis.conj().T @ _unit_psd(p.W, tol)[1]
+    uw = parts(p.A, tol).ran.basis.conj().T @ _unit_psd(p.W, tol, scale_only=True)[1]
     g = uw @ (value.point - p.b)
     threshold = tol.residual(max(1.0, float(np.linalg.norm(g))), p.A.dim_in)
     left, _, _, rank = _cut_svd(uw @ value.direction.basis, tol)

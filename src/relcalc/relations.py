@@ -392,10 +392,15 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
     right singular vectors the coordinates of the feasible directions
     X = D cap dom T.  dom T and the shifted point's value come from the input
     block's half of the parts, through ``apply``; T(X) comes from ``image``,
-    whose rank decision weighs unit graph vectors.  Mapping X through the
-    input block's triplets instead, H V_r S_r^-1 U_r* X, would scale the
-    rounding of X by up to 1 / sigma_min(F), enough to turn a direction of
-    X in ker T into a spurious image direction.
+    whose rank decision weighs unit graph vectors.  ``solve`` does not come
+    here: its outputs lie in dom A^-1 = ran A by construction, so it maps
+    them through the kept triplets of A's output block
+    (``_inverse_on_ran``), one preimage SVD fewer.  Both routes carry
+    rounding of about eps / sigma_min into the image, where a direction
+    of X in ker T can surface as a spurious one (ROADMAP item 5).  At a
+    purely relative tolerance the cut of the off-dom part, a matrix of
+    rounding when D lies in dom T, can keep "rank" and drop feasible
+    directions (ROADMAP item 13).
     """
     if c.ambient_dim != T.dim_in:
         raise DimensionMismatchError(
@@ -416,6 +421,36 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
         return value
     feasible = Subspace(d @ cut.vh[cut.rank :].conj().T, validate=False)
     return Coset.of(value.point, image(T, feasible, tol))
+
+
+def _inverse_on_ran(
+    T: LinearRelation, point: np.ndarray, coords: np.ndarray, tol: Tolerance | None
+) -> Coset:
+    """T^-1 of the coset point + span(U coords) inside ran T, for U the basis
+    of ran T that ``parts`` cut at the tolerance, ``point`` in span(U) and
+    ``coords`` with orthonormal columns, from the output block's half alone.
+
+    With H ~ U S_r V_r* the kept triplets of the output block, U c is H a
+    exactly for a in V_r S_r^-1 c + null(H).  So the point is F times the
+    min-norm solve ``apply`` makes, and the directions are F times
+    V_r S_r^-1 coords, plus ker T = F null(H).  S_r is invertible, so the
+    columns of S_r^-1 coords are independent and need no rank decision:
+    one Householder QR, with the rows in decreasing order of 1 / s as for a
+    weighted least-squares problem (Cox and Higham, 1998), makes them
+    orthonormal and keeps the combinations that cancel a large row.  An SVD
+    of the normalized columns forms those from nearly parallel columns and
+    loses them to rounding over s_min.  V_r times the QR factor is
+    orthogonal to null(H), and F times both is cut as ``restrict`` cuts an
+    image: unit graph vectors at the rank cutoff.
+    """
+    half = _half(T, tol, _OUT)
+    point = T.in_block @ half.kept.solve(point)
+    if not coords.shape[1]:
+        return Coset.of(point, half.null_image)
+    graded = coords[::-1] / half.kept.s[::-1, None]  # S_r^-1 coords, largest rows first
+    graph_coords = half.kept.vh.conj().T @ np.linalg.qr(graded)[0][::-1]
+    directions = np.hstack([T.in_block @ graph_coords, half.null_image.basis])
+    return Coset.of(point, orthonormalize(directions, tol))
 
 
 def relation_contains(outer: LinearRelation, inner: LinearRelation, tol: Tolerance | None = None) -> bool:

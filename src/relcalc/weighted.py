@@ -121,10 +121,15 @@ def _signed_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs, np.asfortranarray(vecs)
 
 
-def _unit_psd(w: Weight, tol: Tolerance | None) -> tuple[float, np.ndarray, np.ndarray, Subspace]:
+def _unit_psd(
+    w: Weight, tol: Tolerance | None, *, scale_only: bool = False
+) -> tuple[float, np.ndarray] | tuple[float, np.ndarray, np.ndarray, Subspace]:
     """W on its own scale, so that its units decide no cut: lambda, W / lambda,
     and the Hermitian root and kernel of W / lambda from W's own eigenpairs,
-    keeping the positive eigenvalues that pass the rank cut.
+    keeping the positive eigenvalues that pass the rank cut.  With
+    ``scale_only`` it stops at lambda and W / lambda, for a caller that reads
+    neither the root nor the kernel, and makes no cut, no n^3 product for
+    the root and no copy for the kernel.
 
     lambda is the largest eigenvalue of W when W / lambda passes the psd
     certificate that W passed.  Otherwise, or when no eigenvalue is
@@ -139,6 +144,8 @@ def _unit_psd(w: Weight, tol: Tolerance | None) -> tuple[float, np.ndarray, np.n
     top = float(eigs.max(initial=0.0))
     if not top or eigs[0] < -top * DEFAULT_TOL._certificate(float(np.linalg.norm(w.matrix)) / top, eigs.size):
         top = 1.0
+    if scale_only:
+        return top, w.matrix / top
     eigs = eigs / top
     cut = eigs.size - _tol(tol).rank(eigs[::-1], eigs.shape * 2)
     eigs[:cut] = 0.0

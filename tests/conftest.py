@@ -36,3 +36,18 @@ def svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return calls
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """The matrix shape of each numpy.linalg.qr call, in order: an
+    orthonormal basis with no rank decision."""
+    calls = []
+    original = np.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    return calls

@@ -539,6 +539,16 @@ class TestEigenvalueCuts:
             assert kernel.basis.flags.f_contiguous
             assert np.array_equal(root, (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T)
 
+    def test_unit_psd_scale_only_stops_before_the_cut(self):
+        # check_normal reads lambda and W / lambda alone: the same bits,
+        # without the cut, the root and the kernel
+        rng = np.random.default_rng(15303)
+        for w, _ in psd_weights(rng, 60):
+            weight = Weight(w, "psd")
+            top, w_unit = weighted._unit_psd(weight, None, scale_only=True)
+            full = weighted._unit_psd(weight, None)
+            assert top == full[0] and np.array_equal(w_unit, full[1])
+
     @pytest.mark.parametrize("tol", CUT_TOLERANCES)
     def test_factor_corner_drops_the_masked_eigenvectors(self, tol):
         rng = np.random.default_rng(15301)

@@ -11,7 +11,8 @@ eigenpairs the psd ``Weight`` keeps from its certificate.  The normal
 equation 0 in A* W (A x0 - b) reads on the same basis U of ran A: (z, 0)
 lies in A* exactly when U* z = 0, so ``check_normal`` works on U*W.  The
 solutions A^-1(P b) read U too: it is the kept left factor of A's output
-block H, whose kept triplets invert H on ran A, so H is factored once.
+block H, whose kept triplets invert H on ran A through ``relations._map``,
+the map ``apply`` reads on the input block, so H is factored once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NoSolutionError
 from .subspaces import Coset, Tolerance, _as_vector, _cut_svd, _tol, subspace_equals, subspace_intersect
-from .relations import LinearRelation, _inverse_on_ran, apply, parts
+from .relations import _OUT, LinearRelation, _map, apply, parts
 from .weighted import Weight, _factor_corner, _project_by_blocks, _unit_psd
 
 
@@ -87,7 +88,8 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
     read only A's output block H, factored once: ``parts(A).ran`` is its
     kept left factor U, the outputs are U c + span(U Y) for Y the corner's
     dropped eigenvectors, and A^-1 of them comes from H's kept triplets
-    (``relations._inverse_on_ran``); the input block is never factored.
+    (``relations._map`` on the output side, with no ``invert(A)``); the
+    input block is never factored.
     """
     top, w_unit, w_half, ker_w = _unit_psd(p.W, tol)
     ran = parts(p.A, tol).ran
@@ -119,7 +121,7 @@ def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:
             f"ran A cap ker W (dim {structural.dim})"
         )
     dropped = corner.vecs[:, : corner.eigs.size - corner.rank]  # outputs.direction is U @ dropped
-    solution_set = _inverse_on_ran(p.A, outputs.point, dropped, tol)
+    solution_set = _map(p.A, _OUT, outputs.point, dropped, tol)
     return LssSolution(
         exists=True,
         min_value=min_value,
@@ -137,15 +139,16 @@ def check_normal(p: LssProblem, x0: np.ndarray, tol: Tolerance | None = None) ->
     mul A, zero is a value when some y0 + M c - b has U*W (y0 + M c - b) = 0:
     when g = U*W (y0 - b) lies in the range of K = U*W M.  One SVD of the
     small matrix K, cut at the rank cutoff (none when mul A = 0), and a
-    residual test at the scale of g decide it.  W is read as W / lambda from
-    ``weighted._unit_psd``, as ``solve`` reads it, so the units of W decide
-    neither.  True exactly for the weighted least-squares solutions.
+    residual test at the scale of g decide it.  W is read as W / lambda, for
+    the lambda that a psd ``Weight`` fixes when it is certified, as ``solve``
+    reads it, so the units of W decide neither.  True exactly for the
+    weighted least-squares solutions.
     """
     tol = _tol(tol)
     value = apply(p.A, _as_vector(x0, p.A.dim_in, "candidate x0"), tol)
     if value.is_empty:
         raise ValueError("candidate lies outside dom A")
-    uw = parts(p.A, tol).ran.basis.conj().T @ _unit_psd(p.W, tol, scale_only=True)[1]
+    uw = parts(p.A, tol).ran.basis.conj().T @ (p.W.matrix / p.W._top)
     g = uw @ (value.point - p.b)
     threshold = tol.residual(max(1.0, float(np.linalg.norm(g))), p.A.dim_in)
     left, _, _, rank = _cut_svd(uw @ value.direction.basis, tol)

@@ -219,20 +219,19 @@ def coefficient_x(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> Lin
     return LinearRelation(dim, dim, Subspace(np.vstack([n.basis - onto_m, -onto_m]), validate=False))
 
 
+def _projection_blocks(m: Subspace, n: Subspace, tol: Tolerance | None) -> BlockRep:
+    """The paper's block form (I_M, x; 0, 0) along M of the projection with
+    range M and kernel N, for x = ``coefficient_x(M, N)``."""
+    m_perp = subspace_complement(m, tol)
+    return BlockRep(m, m_perp, identity_on(m), coefficient_x(m, n, tol), zero_on(m), zero_on(m_perp))
+
+
 def assemble_representation(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> BlockRep:
     """Block form (identity-on-M, x; 0, 0) of the projection with range M, kernel N.
 
     The relation the four blocks generate must be P(M, N) itself.
     """
-    m_perp = subspace_complement(m, tol)
-    rep = BlockRep(
-        splitter=m,
-        co_splitter=m_perp,
-        a=identity_on(m),
-        b=coefficient_x(m, n, tol),
-        c=zero_on(m),
-        d=zero_on(m_perp),
-    )
+    rep = _projection_blocks(m, n, tol)
     if not relation_equals(rep.generate(tol), make_pmn(m, n, tol), tol):
         raise ConsistencyError("block form failed to regenerate P(M, N)")
     return rep

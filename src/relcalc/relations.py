@@ -75,12 +75,13 @@ class _Half(NamedTuple):
     """What one SVD of a graph block decides, cut at one tolerance: the
     block's span (dom for the input block F, ran for the output block H), the
     other block applied to its null space (mul = H null(F), ker = F null(H))
-    and the cut trimmed to the block's kept singular triplets,
-    block ~ span.basis @ diag(kept.s) @ kept.vh."""
+    and the block's whole cut in ``_svd``'s shapes, dropped singular values
+    included, block = cut.u @ diag(cut.s) @ cut.vh with the kept triplets
+    first."""
 
     span: Subspace
     null_image: Subspace
-    kept: Cut
+    cut: Cut
 
 
 _IN, _OUT = 0, 1
@@ -103,27 +104,19 @@ def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subsp
     return Subspace(vecs, validate=False)
 
 
-def _factor_half(block: np.ndarray, other: np.ndarray, tol: Tolerance) -> _Half:
-    """One SVD of a graph block with all of its right singular vectors, cut
-    at the tolerance's rank cutoff: the kept triplets, and the other block
-    applied to the dropped right singular vectors, the graph coordinates of
-    the block's null space."""
-    u, s, vh, rank = _cut_svd(block, tol)
-    span = Subspace(u[:, :rank], validate=False)
-    null_image = _block_image(other, vh[rank:].conj().T, tol)
-    return _Half(span, null_image, Cut(span.basis, s[:rank].copy(), vh[:rank].copy(), rank))
-
-
 def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
     """The cached half of the parts that the block on ``side`` (``_IN`` or
     ``_OUT``) decides at the tolerance, else the one cached for every
-    tolerance; one SVD the first time."""
+    tolerance; one SVD the first time, whose dropped right singular vectors
+    span the block's null space in graph coordinates."""
     tol = _tol(tol)
     cache = T._halves[side]
     half = cache.get(tol, cache.get(None))
     if half is None:
         block, other = (T.in_block, T.out_block) if side == _IN else (T.out_block, T.in_block)
-        half = cache[tol] = _factor_half(block, other, tol)
+        cut = _cut_svd(block, tol)
+        span = Subspace(cut.u[:, : cut.rank], validate=False)
+        half = cache[tol] = _Half(span, _block_image(other, cut.vh[cut.rank :].conj().T, tol), cut)
     return half
 
 
@@ -163,12 +156,14 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
     a block gives both its span (kept left singular vectors) and its null
     space (dropped right singular vectors), so each block decides one half of
     the parts: F gives dom and mul, H gives ran and ker.  Each half is cached
-    on the relation per block and tolerance value, with the block's kept
-    singular triplets for ``apply``; ``None`` and ``Tolerance()`` share one
-    entry.  ``parts`` itself factors nothing: a block is factored the first
-    time one of its two subspaces is read, except that ``graph_of_matrix``
-    seeds both halves from the SVD of the matrix: the output half at its
-    tolerance, the input half (dom = C^n, mul = {0}) for every tolerance.
+    on the relation per block and tolerance value, with the block's whole
+    cut, dropped singular values included, whose kept triplets ``_map``
+    reads for ``apply`` and for ``solve``'s A^-1; ``None`` and
+    ``Tolerance()`` share one entry.  ``parts`` itself factors nothing: a
+    block is factored the first time one of its two subspaces is read,
+    except that ``graph_of_matrix`` seeds both halves from the SVD of the
+    matrix: the output half at its tolerance, the input half (dom = C^n,
+    mul = {0}) for every tolerance.
     """
     return RelationParts(T, _tol(tol))
 
@@ -195,12 +190,12 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
     C = (I + S^2)^(-1/2), its CS form, s padded by zeros to length n: the
     input block F = V C and the output block H = U S C arrive factored, with
     singular values 1 / hypot(1, s) and s / hypot(1, s) and identity rows as
-    right factors in graph coordinates.  F is invertible, so the graph has
-    all n columns, dom = C^n and mul = {0}: the input half, dom V (columns
-    reversed, so that F's values descend) with all n triplets of F, is
-    seeded once for every tolerance.  The one cut, of H's values at the
-    tolerance, keeps r of them: ran is U's first r columns and ker V's last
-    n - r, seeded at the tolerance.  So ``parts`` and ``apply`` factor
+    right factors in graph coordinates, seeded as whole cuts.  F is
+    invertible, so the graph has all n columns, dom = C^n and mul = {0}: the
+    input half, dom V (columns reversed, so that F's values descend) with
+    all n triplets of F, is seeded once for every tolerance.  The one cut,
+    of H's values at the tolerance, keeps r of them: ran is U's first r
+    columns and ker V's last n - r, seeded at the tolerance.  So ``parts`` and ``apply`` factor
     nothing there, and dom, mul and ``apply`` nothing at any tolerance.
     """
     matrix = np.asarray(matrix, dtype=complex)
@@ -223,7 +218,7 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
     r = tol.rank(out_s, (m, n))
     coords = np.eye(n, dtype=complex)
     ran = Subspace(u[:, :r], validate=False)
-    T._halves[_OUT][tol] = _Half(ran, Subspace(v[:, r:], validate=False), Cut(ran.basis, out_s[:r], coords[:r], r))
+    T._halves[_OUT][tol] = _Half(ran, Subspace(v[:, r:], validate=False), Cut(u, out_s[: s.size], coords, r))
     dom = Subspace(v[:, ::-1], validate=False)
     T._halves[_IN][None] = _Half(dom, zero_space(m), Cut(dom.basis, in_s[::-1], coords[::-1], n))
     return T
@@ -372,15 +367,12 @@ def image(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Subsp
 def apply(T: LinearRelation, x: np.ndarray, tol: Tolerance | None = None) -> Coset:
     """The value T x = y + mul T, or the empty coset when x is outside dom T.
 
-    Reads the input block's half of the parts only: the graph coefficients
-    of x are V_r S_r^-1 U_r* x, from the kept singular triplets
-    (U_r, S_r, V_r) of the input block cut at the tolerance.
+    ``_map`` of the point x on the input block's half of the parts alone:
+    dom T decides the test, and the graph coefficients of the value are
+    V_r S_r^-1 U_r* x from the kept singular triplets (U_r, S_r, V_r) of
+    the input block cut at the tolerance.
     """
-    x = _as_vector(x, T.dim_in, "input vector")
-    f = _half(T, tol, _IN)
-    if not f.span.contains_vector(x, tol):
-        return Coset.empty(T.dim_out)
-    return Coset.of(T.out_block @ f.kept.solve(x), f.null_image)
+    return _map(T, _IN, _as_vector(x, T.dim_in, "input vector"), None, tol)
 
 
 def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) -> Coset:
@@ -394,8 +386,10 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
     block's half of the parts, through ``apply``; T(X) comes from ``image``,
     whose rank decision weighs unit graph vectors.  ``solve`` does not come
     here: its outputs lie in dom A^-1 = ran A by construction, so it maps
-    them through the kept triplets of A's output block
-    (``_inverse_on_ran``), one preimage SVD fewer.  Both routes carry
+    them through the kept triplets of A's output block (``_map``), one
+    preimage SVD fewer.  Sending X through ``_map`` as well adds spurious
+    directions on the conditioning family (ROADMAP item 17), so T(X) keeps
+    ``image``.  Both routes carry
     rounding of about eps / sigma_min into the image, where a direction
     of X in ker T can surface as a spurious one (ROADMAP item 5).  At a
     purely relative tolerance the cut of the off-dom part, a matrix of
@@ -423,33 +417,38 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
     return Coset.of(value.point, image(T, feasible, tol))
 
 
-def _inverse_on_ran(
-    T: LinearRelation, point: np.ndarray, coords: np.ndarray, tol: Tolerance | None
+def _map(
+    T: LinearRelation, side: int, point: np.ndarray, coords: np.ndarray | None, tol: Tolerance | None
 ) -> Coset:
-    """T^-1 of the coset point + span(U coords) inside ran T, for U the basis
-    of ran T that ``parts`` cut at the tolerance, ``point`` in span(U) and
-    ``coords`` with orthonormal columns, from the output block's half alone.
+    """The image of the coset point + span(U coords) under T (``side`` is
+    ``_IN``) or T^-1 (``_OUT``), from the cached half of the block B on
+    ``side`` alone: U is the basis of span B (dom T or ran T) that ``parts``
+    cut, ``point`` lies in span(U), and ``coords`` has orthonormal columns.
+    ``coords`` None maps the point alone, any point: one outside span B has
+    the empty image.
 
-    With H ~ U S_r V_r* the kept triplets of the output block, U c is H a
-    exactly for a in V_r S_r^-1 c + null(H).  So the point is F times the
-    min-norm solve ``apply`` makes, and the directions are F times
-    V_r S_r^-1 coords, plus ker T = F null(H).  S_r is invertible, so the
-    columns of S_r^-1 coords are independent and need no rank decision:
-    one Householder QR, with the rows in decreasing order of 1 / s as for a
-    weighted least-squares problem (Cox and Higham, 1998), makes them
-    orthonormal and keeps the combinations that cancel a large row.  An SVD
-    of the normalized columns forms those from nearly parallel columns and
-    loses them to rounding over s_min.  V_r times the QR factor is
-    orthogonal to null(H), and F times both is cut as ``restrict`` cuts an
-    image: unit graph vectors at the rank cutoff.
+    With B ~ U S_r V_r* the kept triplets and G the other block, U c is B a
+    exactly for a in V_r S_r^-1 c + null(B).  So the point is G times
+    ``Cut.solve``, and the directions are G times V_r S_r^-1 coords, plus
+    G null(B) (mul T or ker T).  The columns of S_r^-1 coords are
+    independent and need no rank decision: one Householder QR, its rows in
+    decreasing order of 1 / s as for a weighted least-squares problem (Cox
+    and Higham, 1998), makes them orthonormal and keeps the combinations
+    that cancel a large row, which an SVD of the normalized columns loses to
+    rounding over s_min.  G times both is cut as ``restrict`` cuts an image:
+    unit graph vectors at the rank cutoff.
     """
-    half = _half(T, tol, _OUT)
-    point = T.in_block @ half.kept.solve(point)
-    if not coords.shape[1]:
-        return Coset.of(point, half.null_image)
-    graded = coords[::-1] / half.kept.s[::-1, None]  # S_r^-1 coords, largest rows first
-    graph_coords = half.kept.vh.conj().T @ np.linalg.qr(graded)[0][::-1]
-    directions = np.hstack([T.in_block @ graph_coords, half.null_image.basis])
+    span, null_image, cut = _half(T, tol, side)
+    other = T.out_block if side == _IN else T.in_block
+    if coords is None and not span.contains_vector(point, tol):
+        return Coset.empty(other.shape[0])
+    point = other @ cut.solve(point)
+    if coords is None or not coords.shape[1]:
+        return Coset.of(point, null_image)
+    r = cut.rank
+    graded = coords[::-1] / cut.s[:r][::-1, None]  # S_r^-1 coords, largest rows first
+    graph_coords = cut.vh[:r].conj().T @ np.linalg.qr(graded)[0][::-1]
+    directions = np.hstack([other @ graph_coords, null_image.basis])
     return Coset.of(point, orthonormalize(directions, tol))
 
 

@@ -147,7 +147,9 @@ def _reduce(corner: _Corner, root: np.ndarray, x: np.ndarray) -> Coset:
     construction, so it needs no certificate."""
     projected = _project_by_blocks(corner, root, x)
     if projected.is_empty:
-        # dom (I - P) = dom P, everything for a psd weight: cannot happen
+        # dom (I - P) = dom P is everything for a psd weight, so this is
+        # rounding of the existence test against a zero threshold: it
+        # raises at Tolerance(0, 0) (ROADMAP item 13)
         raise ConsistencyError("feasible point escaped the projection domain")
     return Coset.of(x - projected.point, projected.direction)
 

@@ -8,9 +8,9 @@ and that defect is exactly what complementability measures.  The solvers'
 ``_factor_corner`` and ``_project_by_blocks``, ``complementability`` and
 ``krein_classify`` read the block split of W along S = span(U), U
 orthonormal, through U*WU or U*W, and ``complementability`` takes its
-off-diagonal block from ``coefficient_x``; ``shorted`` reads the root of W
-from W's own eigenpairs.  ``make_pws`` builds the same projection by the
-relation calculus.  No library function calls it or the calculus routes
+block form (I, x; 0, 0) from ``mvproj._projection_blocks``; ``shorted``
+reads the root of W from W's own eigenpairs.  ``make_pws`` builds the same
+projection by the relation calculus.  No library function calls it or the calculus routes
 the block form replaced (``canonical_blocks``, ``identity_minus``,
 ``apply``): they are the tests' cross-checks.
 """
@@ -39,8 +39,8 @@ from .subspaces import (
     subspace_intersect,
     subspace_sum,
 )
-from .relations import LinearRelation, identity_on, zero_on
-from .mvproj import BlockRep, coefficient_x, make_pmn
+from .relations import LinearRelation
+from .mvproj import BlockRep, _projection_blocks, make_pmn
 
 WEIGHT_KINDS = ("selfadjoint", "psd", "symmetry")
 
@@ -51,13 +51,18 @@ class Weight:
 
     psd certification uses the eigenvalue threshold -tol; weights with
     slightly negative eigenvalues are accepted and flagged ``borderline``.
-    A psd weight keeps the eigenpairs that certify it, for every root of W.
+    A psd weight keeps the eigenpairs that certify it, for every root of W,
+    and its scale lambda, fixed there: the largest eigenvalue when W / lambda
+    passes the certificate that W passed, and 1 otherwise (W is then zero up
+    to rounding, and on its own scale that rounding would read as
+    eigenvalues of order one, of either sign).
     """
 
     matrix: np.ndarray
     kind: str = "selfadjoint"
     borderline: bool = field(init=False, default=False)
     _eigh: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None, repr=False)
+    _top: float | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -79,9 +84,13 @@ class Weight:
                 raise ValueError(f"weight is not positive semidefinite (min eig {eigs[0]:.3e})")
             if eigs.size and eigs[0] < 0:
                 object.__setattr__(self, "borderline", True)
+            top = float(eigs.max(initial=0.0))
+            if not top or eigs[0] < -top * DEFAULT_TOL._certificate(float(np.linalg.norm(mat)) / top, n):
+                top = 1.0
             eigs.setflags(write=False)
             vecs.setflags(write=False)
             object.__setattr__(self, "_eigh", (eigs, vecs))
+            object.__setattr__(self, "_top", top)
         elif self.kind == "symmetry":
             if np.linalg.norm(mat @ mat - np.eye(n)) > thresh:
                 raise ValueError("weight is not a symmetry (its square is not the identity)")
@@ -121,31 +130,17 @@ def _signed_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs, np.asfortranarray(vecs)
 
 
-def _unit_psd(
-    w: Weight, tol: Tolerance | None, *, scale_only: bool = False
-) -> tuple[float, np.ndarray] | tuple[float, np.ndarray, np.ndarray, Subspace]:
+def _unit_psd(w: Weight, tol: Tolerance | None) -> tuple[float, np.ndarray, np.ndarray, Subspace]:
     """W on its own scale, so that its units decide no cut: lambda, W / lambda,
     and the Hermitian root and kernel of W / lambda from W's own eigenpairs,
-    keeping the positive eigenvalues that pass the rank cut.  With
-    ``scale_only`` it stops at lambda and W / lambda, for a caller that reads
-    neither the root nor the kernel, and makes no cut, no n^3 product for
-    the root and no copy for the kernel.
-
-    lambda is the largest eigenvalue of W when W / lambda passes the psd
-    certificate that W passed.  Otherwise, or when no eigenvalue is
-    positive, lambda is 1: W is then zero up to rounding, and on its own
-    scale that rounding would read as eigenvalues of order one, of either
-    sign.  The eigenvalues below the cutoff are flushed to exact zero;
-    otherwise rounding noise of size eps would surface as sqrt(eps) and the
-    root would no longer share the kernel of its square.  The dropped
-    eigenvectors are an orthonormal basis of it.
+    keeping the positive eigenvalues that pass the rank cut.  lambda is the
+    one the psd ``Weight`` fixed when it was certified.  The eigenvalues
+    below the cutoff are flushed to exact zero; otherwise rounding noise of
+    size eps would surface as sqrt(eps) and the root would no longer share
+    the kernel of its square.  The dropped eigenvectors are an orthonormal
+    basis of it.
     """
-    eigs, vecs = w._eigh
-    top = float(eigs.max(initial=0.0))
-    if not top or eigs[0] < -top * DEFAULT_TOL._certificate(float(np.linalg.norm(w.matrix)) / top, eigs.size):
-        top = 1.0
-    if scale_only:
-        return top, w.matrix / top
+    top, (eigs, vecs) = w._top, w._eigh
     eigs = eigs / top
     cut = eigs.size - _tol(tol).rank(eigs[::-1], eigs.shape * 2)
     eigs[:cut] = 0.0
@@ -264,8 +259,9 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     quadratic in W.  mul P = U ker M, and the paper's criterion
     ran b <= ran a reads rank a = rank G; the second route, S
     complementable when S + (W S)-perp is everything, must agree.  Then
-    (W S)-perp is the kernel of P, and the off-diagonal block a^-1 b is
-    ``coefficient_x`` of S and that kernel, with no further rank decision.
+    (W S)-perp is the kernel of P, and the block form is
+    ``mvproj._projection_blocks`` of S and that kernel: its off-diagonal
+    block a^-1 b is ``coefficient_x``, with no further rank decision.
     """
     _check_ambient(w, s)
     n, u = w.ambient_dim, s.basis
@@ -279,11 +275,7 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
         raise ConsistencyError(
             f"domain criterion ({by_domain}) disagrees with block criterion ({by_blocks})"
         )
-    blocks = None
-    if by_domain:
-        s_perp = subspace_complement(s, tol)
-        x = coefficient_x(s, companion, tol)
-        blocks = BlockRep(s, s_perp, identity_on(s), x, zero_on(s), zero_on(s_perp))
+    blocks = _projection_blocks(s, companion, tol) if by_domain else None
     return ComplementabilityReport(
         is_complementable=by_domain,
         domain=domain,

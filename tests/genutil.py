@@ -1,6 +1,7 @@
 """Seeded random generators and small assertion helpers shared by the tests."""
 
 import numpy as np
+import pytest
 
 from relcalc import (
     LinearRelation,
@@ -16,6 +17,13 @@ from relcalc import (
     subspace_sum,
     zero_space,
 )
+
+
+# (seed, top) for singular values geomspace(1 / top, top, n): top 1e6 under
+# the bare seed as its id, and 1e8 on the same seeds
+WIDE_SPECTRA = [pytest.param(seed, 1e6, id=str(seed)) for seed in range(10)] + [
+    pytest.param(seed, 1e8, id=f"{seed}-1e8") for seed in range(10)
+]
 
 
 def cvec(rng, n):

@@ -163,12 +163,12 @@ def test_multivalued_projections_take_the_graph_blocks():
     # mvproj.py builds the corners, the generated super-idempotent and the
     # fixed points ker(I - E) from spans of the graph blocks; the projector
     # graphs, restrict and identity_minus are test-only cross-checks.
-    # complementability's off-diagonal block is coefficient_x, not a span
-    # of its own
+    # complementability's block form is mvproj's, whose off-diagonal block
+    # is coefficient_x, not a span of its own
     names = set(_names(ast.parse((PACKAGE / "mvproj.py").read_text(encoding="utf-8"))))
     assert not names & {"graph_of_matrix", "restrict", "identity_minus"}
     names = set(_names(ast.parse((PACKAGE / "weighted.py").read_text(encoding="utf-8"))))
-    assert "coefficient_x" in names and "orthonormalize" not in names
+    assert "_projection_blocks" in names and "orthonormalize" not in names
 
 
 THRESHOLD_FREE = ("lss.py", "relations.py", "mvproj.py", "weighted.py", "splines.py")

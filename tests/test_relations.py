@@ -42,6 +42,7 @@ from relcalc import (
     zero_space,
 )
 from relcalc import oracles
+from relcalc.relations import _IN, _OUT, _half
 
 from genutil import (
     cmat,
@@ -54,6 +55,7 @@ from genutil import (
     random_subspace,
     relation_near_output_axis,
     relation_with_ker_and_mul,
+    WIDE_SPECTRA,
 )
 
 
@@ -305,6 +307,28 @@ class TestParts:
             assert getattr(coarse, name) is not field
         # at 1e-3 the tilted pair counts as a kernel direction
         assert coarse.ker.dim == default.ker.dim + 1
+
+    def test_a_cached_half_keeps_every_singular_value(self):
+        # a cached half keeps its block's whole cut in _svd's shapes, the
+        # dropped singular values included: the margins of its rank decision
+        # are s[rank - 1] and s[rank] (ROADMAP item 6); graph_of_matrix
+        # seeds both halves that way
+        rng = np.random.default_rng(480)
+        for i in range(300):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            tol = (Tolerance(), Tolerance(abs_eps=1e-3), Tolerance(0, 1e-9))[i % 3]
+            if i % 2:
+                t = relation_with_ker_and_mul(rng, n, m)
+            else:
+                k = int(rng.integers(0, min(n, m) + 1))
+                t = graph_of_matrix(cmat(rng, m, k) @ cmat(rng, k, n), tol)
+            for side, block in ((_IN, t.in_block), (_OUT, t.out_block)):
+                half = _half(t, tol, side)
+                u, s, vh, rank = half.cut
+                assert s.size == min(block.shape) and rank == half.span.dim
+                assert np.allclose(s, np.linalg.svd(block, compute_uv=False), rtol=0, atol=1e-13)
+                assert u.shape[0] == block.shape[0] and vh.shape == (block.shape[1],) * 2
+                assert np.allclose((u[:, : s.size] * s) @ vh[: s.size], block, rtol=0, atol=1e-13)
 
     def test_axis_oracle_factors_the_graph_complement_once(self, svd_calls):
         # the write-heavy relation of the CLI benchmark, rank 24 of 48: the
@@ -610,15 +634,15 @@ class TestApplyToCoset:
         out = apply_to_coset(t, c)
         assert not out.is_empty and np.allclose(out.point, 0)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_keeps_what_the_relation_shrinks_beside_what_it_stretches(self, seed):
-        # singular values from 1e-6 to 1e6: the image of the whole space is
-        # ran T.  The image is cut on unit graph vectors; a cut relative to
-        # the largest image vector would drop the directions T (or its
-        # inverse) shrinks beside the ones it stretches
+    @pytest.mark.parametrize("seed,top", WIDE_SPECTRA)
+    def test_keeps_what_the_relation_shrinks_beside_what_it_stretches(self, seed, top):
+        # singular values from 1 / top to top, for top 1e6 and 1e8: the
+        # image of the whole space is ran T.  The image is cut on unit graph
+        # vectors; a cut relative to the largest image vector would drop the
+        # directions T (or its inverse) shrinks beside the ones it stretches
         rng = np.random.default_rng(12100 + seed)
         n = int(rng.integers(2, 7))
-        sigma = np.geomspace(1e-6, 1e6, n)
+        sigma = np.geomspace(1 / top, top, n)
         t = graph_of_matrix(random_unitary(rng, n) @ np.diag(sigma) @ random_unitary(rng, n))
         for form in (t, invert(t)):
             out = apply_to_coset(form, Coset.of(cvec(rng, n), full_space(n)))

@@ -539,15 +539,14 @@ class TestEigenvalueCuts:
             assert kernel.basis.flags.f_contiguous
             assert np.array_equal(root, (vecs * np.sqrt(np.where(keep, eigs, 0.0))) @ vecs.conj().T)
 
-    def test_unit_psd_scale_only_stops_before_the_cut(self):
-        # check_normal reads lambda and W / lambda alone: the same bits,
-        # without the cut, the root and the kernel
+    def test_weight_fixes_the_scale_unit_psd_reads(self):
+        # a psd Weight fixes lambda when it is certified, and check_normal
+        # reads W / lambda from it with no cut: the same bits as _unit_psd's
         rng = np.random.default_rng(15303)
         for w, _ in psd_weights(rng, 60):
             weight = Weight(w, "psd")
-            top, w_unit = weighted._unit_psd(weight, None, scale_only=True)
-            full = weighted._unit_psd(weight, None)
-            assert top == full[0] and np.array_equal(w_unit, full[1])
+            top, w_unit, _, _ = weighted._unit_psd(weight, None)
+            assert weight._top == top and np.array_equal(weight.matrix / weight._top, w_unit)
 
     @pytest.mark.parametrize("tol", CUT_TOLERANCES)
     def test_factor_corner_drops_the_masked_eigenvectors(self, tol):

@@ -3,13 +3,18 @@
 Everything here is deliberately written against raw numpy least squares and
 pseudoinverses, away from the subspace/relation machinery, so that an oracle
 never shares a code path with the computation it checks.  The library never
-calls an oracle; the test suite and the CLI's ``--verify`` do.  Where the
-library adopts an oracle's formula, the oracle keeps the one the library
-dropped: the de Morgan intersection, the graph-and-axis route to the kernel
-and the multivalued part, the cylinder intersections behind composition,
-the operator sum and restriction, the companion route to Krein regularity
-(S meets its J-companion in 0 and with it spans everything) and the Schur
-complement behind the shorted operator live on here.
+calls an oracle; the test suite does, and the CLI's ``--verify`` runs every
+one, some through another (``intersect_de_morgan`` through
+``compose_by_cylinders``, ``op_sum_by_cylinders`` through
+``block_graph_by_cylinders``, ``minimize_seminorm_over_coset`` through
+``w1w2_by_graph``).  Where the library adopts an oracle's formula, the
+oracle keeps the one the library dropped: the de Morgan intersection, the
+graph-and-axis route to the kernel and the multivalued part, the cylinder
+intersections behind composition and the operator sum, the companion route
+to Krein regularity (S meets its J-companion in 0 and with it spans
+everything) and the Schur complement behind the shorted operator live on
+here.  The cylinder route to restriction, which ``--verify`` never runs,
+lives with the tests of ``restrict``.
 """
 
 from __future__ import annotations
@@ -115,19 +120,6 @@ def op_sum_by_cylinders(t_graph: np.ndarray, s_graph: np.ndarray, n: int, atol: 
     cyl_s[n : n + m, ds:] = np.eye(m)
     triples = intersect_de_morgan(cyl_t, cyl_s, atol)
     return _span_basis(np.vstack([triples[:n], triples[n : n + m] + triples[n + m :]]), atol)
-
-
-def restrict_by_cylinders(
-    t_graph: np.ndarray, n: int, m_basis: np.ndarray, atol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
-    """Graph basis of T restricted to inputs in span(m_basis), the
-    intersection of T with M x C^m, and a basis of the image T(M)."""
-    m = t_graph.shape[0] - n
-    cyl = np.zeros((n + m, m_basis.shape[1] + m), dtype=complex)
-    cyl[:n, : m_basis.shape[1]] = m_basis
-    cyl[n:, m_basis.shape[1] :] = np.eye(m)
-    pairs = intersect_de_morgan(t_graph, cyl, atol)
-    return pairs, _span_basis(pairs[n:], atol)
 
 
 def block_graph_by_cylinders(

@@ -29,7 +29,6 @@ from .subspaces import (
     subspace_contains,
     subspace_equals,
     subspace_sum,
-    zero_space,
 )
 
 
@@ -44,9 +43,9 @@ class LinearRelation:
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.graph = graph
-        # one cache per graph block (input F, output H), keyed by tolerance;
-        # the key None holds a half that serves every tolerance
-        self._halves: tuple[dict[Tolerance | None, _Half], dict[Tolerance | None, _Half]] = ({}, {})
+        # one cache per graph block (input F, output H): the key None holds
+        # the block's one SVD, uncut, and each tolerance the _Half cut from it
+        self._halves: tuple[dict, dict] = ({}, {})
 
     @property
     def in_block(self) -> np.ndarray:
@@ -72,12 +71,11 @@ class Restriction(NamedTuple):
 
 
 class _Half(NamedTuple):
-    """What one SVD of a graph block decides, cut at one tolerance: the
-    block's span (dom for the input block F, ran for the output block H), the
-    other block applied to its null space (mul = H null(F), ker = F null(H))
-    and the block's whole cut in ``_svd``'s shapes, dropped singular values
-    included, block = cut.u @ diag(cut.s) @ cut.vh with the kept triplets
-    first."""
+    """What one graph block decides at one tolerance: its span (dom for the
+    input block F, ran for the output block H), the other block applied to
+    its null space (mul = H null(F), ker = F null(H)) and the block's stored
+    SVD cut at that tolerance, in ``_svd``'s shapes with the dropped
+    singular values, block = cut.u @ diag(cut.s) @ cut.vh."""
 
     span: Subspace
     null_image: Subspace
@@ -106,17 +104,22 @@ def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subsp
 
 def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
     """The cached half of the parts that the block on ``side`` (``_IN`` or
-    ``_OUT``) decides at the tolerance, else the one cached for every
-    tolerance; one SVD the first time, whose dropped right singular vectors
+    ``_OUT``) decides at the tolerance, cut from the block's one stored SVD
+    (made on the first read at any tolerance, unless stored at construction):
+    ``Tolerance.rank`` of its values, or the rank stored with them for a
+    block invertible by construction.  The dropped right singular vectors
     span the block's null space in graph coordinates."""
     tol = _tol(tol)
     cache = T._halves[side]
-    half = cache.get(tol, cache.get(None))
+    half = cache.get(tol)
     if half is None:
         block, other = (T.in_block, T.out_block) if side == _IN else (T.out_block, T.in_block)
-        cut = _cut_svd(block, tol)
-        span = Subspace(cut.u[:, : cut.rank], validate=False)
-        half = cache[tol] = _Half(span, _block_image(other, cut.vh[cut.rank :].conj().T, tol), cut)
+        svd = cache.get(None)
+        if svd is None:
+            svd = cache[None] = Cut(*_svd(block), None)
+        r = tol.rank(svd.s, block.shape) if svd.rank is None else svd.rank
+        span = Subspace(svd.u[:, :r], validate=False)
+        half = cache[tol] = _Half(span, _block_image(other, svd.vh[r:].conj().T, tol), svd._replace(rank=r))
     return half
 
 
@@ -155,15 +158,13 @@ def parts(T: LinearRelation, tol: Tolerance | None = None) -> RelationParts:
     space of H, and mul is H applied to the null space of F.  One SVD of
     a block gives both its span (kept left singular vectors) and its null
     space (dropped right singular vectors), so each block decides one half of
-    the parts: F gives dom and mul, H gives ran and ker.  Each half is cached
-    on the relation per block and tolerance value, with the block's whole
-    cut, dropped singular values included, whose kept triplets ``_map``
-    reads for ``apply`` and for ``solve``'s A^-1; ``None`` and
-    ``Tolerance()`` share one entry.  ``parts`` itself factors nothing: a
-    block is factored the first time one of its two subspaces is read,
-    except that ``graph_of_matrix`` seeds both halves from the SVD of the
-    matrix: the output half at its tolerance, the input half (dom = C^n,
-    mul = {0}) for every tolerance.
+    the parts: F gives dom and mul, H gives ran and ker.  A block's SVD is
+    stored uncut on the relation the first time one of its two subspaces is
+    read, at any tolerance, and a tolerance is a ``Tolerance.rank`` count on
+    its values; the half so cut is cached per tolerance value (``None`` and
+    ``Tolerance()`` share one entry), and ``_map`` reads its kept triplets
+    for ``apply`` and for ``solve``'s A^-1.  ``parts`` itself factors
+    nothing, and ``graph_of_matrix`` stores both SVDs from the one of M.
     """
     return RelationParts(T, _tol(tol))
 
@@ -190,13 +191,14 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
     C = (I + S^2)^(-1/2), its CS form, s padded by zeros to length n: the
     input block F = V C and the output block H = U S C arrive factored, with
     singular values 1 / hypot(1, s) and s / hypot(1, s) and identity rows as
-    right factors in graph coordinates, seeded as whole cuts.  F is
-    invertible, so the graph has all n columns, dom = C^n and mul = {0}: the
-    input half, dom V (columns reversed, so that F's values descend) with
-    all n triplets of F, is seeded once for every tolerance.  The one cut,
-    of H's values at the tolerance, keeps r of them: ran is U's first r
-    columns and ker V's last n - r, seeded at the tolerance.  So ``parts`` and ``apply`` factor
-    nothing there, and dom, mul and ``apply`` nothing at any tolerance.
+    right factors in graph coordinates, stored uncut as the blocks' SVDs.
+    F is invertible, so the graph has all n columns, dom = C^n and
+    mul = {0}: F's factors (V's columns reversed, so that its values
+    descend) are stored with rank n for every tolerance.  ``parts`` reads
+    H's rank r as ``Tolerance.rank`` of its values at each tolerance: ran is
+    U's first r columns and ker F's last n - r.  So ``parts`` and ``apply``
+    factor nothing at any tolerance, and ``tol`` is accepted only for the
+    common signature: no rank is decided here.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
@@ -204,7 +206,6 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix must be finite")
     m, n = matrix.shape
-    tol = _tol(tol)
     u, s, vh = _svd(matrix)
     v = vh.conj().T
     sigma = np.zeros(n)
@@ -215,12 +216,9 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
     basis[:n] = v * in_s
     basis[n:, : s.size] = u * out_s[: s.size]
     T = LinearRelation(n, m, Subspace(basis, validate=False))
-    r = tol.rank(out_s, (m, n))
     coords = np.eye(n, dtype=complex)
-    ran = Subspace(u[:, :r], validate=False)
-    T._halves[_OUT][tol] = _Half(ran, Subspace(v[:, r:], validate=False), Cut(u, out_s[: s.size], coords, r))
-    dom = Subspace(v[:, ::-1], validate=False)
-    T._halves[_IN][None] = _Half(dom, zero_space(m), Cut(dom.basis, in_s[::-1], coords[::-1], n))
+    T._halves[_IN][None] = Cut(v[:, ::-1], in_s[::-1], coords[::-1], n)
+    T._halves[_OUT][None] = Cut(u, out_s[: s.size], coords, None)
     return T
 
 

@@ -73,8 +73,8 @@ class SmoothingProblem:
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
 
 
 @dataclass(frozen=True)

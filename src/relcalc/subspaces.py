@@ -180,7 +180,7 @@ class Subspace:
             )
         if validate and basis.shape[1]:
             gram = basis.conj().T @ basis
-            if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-8):
+            if not np.allclose(gram, np.eye(basis.shape[1]), rtol=0, atol=1e-8):
                 raise ValueError("basis columns are not orthonormal")
         basis.setflags(write=False)
         self.basis = basis

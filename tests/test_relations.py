@@ -41,7 +41,7 @@ from relcalc import (
     zero_on,
     zero_space,
 )
-from relcalc import oracles
+from relcalc import oracles, relations
 from relcalc.relations import _IN, _OUT, _half
 
 from genutil import (
@@ -219,23 +219,40 @@ class TestGraphOfMatrix:
                 apply(invert(t), cvec(rng, m), tol)
                 assert svd_calls == ["svd"]
                 assert t.graph.dim == n == fields[0].dim + fields[3].dim == fields[1].dim + fields[2].dim
-            # at another tolerance dom, mul and apply, and the inverse's ran
-            # and ker, factor nothing; ran factors the output block
+            # at another tolerance the four parts, apply and the inverse's
+            # ran and ker factor nothing either: a count on stored values
             other = Tolerance(1e-3)
-            parts(t, other).dom, parts(t, other).mul, apply(t, cvec(rng, n), other)
+            p = parts(t, other)
+            p.dom, p.ran, p.ker, p.mul, apply(t, cvec(rng, n), other)
             parts(invert(t), other).ran, parts(invert(t), other).ker
             assert svd_calls == ["svd"]
-            parts(t, other).ran
-            assert svd_calls == ["svd"] * 2
 
     def test_one_rank_decision(self, monkeypatch):
-        # the one cut is H's values at the tolerance: none on F or the graph
+        # graph_of_matrix cuts nothing: the one cut is of H's stored values,
+        # on the first read of ran or ker, and none is made on F or the graph
         calls = []
         rank = Tolerance.rank
         monkeypatch.setattr(Tolerance, "rank", lambda self, *args: calls.append(args) or rank(self, *args))
         rng = np.random.default_rng(2340)
-        graph_of_matrix(cmat(rng, 3, 5))
+        t = graph_of_matrix(cmat(rng, 3, 5))
+        parts(t).dom, parts(t).mul
+        assert len(calls) == 0
+        parts(t).ran, parts(t).ker
         assert len(calls) == 1
+
+    def test_tol_decides_nothing_at_construction(self):
+        # the relation stores F's and H's values uncut, and every tolerance
+        # is read off them by parts: the tolerance it was built at is inert
+        rng = np.random.default_rng(2350)
+        tols = [Tolerance(), Tolerance(1e-3), Tolerance(0, 1e-9), Tolerance(0, 0)]
+        for _ in range(60):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            k = int(rng.integers(0, min(m, n) + 1))
+            matrix = 10.0 ** int(rng.integers(-3, 4)) * (cmat(rng, m, k) @ cmat(rng, k, n))
+            for tol in tols:
+                built, read = parts(graph_of_matrix(matrix), tol), parts(graph_of_matrix(matrix, tol), tol)
+                for field in self.FIELDS:
+                    assert np.array_equal(getattr(built, field).basis, getattr(read, field).basis)
 
 
 class TestParts:
@@ -307,6 +324,24 @@ class TestParts:
             assert getattr(coarse, name) is not field
         # at 1e-3 the tilted pair counts as a kernel direction
         assert coarse.ker.dim == default.ker.dim + 1
+
+    def test_one_factorization_per_block_at_any_tolerance(self, monkeypatch):
+        # each block's SVD is stored uncut and every tolerance is a count on
+        # its values: four tolerances, and the inverse at a fifth, factor F
+        # and H once each (_block_image's re-orthonormalizations aside)
+        calls = []
+        for name in ("_svd", "_cut_svd"):
+            original = getattr(relations, name)
+            monkeypatch.setattr(relations, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        rng = np.random.default_rng(490)
+        tols = [Tolerance(), Tolerance(1e-3), Tolerance(0, 1e-9), Tolerance(0, 0)]
+        for _ in range(30):
+            calls.clear()
+            t = relation_with_ker_and_mul(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+            for form, tol in [(t, tol) for tol in tols] + [(invert(t), Tolerance(1e-6))]:
+                p = parts(form, tol)
+                p.dom, p.ran, p.ker, p.mul
+            assert calls == ["_svd", "_svd"]
 
     def test_a_cached_half_keeps_every_singular_value(self):
         # a cached half keeps its block's whole cut in _svd's shapes, the
@@ -700,6 +735,20 @@ def _basis_dist(a, b):
     return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T))
 
 
+def _restrict_by_cylinders(
+    t_graph: np.ndarray, n: int, m_basis: np.ndarray, atol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray]:
+    """Graph basis of T restricted to inputs in span(m_basis), the
+    intersection of T with M x C^m, and a basis of the image T(M): the
+    oracle route to ``restrict``, which ``--verify`` never runs."""
+    m = t_graph.shape[0] - n
+    cyl = np.zeros((n + m, m_basis.shape[1] + m), dtype=complex)
+    cyl[:n, : m_basis.shape[1]] = m_basis
+    cyl[n:, m_basis.shape[1] :] = np.eye(m)
+    pairs = oracles.intersect_de_morgan(t_graph, cyl, atol)
+    return pairs, oracles._span_basis(pairs[n:], atol)
+
+
 def _cylinder_gap(op, family, rng):
     """Projector distance between the library's result and the raw-numpy
     cylinder-intersection route on one random instance."""
@@ -715,7 +764,7 @@ def _cylinder_gap(op, family, rng):
     if op == "restrict":
         t, sub = family(rng, n, m), random_subspace(rng, n)
         got = restrict(t, sub)
-        graph, img = oracles.restrict_by_cylinders(t.graph.basis, n, sub.basis)
+        graph, img = _restrict_by_cylinders(t.graph.basis, n, sub.basis)
         return max(
             _basis_dist(got.relation.graph.basis, graph), _basis_dist(got.image.basis, img)
         )

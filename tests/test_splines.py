@@ -220,6 +220,13 @@ class TestSmoothSolve:
         with pytest.raises(ValueError):
             SmoothingProblem(base, 0.0)
 
+    @pytest.mark.parametrize("rho", [np.inf, np.nan])
+    def test_rho_must_be_finite(self, rho):
+        # rho = inf passed, and smooth_solve then failed in numpy's SVD
+        base = SplineProblem(np.eye(2), np.array([[1.0, 0.0]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            SmoothingProblem(base, rho)
+
     @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_stationarity_oracle(self, seed, rho):

@@ -350,6 +350,16 @@ class TestSubspaceInvariants:
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0], [1.0]]))
 
+    def test_gram_matrix_is_checked_at_1e_8(self):
+        # numpy's default rtol let the Gram diagonal miss by about 1e-5: the
+        # first basis passed with a gap of 8e-6, and e1 then read as outside
+        # it; a basis 1e-9 off passes
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(np.eye(3, 2) * (1 + 4e-6))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(np.array([[1.0], [1.0]]) / np.sqrt(2) * (1 + 4e-6))
+        assert Subspace(np.eye(3, 2) * (1 + 1e-9)).dim == 2
+
     def test_too_many_columns_rejected(self):
         with pytest.raises(ValueError):
             Subspace(np.ones((2, 3)), validate=False)

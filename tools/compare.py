@@ -163,6 +163,11 @@ def _operations():
     def by_matrix(case):
         return dict(case, graph=None, matrix=case["m_matrix"])
 
+    def second_read(case, tol):
+        rel = relation(case, tol)
+        parts(rc.parts(rel))  # both blocks read at Tolerance() first
+        return parts(rc.parts(rel, tol))
+
     return {
         "solve": lambda c, t: rc.solve(problem(c, t), t),
         "check_normal": lambda c, t: rc.check_normal(problem(c, t), c["x"], t),
@@ -170,6 +175,7 @@ def _operations():
             relation(c, t), rc.Weight(c["w"], "psd"), rc.Weight(c["w2"], "psd"), c["b"], t
         ),
         "parts": lambda c, t: parts(rc.parts(relation(c, t), t)),
+        "parts@second": second_read,
         "apply": lambda c, t: rc.apply(relation(c, t), c["x"], t),
         "apply(invert)": lambda c, t: rc.apply(rc.invert(relation(c, t)), c["y"], t),
         "apply_to_coset": lambda c, t: rc.apply_to_coset(
@@ -179,6 +185,7 @@ def _operations():
             rc.LinearRelation(c["n"], c["n"], sub(c["other"])), relation(c, t), t
         ),
         "graph_of_matrix.parts": lambda c, t: parts(rc.parts(relation(by_matrix(c), t), t)),
+        "graph_of_matrix.parts@default": lambda c, t: parts(rc.parts(relation(by_matrix(c), None), t)),
         "graph_of_matrix.apply": lambda c, t: rc.apply(relation(by_matrix(c), t), c["x_matrix"], t),
         "subspace_intersect": lambda c, t: rc.subspace_intersect(sub(c["s1"]), sub(c["s2"]), t),
         "subspace_contains": lambda c, t: rc.subspace_contains(sub(c["s1"]), sub(c["s2"]), t),

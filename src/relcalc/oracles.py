@@ -15,6 +15,14 @@ to Krein regularity (S meets its J-companion in 0 and with it spans
 everything) and the Schur complement behind the shorted operator live on
 here.  The cylinder route to restriction, which ``--verify`` never runs,
 lives with the tests of ``restrict``.
+
+An oracle factors only what it does not already know.  The complement of
+a coordinate axis is exactly the other axis, so the graph-and-axis route
+factors the graph's complement and no axis, and meets on the free
+coordinates.  Each least-squares stage takes its point and its flat
+directions from one SVD under one cut, so the point never inverts a
+singular value that the flat directions count as zero.  Every SVD asks for
+the full factors only of a wide matrix.
 """
 
 from __future__ import annotations
@@ -32,19 +40,37 @@ def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
-def _rank(s: np.ndarray, atol: float) -> int:
-    """The oracles' one cut: the singular values above 1e-10 of the largest plus atol."""
-    return int(np.count_nonzero(s > 1e-10 * s.max(initial=0.0) + atol))
+def _rank(s: np.ndarray, atol: float, floor: float = 0.0) -> int:
+    """The oracles' one cut: the singular values above 1e-10 of the largest
+    (or of ``floor``, when that is larger) plus atol."""
+    return int(np.count_nonzero(s > 1e-10 * max(s.max(initial=0.0), floor) + atol))
 
 
-def _null_basis(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def _svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One SVD, with the full factors exactly when the matrix is wide: vh is
+    then square either way, so ``vh[rank:]`` spans the null space, and no
+    tall matrix builds a full U to throw away."""
+    return np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+
+
+def _null_basis(matrix: np.ndarray, atol: float = 1e-12, floor: float = 0.0) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[1] == 0:
         return np.zeros((0, 0), dtype=complex)
     if matrix.shape[0] == 0:
         return np.eye(matrix.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(matrix)
-    return vh[_rank(s, atol):].conj().T
+    _, s, vh = _svd(matrix)
+    return vh[_rank(s, atol, floor):].conj().T
+
+
+def _min_norm_and_null(matrix: np.ndarray, rhs: np.ndarray, atol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """The min-norm least-squares solution c of ``matrix c = rhs`` and an
+    orthonormal basis of null(matrix), both from one SVD cut once by
+    ``_rank``: the values the solution inverts are exactly those the null
+    space leaves out, so no rounding-level value is inverted."""
+    u, s, vh = _svd(matrix)
+    r = _rank(s, atol)
+    return vh[:r].conj().T @ ((u[:, :r].conj().T @ rhs) / s[:r]), vh[r:].conj().T
 
 
 def _span_basis(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
@@ -80,13 +106,20 @@ def kernel_and_mul_via_axes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel and multivalued part of the relation with graph basis ``graph``
     (inputs stacked on outputs), read off the de Morgan intersections of the
-    graph with the input axis C^n x {0} and the output axis {0} x C^m; the
-    graph's complement, common to both, is computed once."""
-    axes = np.eye(graph.shape[0], dtype=complex)
+    graph with the input axis C^n x {0} and the output axis {0} x C^m.
+
+    The graph's complement G-perp, common to both, is computed once.  An
+    axis's complement is the other axis, exactly, so no axis is factored:
+    the pairs (x, 0) orthogonal to G-perp are the x in null(G-perp[:n]*),
+    and the pairs (0, y) the y in null(G-perp[n:]*), each one SVD on the
+    free coordinates with an orthonormal null basis.  Each is cut on the
+    scale of the full meet, whose matrix holds the axis's unit rows:
+    1e-10 max(sigma_max, 1) + atol."""
     graph_perp = _complement(graph, atol)
-    ker_pairs = _meet_of_complements(graph_perp, _complement(axes[:, :dim_in], atol), atol)
-    mul_pairs = _meet_of_complements(graph_perp, _complement(axes[:, dim_in:], atol), atol)
-    return _span_basis(ker_pairs[:dim_in], atol), _span_basis(mul_pairs[dim_in:], atol)
+    return (
+        _null_basis(graph_perp[:dim_in].conj().T, atol, floor=1.0),
+        _null_basis(graph_perp[dim_in:].conj().T, atol, floor=1.0),
+    )
 
 
 def compose_by_cylinders(r_graph: np.ndarray, t_graph: np.ndarray, n: int, atol: float = 1e-12) -> np.ndarray:
@@ -153,10 +186,11 @@ def krein_regular(J: np.ndarray, B: np.ndarray, atol: float = 1e-12) -> bool:
 def shorted_by_schur(W: np.ndarray, S: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     """Shorted operator of the psd W to span(S): the Schur complement
     U (a - b c^+ b*) U* of c = V*WV, for a = U*WU, b = U*WV, U and V bases of
-    S and S-perp from one SVD of S, and c^+ dropping eigenvalues up to atol."""
-    left, s, _ = np.linalg.svd(np.asarray(S, dtype=complex))
+    S and S-perp from one SVD of the wide S*, and c^+ dropping eigenvalues up
+    to atol."""
+    _, s, vh = _svd(np.asarray(S, dtype=complex).conj().T)
     r = _rank(s, atol)
-    u, v = left[:, :r], left[:, r:]
+    u, v = vh[:r].conj().T, vh[r:].conj().T
     eigs, vecs = np.linalg.eigh(v.conj().T @ W @ v)
     c_pinv = (vecs * np.divide(1.0, eigs, out=np.zeros_like(eigs), where=eigs > atol)) @ vecs.conj().T
     b = u.conj().T @ W @ v
@@ -183,12 +217,12 @@ def w1w2_by_graph(
 
     In graph coordinates c, (x, y) = (F c, H c); the W1 solutions are F times
     the least-squares coset of W1^(1/2) H c = W1^(1/2) b, and the minimal W2
-    seminorm over that coset is a second least-squares problem.  Returns a
-    minimizer and an orthonormal basis of the argmin directions."""
+    seminorm over that coset is a second least-squares problem.  Each stage
+    reads its point and its flat directions from one SVD, cut once.  Returns
+    a minimizer and an orthonormal basis of the argmin directions."""
     F, H = graph[:n], graph[n:]
     r1 = _sqrt_psd(W1)
-    coeff, *_ = np.linalg.lstsq(r1 @ H, r1 @ b, rcond=None)
-    flat_coords = _null_basis(r1 @ H, atol=atol)
+    coeff, flat_coords = _min_norm_and_null(r1 @ H, r1 @ b, atol)
     point, flat = minimize_seminorm_over_coset(W2, F @ coeff, F @ flat_coords)
     return point, _span_basis(flat, atol)
 
@@ -209,27 +243,29 @@ def minimize_seminorm_over_coset(
     """argmin of the weight seminorm over point + span(directions).
 
     Returns a minimizer and a basis of the directions along which the
-    seminorm stays minimal (the affine argmin set is minimizer + span of those).
+    seminorm stays minimal (the affine argmin set is minimizer + span of
+    those), both from one SVD of W^(1/2) times the directions, cut once.
     """
     w_half = _sqrt_psd(weight)
     if directions.shape[1] == 0:
         return point.copy(), directions
-    coeff, *_ = np.linalg.lstsq(w_half @ directions, -(w_half @ point), rcond=None)
-    minimizer = point + directions @ coeff
-    flat = directions @ _null_basis(w_half @ directions)
-    return minimizer, flat
+    coeff, null = _min_norm_and_null(w_half @ directions, -(w_half @ point))
+    return point + directions @ coeff, directions @ null
 
 
 def spline_kkt(T: np.ndarray, V: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Equality-constrained least squares by null-space reduction of the
     stationarity system: parametrize V x = b, minimize ||T x|| over the
-    parameters.  Returns (min value, a minimizer, argmin directions)."""
+    parameters.  The feasible point is numpy's least squares and Z its own
+    null basis of V; the stage T Z takes its point and its flat directions
+    from one SVD, cut once.  Returns (min value, a minimizer, argmin
+    directions)."""
     x_feasible, *_ = np.linalg.lstsq(V, b, rcond=None)
     Z = _null_basis(V)
     if Z.shape[1]:
-        coeff, *_ = np.linalg.lstsq(T @ Z, -(T @ x_feasible), rcond=None)
+        coeff, null = _min_norm_and_null(T @ Z, -(T @ x_feasible))
         minimizer = x_feasible + Z @ coeff
-        flat = Z @ _null_basis(T @ Z)
+        flat = Z @ null
     else:
         minimizer = x_feasible
         flat = Z

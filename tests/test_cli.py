@@ -17,7 +17,7 @@ import relcalc.cli
 from relcalc import Coset, ProblemFormatError, Tolerance, scale
 from relcalc.cli import COMMANDS, dispatch, emit, main, parse
 
-from genutil import rotated_borderline_problem
+from genutil import cmat, cvec, random_psd, rotated_borderline_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -313,6 +313,37 @@ class TestVerifyOwnership:
         monkeypatch.setattr(relcalc.cli, name, wrong(getattr(relcalc.cli, name)))
         report = dispatch(command, parse(DATA / f"{command}.json"), Tolerance(), verify=True)
         assert report["diagnostics"]["oracle_delta"] >= 1e-3
+
+    def test_no_oracle_builds_a_tall_full_u(self, svd_shapes):
+        # an oracle asks numpy for the full factors only of a wide matrix, as
+        # the library's SVD does: a tall matrix's thin V is already square
+        for command, fixture in GOLDEN_CASES:
+            dispatch(command, parse(DATA / fixture), Tolerance(), verify=True)
+        assert svd_shapes and not [(s, full) for s, full in svd_shapes if full and s[0] > s[1]]
+
+    def test_w1w2_verify_agrees_on_matrix_relations(self, tmp_path):
+        # the matrix relations of tools/compare.py's grid: a least-squares
+        # stage that inverted singular values its null basis dropped as
+        # rounding put its oracle up to 1.22 off a correct answer (i = 37)
+        for i in range(2, 500, 5):
+            rng = np.random.default_rng([31, i])
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(0, n + 1))
+            doc = {
+                "version": 1,
+                "field": "complex",
+                "matrices": {
+                    "A": _complex_json(cmat(rng, n, k) @ cmat(rng, k, n)),
+                    "W1": _complex_json(random_psd(rng, n)),
+                    "W2": _complex_json(random_psd(rng, n, force_singular=False)),
+                },
+                "vectors": {"b": _complex_json(cvec(rng, n))},
+                "relations": {"A": {"matrix": "A"}},
+                "weights": {"W1": {"matrix": "W1", "kind": "psd"}, "W2": {"matrix": "W2", "kind": "psd"}},
+                "problem": {"relation": "A", "weight1": "W1", "weight2": "W2", "b": "b"},
+            }
+            code, payload = run_cli(["w1w2-solve", str(_write_problem(tmp_path, doc)), "--verify"])
+            assert code == 0 and json.loads(payload)["diagnostics"]["oracle_delta"] <= 1e-8, i
 
     @pytest.mark.parametrize("c", [1.0, 1e-14, 1e-15, 1e-20])
     def test_small_weight_leaves_no_delta(self, tmp_path, c):

@@ -50,12 +50,14 @@ from genutil import (
     coset_gap,
     cvec,
     degenerate_subspace,
+    loosely_orthonormal_relation,
     projector_dist,
     psd_with_tiny_eigenvalues,
     random_psd,
     random_relation,
     random_subspace,
     random_symmetry,
+    relation_near_output_axis,
     relation_with_ker_and_mul,
     rotated_borderline_problem,
     weight_and_subspace,
@@ -593,6 +595,60 @@ class TestTwoWeights:
             gap = refined.direction.projector() - direction @ direction.conj().T
             assert np.linalg.norm(gap) < 1e-9
             assert refined.contains(point)
+
+    def test_graph_oracle_calls_no_lstsq(self, svd_calls):
+        # each least-squares stage of the oracle takes its point and its
+        # flat directions from one SVD cut once: with W1 singular, the W1
+        # stage and the W2 stage make one SVD each, after the eigh of each
+        # weight's root (the answer's directions are 0, so none is spanned)
+        rng = np.random.default_rng(5360)
+        n = 6
+        a = graph_of_matrix(cmat(rng, n, 3) @ cmat(rng, 3, n))
+        w1, w2, b = random_psd(rng, n, force_singular=True), random_psd(rng, n), cvec(rng, n)
+        del svd_calls[:]
+        oracles.w1w2_by_graph(a.graph.basis, n, w1, w2, b, 1e-10)
+        assert svd_calls == ["eigh", "svd", "eigh", "svd"]
+
+    def test_graph_oracle_at_every_weight_scale(self):
+        # the relation families of tools/compare.py with both weights scaled
+        # together: per scale, the oracle answers more than 1e-8 off
+        # w1w2_solve number no more than the counts below, which the stages
+        # made when numpy's lstsq inverted singular values that a separately
+        # cut null basis dropped, and fewer in all.  Those left are pairs
+        # tilted 1e-5..1e-8 off the input axis, on which the oracle's
+        # absolute atol and the library's relative cut read different
+        # problems; at 1e-24 the absolute atol flushes both weights
+        two_cut = {0: 36, -6: 35, -12: 39, -24: 277, 8: 36, 15: 35}
+        cases = []
+        for i in range(300):
+            rng = np.random.default_rng([31, i])
+            n = int(rng.integers(2, 9))
+            tilt = 10.0 ** -(4 + (i // 5) % 5)
+            if i % 5 == 2:
+                k = int(rng.integers(0, n + 1))
+                a = graph_of_matrix(cmat(rng, n, k) @ cmat(rng, k, n))
+            else:
+                a = {
+                    0: lambda: random_relation(rng, n, n),
+                    1: lambda: relation_with_ker_and_mul(rng, n, n, tilt),
+                    3: lambda: relation_near_output_axis(rng, n, n, tilt),
+                    4: lambda: loosely_orthonormal_relation(rng, n, n),
+                }[i % 5]()
+            w1, w2 = random_psd(rng, n), random_psd(rng, n, force_singular=False)
+            cases.append((a, w1, w2, cvec(rng, n)))
+        off = {}
+        for e in two_cut:
+            off[e] = 0
+            for a, w1, w2, b in cases:
+                w1s, w2s = 10.0**e * w1, 10.0**e * w2
+                refined = w1w2_solve(a, Weight(w1s, "psd"), Weight(w2s, "psd"), b)
+                point, direction = oracles.w1w2_by_graph(a.graph.basis, a.dim_in, w1s, w2s, b, 1e-10)
+                gap = refined.direction.projector() - direction @ direction.conj().T
+                offset = point - refined.point
+                offset = offset - refined.direction.project(offset)
+                off[e] += max(np.linalg.norm(gap), np.linalg.norm(offset)) > 1e-8
+        assert all(off[e] <= two_cut[e] for e in two_cut), off
+        assert sum(off.values()) < sum(two_cut.values()), off
 
 
 def _fields(p):

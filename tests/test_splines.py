@@ -134,6 +134,17 @@ class TestSplineSolve:
             failures += not ok
         assert failures == 0
 
+    def test_oracle_stage_takes_one_svd(self, svd_calls):
+        # the oracle keeps numpy's least squares for the feasible point and
+        # its own null basis Z of V; the stage T Z reads its point and its
+        # flat directions from one SVD, so the two share one cut
+        rng = np.random.default_rng(6600)
+        n, k = 64, 32
+        T, V, b = cmat(rng, n, n), cmat(rng, k, n), cvec(rng, k)
+        del svd_calls[:]
+        oracles.spline_kkt(T, V, b)
+        assert svd_calls == ["lstsq", "svd", "svd"]
+
     def test_ill_conditioned_v_interpolates_up_to_rounding(self):
         # V's smallest singular value scaled by 10^U(-9, 0): the feasible
         # point grows to about ||b|| / sigma_min(V), and V x rounds at

@@ -27,7 +27,9 @@ the input axis, ``graph_of_matrix`` of a rank-deficient matrix, a pair tilted
 10^-4..-8 off the output axis, and a graph basis accepted 1e-9 off
 orthonormal; weights cycling through a random psd matrix, one with tiny
 eigenvalues and one with mul A inside ker W, every 7th scaled by
-10^-24..15.  Nothing is written but the report.
+10^-24..15.  Besides the library's operations, the grid runs the oracles
+behind ``relation-analyze``, ``spline`` and ``w1w2-solve --verify``
+(``oracles.*``).  Nothing is written but the report.
 """
 
 from __future__ import annotations
@@ -134,8 +136,12 @@ def draw() -> list[dict]:
 
 def _operations():
     """The grid's operations, each (case, tol) -> output, read from the
-    relcalc on the path."""
+    relcalc on the path.  The oracles run on raw arrays with
+    ``atol = tol.abs_eps``, as ``--verify`` calls them, and their bases are
+    read as a ``Subspace`` or a ``Coset``, so that a move shows as a
+    projector gap."""
     import relcalc as rc
+    from relcalc import oracles
 
     def relation(case, tol):
         if case["graph"] is None:
@@ -162,6 +168,13 @@ def _operations():
 
     def by_matrix(case):
         return dict(case, graph=None, matrix=case["m_matrix"])
+
+    def coset(point, flat):
+        return rc.Coset.of(point, sub(flat))
+
+    def spline_kkt(case):
+        value, point, flat = oracles.spline_kkt(*case["spline"])
+        return value, coset(point, flat)
 
     def second_read(case, tol):
         rel = relation(case, tol)
@@ -204,6 +217,16 @@ def _operations():
         "shorted": lambda c, t: rc.shorted(rc.Weight(c["w"], "psd"), sub(c["s1"]), t),
         "spline_solve": lambda c, t: rc.spline_solve(spline(c), t),
         "smooth_solve": lambda c, t: rc.smooth_solve(rc.SmoothingProblem(spline(c), c["rho"]), t),
+        "oracles.kernel_and_mul_via_axes": lambda c, t: tuple(
+            map(sub, oracles.kernel_and_mul_via_axes(relation(c, t).graph.basis, c["n"], t.abs_eps))
+        ),
+        "oracles.spline_kkt": lambda c, t: spline_kkt(c),
+        "oracles.minimize_seminorm_over_coset": lambda c, t: coset(
+            *oracles.minimize_seminorm_over_coset(c["w"], c["point"], c["direction"])
+        ),
+        "oracles.w1w2_by_graph": lambda c, t: coset(
+            *oracles.w1w2_by_graph(relation(c, t).graph.basis, c["n"], c["w"], c["w2"], c["b"], t.abs_eps)
+        ),
     }
 
 
@@ -214,16 +237,16 @@ def _encode(value):
 
     if value is None:
         return ("none",)
-    if dataclasses.is_dataclass(value):
-        return ("tuple", tuple(_encode(getattr(value, f.name)) for f in dataclasses.fields(value)))
     if isinstance(value, str):
         return ("text", value)
     if isinstance(value, rc.Subspace):
         return ("subspace", value.basis)
-    if isinstance(value, rc.Coset):
+    if isinstance(value, rc.Coset):  # a dataclass, read as a coset
         return ("coset", value.point, None if value.is_empty else value.direction.basis)
     if isinstance(value, rc.LinearRelation):
         return ("relation", value.graph.basis)
+    if dataclasses.is_dataclass(value):
+        return ("tuple", tuple(_encode(getattr(value, f.name)) for f in dataclasses.fields(value)))
     if isinstance(value, np.ndarray):
         return ("array", value)
     if isinstance(value, (bool, np.bool_)):

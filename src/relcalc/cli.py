@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -364,7 +363,7 @@ def _need(pf: ProblemFile, key: str):
 
 # Handlers serialize complex vectors and matrices as float arrays with a
 # trailing [re, im] axis; dispatch turns every float of the result into plain
-# JSON numbers through _canonical, one vectorized pass per array.
+# JSON numbers through _canonical, one vectorized pass per report.
 
 SIGNIFICANT_DIGITS = 13
 
@@ -607,20 +606,19 @@ COMMANDS = {
 def dispatch(command: str, pf: ProblemFile, tol: Tolerance, verify: bool = False) -> dict:
     """Run one command against a parsed problem file and build its report.
 
-    The floats of ``result`` and of ``diagnostics.oracle_delta`` are
-    canonical (see ``_canonical``), so ``emit`` writes them unchanged and a
-    report round-trips through JSON.
+    The floats of ``result`` and of the handler's diagnostics (such as
+    ``oracle_delta``) are canonical, from one ``_canonical`` pass over both,
+    so ``emit`` writes them unchanged and a report round-trips through JSON.
     """
     if command not in COMMANDS:
         raise ProblemFormatError(f"unknown command {command!r}")
     status, result, diag = COMMANDS[command](pf, tol, verify)
-    diagnostics = {"tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps}}
-    diagnostics.update(_canonical(diag, tol.abs_eps))
+    result, diag = _canonical([result, diag], tol.abs_eps)
     return {
         "command": command,
         "status": status,
-        "result": _canonical(result, tol.abs_eps),
-        "diagnostics": diagnostics,
+        "result": result,
+        "diagnostics": {"tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps}, **diag},
     }
 
 
@@ -630,15 +628,43 @@ def _canonical(value, eps: float):
     Refactors that leave the mathematics unchanged still move rounding noise,
     so report bytes are built from canonical numbers: magnitudes below the
     run's ``abs_eps`` become 0.0, -0.0 becomes 0.0, and everything else is
-    rounded to ``SIGNIFICANT_DIGITS`` significant digits.
+    rounded to ``SIGNIFICANT_DIGITS`` significant digits.  Every float and
+    array of ``value`` goes through one ``_canonical_numbers`` call, on their
+    concatenation; each comes back as a float or nested list of floats.
     """
-    if isinstance(value, dict):
-        return {key: _canonical(item, eps) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_canonical(item, eps) for item in value]
-    if isinstance(value, (float, np.ndarray)):
-        return _canonical_numbers(np.asarray(value, dtype=float), eps).tolist()
-    return value
+    floats, arrays = [], []
+
+    def collect(item):
+        if isinstance(item, dict):
+            for inner in item.values():
+                collect(inner)
+        elif isinstance(item, list):
+            for inner in item:
+                collect(inner)
+        elif isinstance(item, float):
+            floats.append(item)
+        elif isinstance(item, np.ndarray):
+            arrays.append(item)
+
+    collect(value)
+    flat = _canonical_numbers(np.concatenate([floats, *(a.ravel() for a in arrays)], dtype=float), eps)
+    canonical_floats = iter(flat[: len(floats)].tolist())
+    stop = len(floats)  # the end in flat of the entries handed back so far
+
+    def rebuild(item):
+        nonlocal stop
+        if isinstance(item, dict):
+            return {key: rebuild(inner) for key, inner in item.items()}
+        if isinstance(item, list):
+            return [rebuild(inner) for inner in item]
+        if isinstance(item, float):
+            return next(canonical_floats)
+        if isinstance(item, np.ndarray):
+            stop += item.size
+            return flat[stop - item.size : stop].reshape(item.shape).tolist()
+        return item
+
+    return rebuild(value)
 
 
 def _canonical_numbers(a: np.ndarray, eps: float) -> np.ndarray:
@@ -674,105 +700,69 @@ def emit(report: dict, fmt: str = "json") -> bytes:
     """Serialize a report; json output is stable-key-ordered and deterministic.
 
     The json bytes are those of ``json.dumps(report, sort_keys=True,
-    indent=2)``, written by ``_json_at`` without the pure-Python encoder:
-    dicts and strings in Python, each list of numbers by one ``orjson``
-    call.
+    indent=2)`` and a newline, from one ``orjson.dumps`` call.  orjson lays
+    out a report as json does and writes ints and the floats in [1e-4, 1e16)
+    as ``repr`` does.  The few floats outside that range are found by
+    ``bytes.find`` on ``_OTHER_FLOAT_TEXT`` and rewritten with ``repr``: a
+    hit after a digit is a float token when everything from the last space
+    before it to the line end, less one comma, reads as a number, which the
+    tail of a string never does, as its closing quote is on the line.  json
+    itself writes the report when orjson refuses it (an int past 64 bits, a
+    float subclass, a non-string key, a lone surrogate), when the text holds
+    a byte json escapes (non-ASCII, DEL) or when it holds more ``null`` than
+    ``_nones`` finds None (orjson writes NaN and the infinities as ``null``).
     """
-    if fmt == "json":
-        return (_json_at(report, 0) + "\n").encode("utf-8")
     if fmt == "text":
         lines: list[str] = []
         _render_text(report, "", lines)
         return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-# orjson writes what json would not: strings (json escapes non-ASCII, orjson
-# writes UTF-8), objects, and null for NaN and infinities.  A number is made
-# of digits, "-", "." and "e", so these bytes find every such word: true and
-# null hold a u, false and null an l
-_NOT_NUMBERS = (b'"', b"{", b"u", b"l")
-# the only floats orjson writes in other words than repr are those outside
-# [1e-4, 1e16): 0.00001 for 1e-05, 1e16 for 1e+16; each such token holds
-# one of these
-_OTHER_FLOAT_TEXT = (b"e", b"0.0000")
-
-
-def _json_at(value, level: int) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` would
-    write it at nesting ``level``.
-
-    Strings go through the C string encoder and finite numbers through
-    ``repr``, as in ``json``; a list goes through ``orjson`` whole when it
-    holds only numbers and lists (``_orjson_list``), else item by item.
-    Anything else (non-finite floats, tuples, dicts with non-string keys)
-    takes the pure-Python encoder, shifted to the level.
-    """
-    kind = type(value)
-    if kind is dict and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
-        inner = "\n" + "  " * (level + 1)
-        items = (_json_string(key) + ": " + _json_at(value[key], level + 1) for key in sorted(value))
-        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        text = _orjson_list(value, level)
-        if text is not None:
-            return text
-        inner = "\n" + "  " * (level + 1)
-        items = (_json_at(item, level + 1) for item in value)
-        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
-    if kind is str:
-        return _json_string(value)
-    if value is None or kind is bool:
-        return _JSON_CONSTANTS[value]
-    if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
-
-
-def _orjson_list(value: list, level: int) -> str | None:
-    """A list of numbers and lists as ``json.dumps(value, indent=2)`` writes
-    it at nesting ``level``, from one ``orjson.dumps``; None for any other
-    list.
-
-    orjson lays out the list as json does, one number a line, and writes
-    ints and the floats in [1e-4, 1e16) as ``repr`` does.  The few floats
-    outside that range are found by ``bytes.find`` and rewritten with
-    ``repr``.  A list orjson refuses (an int past 64 bits, a float
-    subclass) or whose text holds a non-number (``_NOT_NUMBERS``) is None.
-    """
+    if fmt != "json":
+        raise ValueError(f"unknown format {fmt!r}")
     import orjson  # here, not at the top, as in parse
 
     try:
-        text = orjson.dumps(value, option=orjson.OPT_INDENT_2)
+        text = orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
     except TypeError:  # orjson.JSONEncodeError
-        return None
-    if any(byte in text for byte in _NOT_NUMBERS):
-        return None
-    tokens = {}  # start -> end of each float token to rewrite
+        text = None
+    if text is None or not text.isascii() or b"\x7f" in text or text.count(b"null") > _nones(report):
+        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    tokens = {}  # start -> (end, repr text) of each float token to rewrite
     for marker in _OTHER_FLOAT_TEXT:
         at = text.find(marker)
         while at >= 0:
-            end = text.find(b"\n", at)
-            if text[end - 1] == ord(","):
-                end -= 1
-            tokens[text.rfind(b" ", 0, at) + 1] = end
-            at = text.find(marker, end)
-    if tokens:
-        pieces, done = [], 0
-        for start in sorted(tokens):
-            pieces += (text[done:start], repr(float(text[start : tokens[start]])).encode())
-            done = tokens[start]
-        pieces.append(text[done:])
-        text = b"".join(pieces)
-    if level:
-        text = text.replace(b"\n", b"\n" + b"  " * level)
-    return text.decode()
+            if text[at - 1] in _DIGITS:  # else a key, a string, true or false
+                start = text.rfind(b" ", 0, at) + 1
+                token = text[start : text.find(b"\n", at)].removesuffix(b",")
+                try:
+                    tokens[start] = (start + len(token), repr(float(token)).encode())
+                except ValueError:  # the tail of a string, as in "x 1e5"
+                    pass
+            at = text.find(marker, at + 1)
+    pieces, done = [], 0
+    for start in sorted(tokens):
+        end, word = tokens[start]
+        pieces += (text[done:start], word)
+        done = end
+    pieces.append(text[done:])
+    return b"".join(pieces)
+
+
+# the only floats orjson writes in other words than repr are those outside
+# [1e-4, 1e16): 0.00001 for 1e-05, 1e16 for 1e+16; each such token holds
+# one of these, after a digit
+_OTHER_FLOAT_TEXT = (b"e", b".0000")
+_DIGITS = b"0123456789"
+
+
+def _nones(value) -> int:
+    """How many None the report holds outside lists that start with a
+    number or a list; a None this walk misses only costs the json route."""
+    kind = type(value)
+    if kind is dict:
+        return sum(map(_nones, value.values()))
+    if kind is list and value and type(value[0]) not in (int, float, list):
+        return sum(map(_nones, value))
+    return value is None
 
 
 def _render_text(value, prefix: str, lines: list[str]):

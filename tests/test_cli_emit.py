@@ -1,6 +1,8 @@
-"""The JSON report writer: the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+"""The JSON report writer, the bytes of ``json.dumps(sort_keys=True, indent=2)``,
+and the one canonicalization pass that feeds it."""
 
 import json
+import struct
 
 import numpy as np
 import orjson
@@ -9,8 +11,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
+import relcalc.cli  # noqa: E402
 from relcalc import Tolerance  # noqa: E402
-from relcalc.cli import dispatch, emit, parse  # noqa: E402
+from relcalc.cli import _canonical, _canonical_numbers, dispatch, emit, parse  # noqa: E402
 
 from test_cli import DATA, GOLDEN_CASES, run_cli  # noqa: E402
 
@@ -179,21 +182,126 @@ def test_large_report_matches_json_dumps(tmp_path):
     assert emit(report, "json") == reference
 
 
-def test_a_list_of_floats_is_one_orjson_call(monkeypatch):
-    calls = []
-    for module, name in ((orjson, "orjson"), (json, "json")):
-        original = module.dumps
+@pytest.mark.parametrize("report", [
+    # a float orjson words differently, as the value of a key that holds a
+    # marker: --tol 1e-7 echoes the first
+    {"abs_eps": 1e-07},
+    {"rel_eps": 1e-09},
+    {"e": 1e16},
+    # number-like text after a space inside a string
+    ["x 1e5", 2.0],
+    {"k": "a\": 1e-07"},
+    "\x7f",                     # ASCII, which json escapes and orjson does not
+    # NaN and the infinities, which orjson writes as null, beside a None
+    {"a": float("nan"), "b": None, "c": [float("inf"), None, float("-inf")]},
+    [None, float("nan"), {"d": float("-inf")}, None],
+])
+def test_one_call_traps_match_json_dumps(report):
+    assert emit(report, "json") == _reference(report)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
+
+def test_tol_report_matches_json_dumps():
+    code, payload = run_cli(["lss-solve", str(DATA / "lss-solve.json"), "--tol", "1e-7"])
+    report = dispatch("lss-solve", parse(DATA / "lss-solve.json"), Tolerance(abs_eps=1e-7))
+    assert code == 0 and b'"abs_eps": 1e-07' in payload
+    assert payload == _reference(report)
+
+
+def _canonical_by_leaf(value, eps):
+    """The per-leaf walk that ``_canonical`` replaced: one
+    ``_canonical_numbers`` call for each float and each array."""
+    if isinstance(value, dict):
+        return {key: _canonical_by_leaf(item, eps) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_canonical_by_leaf(item, eps) for item in value]
+    if isinstance(value, (float, np.ndarray)):
+        return _canonical_numbers(np.asarray(value, dtype=float), eps).tolist()
+    return value
+
+
+def _bits(value):
+    """A report value with each float as its eight bytes and every other
+    leaf tagged with its type, so that == compares bit for bit."""
+    if isinstance(value, dict):
+        return ("dict", [(key, _bits(item)) for key, item in value.items()])
+    if isinstance(value, list):
+        return ("list", [_bits(item) for item in value])
+    if type(value) is float:
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+EPSILONS = [0.0, 5e-324, 1e-300, 1e-14, 1e-10, 1e-7, 1e-3, 0.5, 1e10]
+INF = float("inf")
+
+
+@st.composite
+def canonical_cases(draw):
+    """A nested report and an abs_eps: floats and arrays among other leaves,
+    with subnormals, both zeros, NaN, the infinities and the neighbours of
+    abs_eps and of the powers of ten."""
+    eps = draw(st.sampled_from(EPSILONS))
+    power = st.integers(-323, 308).map(lambda k: 10.0**k)
+    near = st.one_of(power, st.just(eps)).flatmap(
+        lambda x: st.sampled_from([np.nextafter(x, -INF), x, np.nextafter(x, INF)])
+    )
+    magnitudes = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=5e-324, max_value=SMALLEST_NORMAL),
+        st.sampled_from([0.0, INF, float("nan"), SMALLEST_NORMAL]),
+        near.map(float),
+    )
+    floats = st.tuples(magnitudes, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    shapes = st.one_of(
+        st.sampled_from([(), (0,), (2, 0), (0, 3, 2)]),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+    )
+
+    def array(shape):
+        size = int(np.prod(shape))
+        return st.lists(floats, min_size=size, max_size=size).map(
+            lambda xs: np.array(xs, dtype=float).reshape(shape)
+        )
+
+    leaves = st.one_of(
+        floats, floats.map(np.float64), shapes.flatmap(array),
+        st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=3),
+    )
+    report = draw(st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.dictionaries(st.text(max_size=4), children, max_size=4),
+        ),
+        max_leaves=12,
+    ))
+    return report, eps
+
+
+@seed(20261021)
+@settings(max_examples=400, deadline=None, database=None)
+@given(canonical_cases())
+def test_one_canonical_pass_matches_the_leaf_walk(case):
+    report, eps = case
+    assert _bits(_canonical(report, eps)) == _bits(_canonical_by_leaf(report, eps))
+
+
+@pytest.mark.parametrize("command,fixture", GOLDEN_CASES + [("lss-solve", "lss-no-solution.json")])
+def test_a_report_is_one_canonical_and_one_orjson_call(command, fixture, monkeypatch):
+    pf = parse(DATA / fixture)
+    calls = []
+    for module, name in ((relcalc.cli, "_canonical_numbers"), (orjson, "dumps"), (json, "dumps")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=f"{module.__name__}.{name}", _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "dumps", counting)
-    report = {"result": [[0.5, 1e-05, -2.0], [1e16, 3, 0.0]]}
-    out = emit(report, "json")
-    assert calls == ["orjson"]
+        monkeypatch.setattr(module, name, counting)
+    out = emit(dispatch(command, pf, pf.tolerance or Tolerance(), verify=True), "json")
     monkeypatch.undo()
-    assert out == _reference(report)
+    assert calls == ["relcalc.cli._canonical_numbers", "orjson.dumps"]
+    assert out == (DATA / fixture.replace(".json", ".golden.json")).read_bytes()
 
 
 @pytest.mark.parametrize("command,fixture", GOLDEN_CASES)

@@ -29,7 +29,10 @@ orthonormal; weights cycling through a random psd matrix, one with tiny
 eigenvalues and one with mul A inside ker W, every 7th scaled by
 10^-24..15.  Besides the library's operations, the grid runs the oracles
 behind ``relation-analyze``, ``spline`` and ``w1w2-solve --verify``
-(``oracles.*``).  Nothing is written but the report.
+(``oracles.*``), and for each command the cases can feed, the bytes of its
+``--verify`` report, ``emit(dispatch(...))`` on a ``ProblemFile`` built from
+the case's arrays (``cli.report:<command>``).  Nothing is written but the
+report.
 """
 
 from __future__ import annotations
@@ -60,6 +63,17 @@ TOLERANCES = (
     ("Tolerance(0, 0)", (0.0, 0.0)),
     ("Tolerance(0, 1e-15)", (0.0, 1e-15)),
 )
+# the named objects each command reads from a case's ProblemFile
+CLI_PROBLEMS = {
+    "lss-solve": {"relation": "R", "weight": "W", "b": "b"},
+    "w1w2-solve": {"relation": "R", "weight1": "W", "weight2": "W2", "b": "b"},
+    "relation-analyze": {"relation": "R"},
+    "spline": {"T": "T", "V": "V", "b": "c"},
+    "smooth": {"T": "T", "V": "V", "b": "c"},
+    "shorted": {"weight": "W", "subspace": "S"},
+    "complementable": {"weight": "W", "subspace": "S"},
+    "krein-classify": {"weight": "J", "subspace": "K"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +155,7 @@ def _operations():
     read as a ``Subspace`` or a ``Coset``, so that a move shows as a
     projector gap."""
     import relcalc as rc
-    from relcalc import oracles
+    from relcalc import cli, oracles
 
     def relation(case, tol):
         if case["graph"] is None:
@@ -180,6 +194,30 @@ def _operations():
         rel = relation(case, tol)
         parts(rc.parts(rel))  # both blocks read at Tolerance() first
         return parts(rc.parts(rel, tol))
+
+    def problem_file(case, problem):
+        n = case["n"]
+        if case["graph"] is None:
+            rel = {"kind": "matrix", "matrix": case["matrix"]}
+        else:
+            rel = {"kind": "graph_span", "dim_in": n, "dim_out": n, "span": list(case["graph"].T)}
+        T, V, c = case["spline"]
+        j, krein = case["symmetry"]
+        return cli.ProblemFile(
+            version=1, field_kind="complex", tolerance=None,
+            matrices={"T": T, "V": V},
+            vectors={"b": case["b"], "c": c},
+            subspaces={"S": {"ambient": n, "span": list(case["s1"].T)},
+                       "K": {"ambient": n, "span": list(krein.T)}},
+            relations={"R": rel},
+            weights={"W": {"matrix": case["w"], "kind": "psd"},
+                     "W2": {"matrix": case["w2"], "kind": "psd"},
+                     "J": {"matrix": j, "kind": "symmetry"}},
+            problem=problem, rho=case["rho"],
+        )
+
+    def report(command):
+        return lambda c, t: cli.emit(cli.dispatch(command, problem_file(c, CLI_PROBLEMS[command]), t, verify=True))
 
     return {
         "solve": lambda c, t: rc.solve(problem(c, t), t),
@@ -227,6 +265,7 @@ def _operations():
         "oracles.w1w2_by_graph": lambda c, t: coset(
             *oracles.w1w2_by_graph(relation(c, t).graph.basis, c["n"], c["w"], c["w2"], c["b"], t.abs_eps)
         ),
+        **{f"cli.report:{command}": report(command) for command in CLI_PROBLEMS},
     }
 
 
@@ -239,6 +278,8 @@ def _encode(value):
         return ("none",)
     if isinstance(value, str):
         return ("text", value)
+    if isinstance(value, bytes):
+        return ("bytes", value)
     if isinstance(value, rc.Subspace):
         return ("subspace", value.basis)
     if isinstance(value, rc.Coset):  # a dataclass, read as a coset
@@ -299,7 +340,8 @@ def _gap(a, b) -> float:
     """How far two encoded outputs of one operation lie apart: projector
     distance for subspaces and graphs, the larger of the min-norm point's
     relative gap and the projector distance for cosets, relative norm for
-    arrays and numbers; inf when a dimension, an emptiness or a flag moved."""
+    arrays and numbers; inf when a dimension, an emptiness, a flag or a
+    report's bytes moved."""
     tag = a[0]
     if tag != b[0]:
         return math.inf
@@ -319,7 +361,7 @@ def _gap(a, b) -> float:
         if math.isnan(a[1]) or math.isnan(b[1]):
             return 0.0 if math.isnan(a[1]) and math.isnan(b[1]) else math.inf
         return abs(a[1] - b[1]) / max(1.0, abs(a[1]))
-    if tag in ("flag", "text"):
+    if tag in ("flag", "text", "bytes"):
         return 0.0 if a[1] == b[1] else math.inf
     if tag == "tuple":
         if len(a[1]) != len(b[1]):

@@ -190,7 +190,8 @@ def parse(path: str | Path) -> ProblemFile:
     except that ``orjson`` reads an integer outside [-2**63, 2**64) as the
     nearest float.  Numeric sections convert every entry with ``float()``
     either way; a size or ``version`` field holding such an integer is
-    refused either way, with a message that quotes the float.
+    refused either way, with a message that quotes the float.  Like a size,
+    ``version`` must be a JSON integer: ``true`` and ``1.0`` are refused.
     """
     import orjson  # here and in emit, not at the top: importing relcalc.cli does not load it
 
@@ -211,7 +212,7 @@ def parse(path: str | Path) -> ProblemFile:
     if not isinstance(data, dict):
         raise ProblemFormatError(f"{path.name}: top level must be an object")
     version = data.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ProblemFormatError(f"{path.name}: unsupported version {version!r}")
     field_kind = data.get("field", "complex")
     if field_kind != "complex":

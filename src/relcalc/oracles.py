@@ -5,7 +5,7 @@ pseudoinverses, away from the subspace/relation machinery, so that an oracle
 never shares a code path with the computation it checks.  The library never
 calls an oracle; the test suite does, and the CLI's ``--verify`` runs every
 one, some through another (``intersect_de_morgan`` through
-``compose_by_cylinders``, ``op_sum_by_cylinders`` through
+``krein_regular``, ``op_sum_by_cylinders`` through
 ``block_graph_by_cylinders``, ``minimize_seminorm_over_coset`` through
 ``w1w2_by_graph``).  Where the library adopts an oracle's formula, the
 oracle keeps the one the library dropped: the de Morgan intersection, the
@@ -19,10 +19,12 @@ lives with the tests of ``restrict``.
 An oracle factors only what it does not already know.  The complement of
 a coordinate axis is exactly the other axis, so the graph-and-axis route
 factors the graph's complement and no axis, and meets on the free
-coordinates.  Each least-squares stage takes its point and its flat
-directions from one SVD under one cut, so the point never inverts a
-singular value that the flat directions count as zero.  Every SVD asks for
-the full factors only of a wide matrix.
+coordinates.  A cylinder's complement is its graph's complement padded by
+zeros (T^perp x {0} for T x C^e), so the cylinder routes factor the two
+graphs' complements and build no cylinder.  Each least-squares stage
+takes its point and its flat directions from one SVD under one cut, so
+the point never inverts a singular value that the flat directions count
+as zero.  Every SVD asks for the full factors only of a wide matrix.
 """
 
 from __future__ import annotations
@@ -86,19 +88,12 @@ def intersect_de_morgan(b1: np.ndarray, b2: np.ndarray, atol: float = 1e-12) -> 
     """Orthonormal basis of span(b1) ∩ span(b2) by de Morgan in the subspace
     lattice, (S1^perp + S2^perp)^perp, each complement a null space of the
     adjoint basis."""
-    return _meet_of_complements(_complement(b1, atol), _complement(b2, atol), atol)
+    perp = np.hstack([_complement(b1, atol), _complement(b2, atol)])
+    return _null_basis(perp.conj().T, atol=atol)
 
 
 def _complement(basis: np.ndarray, atol: float) -> np.ndarray:
     return _null_basis(basis.conj().T, atol=atol)
-
-
-def _meet_of_complements(perp1: np.ndarray, perp2: np.ndarray, atol: float) -> np.ndarray:
-    """(S1^perp + S2^perp)^perp from bases of the two complements."""
-    perp = np.hstack([perp1, perp2])
-    if perp.shape[1] == 0:
-        return np.eye(perp.shape[0], dtype=complex)
-    return _null_basis(perp.conj().T, atol=atol)
 
 
 def kernel_and_mul_via_axes(
@@ -124,34 +119,28 @@ def kernel_and_mul_via_axes(
 
 def compose_by_cylinders(r_graph: np.ndarray, t_graph: np.ndarray, n: int, atol: float = 1e-12) -> np.ndarray:
     """Graph basis of R T for T from C^n with graph basis ``t_graph`` and R
-    with graph basis ``r_graph``: the triples (x, z, y) in both T x C^e and
-    C^n x R, with z dropped."""
+    with graph basis ``r_graph``: the triples (x, z, y) orthogonal to
+    T^perp x {0} and {0} x R^perp, with z dropped."""
     k = t_graph.shape[0] - n
-    e = r_graph.shape[0] - k
-    dt, dr = t_graph.shape[1], r_graph.shape[1]
-    cyl_t = np.zeros((n + k + e, dt + e), dtype=complex)
-    cyl_t[: n + k, :dt] = t_graph
-    cyl_t[n + k :, dt:] = np.eye(e)
-    cyl_r = np.zeros((n + k + e, n + dr), dtype=complex)
-    cyl_r[:n, :n] = np.eye(n)
-    cyl_r[n:, n:] = r_graph
-    triples = intersect_de_morgan(cyl_t, cyl_r, atol)
+    t_perp, r_perp = _complement(t_graph, atol), _complement(r_graph, atol)
+    perp = np.zeros((n + r_graph.shape[0], t_perp.shape[1] + r_perp.shape[1]), dtype=complex)
+    perp[: n + k, : t_perp.shape[1]] = t_perp
+    perp[n:, t_perp.shape[1] :] = r_perp
+    triples = _null_basis(perp.conj().T, atol=atol)
     return _span_basis(np.vstack([triples[:n], triples[n + k :]]), atol)
 
 
 def op_sum_by_cylinders(t_graph: np.ndarray, s_graph: np.ndarray, n: int, atol: float = 1e-12) -> np.ndarray:
     """Graph basis of T + S for T and S from C^n: the triples (x, y, z) with
-    (x, y) in T and (x, z) in S, read as (x, y + z)."""
+    (x, y) in T and (x, z) in S, met from their complements T^perp x {0} and
+    {(u, 0, w) : (u, w) in S^perp}, read as (x, y + z)."""
     m = t_graph.shape[0] - n
-    dt, ds = t_graph.shape[1], s_graph.shape[1]
-    cyl_t = np.zeros((n + 2 * m, dt + m), dtype=complex)
-    cyl_t[: n + m, :dt] = t_graph
-    cyl_t[n + m :, dt:] = np.eye(m)
-    cyl_s = np.zeros((n + 2 * m, ds + m), dtype=complex)
-    cyl_s[:n, :ds] = s_graph[:n]
-    cyl_s[n + m :, :ds] = s_graph[n:]
-    cyl_s[n : n + m, ds:] = np.eye(m)
-    triples = intersect_de_morgan(cyl_t, cyl_s, atol)
+    t_perp, s_perp = _complement(t_graph, atol), _complement(s_graph, atol)
+    perp = np.zeros((n + 2 * m, t_perp.shape[1] + s_perp.shape[1]), dtype=complex)
+    perp[: n + m, : t_perp.shape[1]] = t_perp
+    perp[:n, t_perp.shape[1] :] = s_perp[:n]
+    perp[n + m :, t_perp.shape[1] :] = s_perp[n:]
+    triples = _null_basis(perp.conj().T, atol=atol)
     return _span_basis(np.vstack([triples[:n], triples[n : n + m] + triples[n + m :]]), atol)
 
 

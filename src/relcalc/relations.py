@@ -90,10 +90,9 @@ def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subsp
     other graph block's null space.
 
     The graph basis gives F*F + H*H = I, so these columns are orthonormal up
-    to the squares of the dropped singular values.  A graph basis accepted
-    with a looser Gram matrix (``Subspace`` validates at 1e-8), or a cutoff
-    coarse enough to show, is re-orthonormalized under the same rank cutoff
-    instead.
+    to the squares of the dropped singular values.  A graph basis taken
+    unvalidated with a looser Gram matrix, or a cutoff coarse enough to
+    show, is re-orthonormalized under the same rank cutoff instead.
     """
     vecs = block @ coords
     gram_gap = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max(initial=0.0)

@@ -22,7 +22,6 @@ from .subspaces import (
     _data_cut,
     _solve_rounding,
     _tol,
-    orthonormalize,
 )
 from .weighted import _Corner, _factor_corner, _project_by_blocks
 
@@ -227,7 +226,8 @@ def projection_m(T: np.ndarray, V: np.ndarray, tol: Tolerance | None = None) -> 
     """Blocks of the orthogonal projector onto the range pairs {(Tx, Vx)}.
 
     The projector is Q Q* for an orthonormal basis Q of the stacked column
-    space of (T; V), rank decided by the tolerance; its blocks are the
+    space of (T; V), the kept left singular vectors of one SVD of the stack
+    cut on its own scale, as ``smooth_solve`` cuts it; its blocks are the
     row-block products of Q with itself, so the assembled matrix is
     idempotent and selfadjoint with that column space as its range.
     """
@@ -235,7 +235,8 @@ def projection_m(T: np.ndarray, V: np.ndarray, tol: Tolerance | None = None) -> 
     V = np.asarray(V, dtype=complex)
     if T.ndim != 2 or V.ndim != 2 or T.shape[1] != V.shape[1]:
         raise ValueError("T and V must be matrices with a common domain")
-    q = orthonormalize(np.vstack([T, V]), tol).basis
+    cut = _data_cut(np.vstack([T, V]), tol)
+    q = cut.u[:, : cut.rank]
     q_t, q_v = q[: T.shape[0]], q[T.shape[0] :]
     return ProjectionBlocks(
         tt=q_t @ q_t.conj().T,

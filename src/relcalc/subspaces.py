@@ -166,6 +166,11 @@ class Subspace:
 
     The zero subspace is the k = 0 case, not a special sentinel.  Instances are
     immutable; all operations return new objects.
+
+    A validated basis may miss orthonormal by up to 1e-8 in its Gram matrix
+    B*B; past ``_ORTHONORMAL_GRAM_GAP`` it is stored as its polar factor
+    B (B*B)^(-1/2), the orthonormal basis of the same span nearest to it,
+    since every consumer reads B B* as the projector.
     """
 
     __slots__ = ("basis",)
@@ -180,8 +185,12 @@ class Subspace:
             )
         if validate and basis.shape[1]:
             gram = basis.conj().T @ basis
-            if not np.allclose(gram, np.eye(basis.shape[1]), rtol=0, atol=1e-8):
+            gap = np.abs(gram - np.eye(basis.shape[1])).max()
+            if not gap <= 1e-8:  # NaN fails too
                 raise ValueError("basis columns are not orthonormal")
+            if gap > _ORTHONORMAL_GRAM_GAP:
+                eigs, vecs = np.linalg.eigh(gram)
+                basis = basis @ ((vecs / np.sqrt(eigs)) @ vecs.conj().T)
         basis.setflags(write=False)
         self.basis = basis
 
@@ -438,8 +447,10 @@ class Coset:
 # ---------------------------------------------------------------------------
 # acceptance thresholds of the library's checks
 
-# far below the 1e-8 a validated basis may be off, and above the rounding of
-# a product of orthonormal factors (under 1e-14 at n = 200)
+# the Gram gap past which a validated basis is stored as its polar factor
+# and a graph-block image is re-orthonormalized: far below the 1e-8 a
+# validated basis may be off, and above the rounding of a product of
+# orthonormal factors (under 1e-14 at n = 200)
 _ORTHONORMAL_GRAM_GAP = 1e-13
 
 # Multiple of eps * dim * (||a|| ||x|| + ||b||), the rounding error of a

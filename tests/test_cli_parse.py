@@ -445,6 +445,15 @@ class TestStrictScalarFields:
         assert code == 1 and payload == b""
         assert "rho: expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, shown", [(True, "True"), (1.0, "1.0")])
+    def test_version_must_be_the_integer_1(self, tmp_path, capsys, value, shown):
+        # both compare equal to 1, and were accepted as pf.version
+        doc = _fixture("proj-build.json")
+        doc["version"] = value
+        path = str(_write(tmp_path, doc))
+        assert _run(["proj-build", path]) == (1, b"")
+        assert capsys.readouterr().err == f"error: problem.json: unsupported version {shown}\n"
+
     def test_json_numbers_are_accepted(self, tmp_path):
         doc = _fixture("smooth.json")
         doc["rho"] = 2

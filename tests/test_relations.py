@@ -9,6 +9,7 @@ from relcalc import (
     Coset,
     DimensionMismatchError,
     LinearRelation,
+    Subspace,
     Tolerance,
     adjoint,
     apply,
@@ -795,6 +796,51 @@ class TestCalculusAgainstCylinders:
         # angles are small but far above the cut; both routes must keep them
         rng = np.random.default_rng(2100 + self.OPS.index(op))
         assert max(_cylinder_gap(op, relation_with_ker_and_mul, rng) for _ in range(300)) <= 1e-7
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_empty_and_full_graphs(self, op):
+        # every pairing of the zero graph, the whole space and a random graph
+        rng = np.random.default_rng(2200 + self.OPS.index(op))
+        shapes = [zero_space, full_space, lambda d: random_subspace(rng, d)]
+
+        def family(rng, n, m):
+            return LinearRelation(n, m, shapes[int(rng.integers(0, 3))](n + m))
+
+        assert max(_cylinder_gap(op, family, rng) for _ in range(100)) <= 1e-9
+
+    @pytest.mark.parametrize("op", OPS[:3])
+    def test_validated_loose_graphs(self, op):
+        # a graph basis accepted 1e-9 off orthonormal was stored as given, and
+        # compose, op_sum and restrict read it as a projector and lost
+        # dimensions
+        rng = np.random.default_rng(2300 + self.OPS.index(op))
+
+        def family(rng, n, m):
+            return LinearRelation(n, m, Subspace(loosely_orthonormal_relation(rng, n, m).graph.basis))
+
+        assert max(_cylinder_gap(op, family, rng) for _ in range(100)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cylinder_oracles_factor_only_the_two_graphs(self, svd_shapes, seed):
+        # a cylinder's complement is its graph's complement padded by zeros:
+        # each oracle factors the two graphs' complements, the meet and the
+        # span of the triples, and only the meet has the cylinder's columns
+        rng = np.random.default_rng(2400 + seed)
+        n, k, e = (int(rng.integers(1, 6)) for _ in range(3))
+        dt = int(rng.integers(1, n + k))
+        t = random_subspace(rng, n + k, dt).basis
+        r = random_subspace(rng, k + e, int(rng.integers(max(1, k - dt + 1), k + e))).basis
+        del svd_shapes[:]
+        oracles.compose_by_cylinders(r, t, n)
+        shapes = [shape for shape, _ in svd_shapes]
+        assert shapes[:2] == [(t.shape[1], n + k), (r.shape[1], k + e)] and len(shapes) == 4
+        assert [i for i, shape in enumerate(shapes) if shape[1] == n + k + e] == [2]
+        s = random_subspace(rng, n + k, int(rng.integers(max(1, n - dt + 1), n + k))).basis
+        del svd_shapes[:]
+        oracles.op_sum_by_cylinders(t, s, n)
+        shapes = [shape for shape, _ in svd_shapes]
+        assert shapes[:2] == [(t.shape[1], n + k), (s.shape[1], n + k)] and len(shapes) == 4
+        assert [i for i, shape in enumerate(shapes) if shape[1] == n + 2 * k] == [2]
 
 
 class TestEqualityCriterion:

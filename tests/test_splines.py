@@ -297,6 +297,17 @@ class TestProjectionBlocks:
         assert np.allclose(projection_m(T, V).tt, np.eye(2))
         assert np.allclose(projection_m(T, V, Tolerance(abs_eps=1e-6)).tt, np.diag([1.0, 0.0]))
 
+    def test_rank_is_read_on_the_stack_own_scale(self):
+        # the stack was cut at the absolute abs_eps: at c = 1e-11 and 1e-13
+        # every singular value fell under it and the projector was 0
+        rng = np.random.default_rng(5)
+        T, V = cmat(rng, 3, 4), rng.standard_normal((2, 4))
+        unit = projection_m(T, V)
+        assert np.trace(unit.matrix()).real == pytest.approx(4.0)
+        for c in (1e-11, 1e-13, 1e8):
+            scaled = projection_m(c * T, c * V).matrix()
+            assert np.linalg.norm(scaled - unit.matrix()) <= 1e-12 * np.linalg.norm(unit.matrix())
+
     def test_trivial_second_map(self):
         blocks = projection_m(np.eye(2), np.zeros((1, 2)))
         assert np.allclose(blocks.tt, np.eye(2))

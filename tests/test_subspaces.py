@@ -360,6 +360,24 @@ class TestSubspaceInvariants:
             Subspace(np.array([[1.0], [1.0]]) / np.sqrt(2) * (1 + 4e-6))
         assert Subspace(np.eye(3, 2) * (1 + 1e-9)).dim == 2
 
+    def test_a_validated_loose_basis_is_stored_orthonormal(self):
+        # a basis 1e-9 off was stored as given, and e1 read as outside its
+        # span (residual 2e-9 against a threshold near 1e-10)
+        loose = Subspace(np.eye(3, 2) * (1 + 1e-9))
+        assert loose.contains_vector(np.array([1.0, 0.0, 0.0]))
+        rng = np.random.default_rng(3400)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            basis = random_subspace(rng, n, int(rng.integers(1, n + 1))).basis
+            h = rng.standard_normal((basis.shape[1],) * 2)
+            stored = Subspace(basis @ (np.eye(basis.shape[1]) + 5e-10 * (h + h.T))).basis
+            assert np.abs(stored.conj().T @ stored - np.eye(stored.shape[1])).max() <= 1e-13
+            assert np.linalg.norm(stored @ stored.conj().T - basis @ basis.conj().T) <= 1e-12
+
+    def test_a_basis_within_the_gram_gap_keeps_its_bits(self):
+        basis = random_subspace(np.random.default_rng(3401), 6, 3).basis
+        assert np.array_equal(Subspace(basis).basis, basis)
+
     def test_too_many_columns_rejected(self):
         with pytest.raises(ValueError):
             Subspace(np.ones((2, 3)), validate=False)

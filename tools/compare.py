@@ -24,15 +24,17 @@ what the two returned.  Per operation and tolerance the report counts:
 The grid: square relations in C^n, n 2..8, cycling through a random relation,
 a relation with a kernel, a multivalued part and a pair tilted 10^-4..-8 off
 the input axis, ``graph_of_matrix`` of a rank-deficient matrix, a pair tilted
-10^-4..-8 off the output axis, and a graph basis accepted 1e-9 off
-orthonormal; weights cycling through a random psd matrix, one with tiny
-eigenvalues and one with mul A inside ker W, every 7th scaled by
+10^-4..-8 off the output axis, and a graph basis 1e-9 off orthonormal,
+taken unvalidated; weights cycling through a random psd matrix, one with
+tiny eigenvalues and one with mul A inside ker W, every 7th scaled by
 10^-24..15.  Besides the library's operations, the grid runs the oracles
-behind ``relation-analyze``, ``spline`` and ``w1w2-solve --verify``
-(``oracles.*``), and for each command the cases can feed, the bytes of its
-``--verify`` report, ``emit(dispatch(...))`` on a ``ProblemFile`` built from
-the case's arrays (``cli.report:<command>``).  Nothing is written but the
-report.
+behind ``relation-analyze``, ``spline``, ``w1w2-solve``, ``proj-build`` and
+``proj-represent --verify`` (``oracles.*``; the cylinder routes take the
+case's relation as the inner and as the outer factor of a product, and as
+the first summand of a sum), and for each command the cases can feed, the
+bytes of its ``--verify`` report, ``emit(dispatch(...))`` on a
+``ProblemFile`` built from the case's arrays (``cli.report:<command>``).
+Nothing is written but the report.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ CLI_PROBLEMS = {
     "shorted": {"weight": "W", "subspace": "S"},
     "complementable": {"weight": "W", "subspace": "S"},
     "krein-classify": {"weight": "J", "subspace": "K"},
+    "proj-build": {"range": "M", "kernel": "N"},
+    "proj-represent": {"range": "M", "kernel": "N"},
 }
 
 
@@ -208,7 +212,9 @@ def _operations():
             matrices={"T": T, "V": V},
             vectors={"b": case["b"], "c": c},
             subspaces={"S": {"ambient": n, "span": list(case["s1"].T)},
-                       "K": {"ambient": n, "span": list(krein.T)}},
+                       "K": {"ambient": n, "span": list(krein.T)},
+                       "M": {"ambient": n, "span": list(case["range_m"].T)},
+                       "N": {"ambient": n, "span": list(case["kernel_n"].T)}},
             relations={"R": rel},
             weights={"W": {"matrix": case["w"], "kind": "psd"},
                      "W2": {"matrix": case["w2"], "kind": "psd"},
@@ -264,6 +270,15 @@ def _operations():
         ),
         "oracles.w1w2_by_graph": lambda c, t: coset(
             *oracles.w1w2_by_graph(relation(c, t).graph.basis, c["n"], c["w"], c["w2"], c["b"], t.abs_eps)
+        ),
+        "oracles.compose_by_cylinders": lambda c, t: sub(
+            oracles.compose_by_cylinders(c["other"], relation(c, t).graph.basis, c["n"], t.abs_eps)
+        ),
+        "oracles.compose_by_cylinders@outer": lambda c, t: sub(
+            oracles.compose_by_cylinders(relation(c, t).graph.basis, c["other"], c["n"], t.abs_eps)
+        ),
+        "oracles.op_sum_by_cylinders": lambda c, t: sub(
+            oracles.op_sum_by_cylinders(relation(c, t).graph.basis, c["other"], c["n"], t.abs_eps)
         ),
         **{f"cli.report:{command}": report(command) for command in CLI_PROBLEMS},
     }

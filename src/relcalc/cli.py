@@ -280,10 +280,16 @@ def _validate_relation_spec(raw, where: str) -> dict:
         pair = raw["product_of"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ProblemFormatError(f"{where}: product_of needs two subspace names")
-        spec["pair"] = pair
+        spec["pair"] = [_subspace_name(name, f"{where}.product_of[{i}]") for i, name in enumerate(pair)]
     else:
-        spec["subspace"] = raw[kind]
+        spec["subspace"] = _subspace_name(raw[kind], f"{where}.{kind}")
     return spec
+
+
+def _subspace_name(ref, where: str) -> str:
+    if not isinstance(ref, str):
+        raise ProblemFormatError(f"{where}: expected a subspace name")
+    return ref
 
 
 def _validate_weight_spec(raw, where: str) -> dict:
@@ -333,7 +339,7 @@ def _relation(pf: ProblemFile, ref, tol: Tolerance, where: str) -> LinearRelatio
     spec = _get(pf.relations, ref, "relation")
     kind = spec["kind"]
     if kind == "matrix":
-        return graph_of_matrix(_matrix(pf, spec["matrix"], where), tol)
+        return graph_of_matrix(_matrix(pf, spec["matrix"], where))
     if kind == "graph_span":
         return from_graph_basis(spec["dim_in"], spec["dim_out"], spec["span"], tol)
     if kind == "identity_on":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, NoSolutionError
+from .errors import ConsistencyError, DimensionMismatchError, NoSolutionError
 from .subspaces import Coset, Tolerance, _as_vector, _cut_svd, _tol, subspace_equals, subspace_intersect
 from .relations import _OUT, LinearRelation, _map, apply, parts
 from .weighted import Weight, _factor_corner, _project_by_blocks, _unit_psd
@@ -64,7 +64,7 @@ class LssSolution:
 
 def _check_weight_size(A: LinearRelation, W: Weight):
     if W.ambient_dim != A.dim_in:
-        raise ValueError(f"weight size {W.ambient_dim} != relation dimension {A.dim_in}")
+        raise DimensionMismatchError(f"weight size {W.ambient_dim} != relation dimension {A.dim_in}")
 
 
 def solve(p: LssProblem, tol: Tolerance | None = None) -> LssSolution:

@@ -29,6 +29,7 @@ from .subspaces import (
     Subspace,
     Tolerance,
     _negligible,
+    matrix_image,
     matrix_preimage,
     null_space,
     orthonormalize,
@@ -177,9 +178,7 @@ def representable(T: LinearRelation, s: Subspace, tol: Tolerance | None = None) 
         raise ValueError("representability needs a square relation")
     p = parts(T, tol)
     proj = s.projector()
-    dom_img = orthonormalize(proj @ p.dom.basis, tol, ambient_dim=T.dim_in)
-    mul_img = orthonormalize(proj @ p.mul.basis, tol, ambient_dim=T.dim_in)
-    return subspace_contains(p.dom, dom_img, tol) and subspace_contains(p.mul, mul_img, tol)
+    return all(subspace_contains(part, matrix_image(proj, part, tol), tol) for part in (p.dom, p.mul))
 
 
 def canonical_blocks(T: LinearRelation, s: Subspace, tol: Tolerance | None = None) -> BlockRep:
@@ -202,15 +201,14 @@ def canonical_blocks(T: LinearRelation, s: Subspace, tol: Tolerance | None = Non
     return BlockRep(s, s_perp, corner(s, on_s), corner(s, on_p), corner(s_perp, on_s), corner(s_perp, on_p))
 
 
-def coefficient_x(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> LinearRelation:
+def coefficient_x(m: Subspace, n: Subspace) -> LinearRelation:
     """The off-diagonal coefficient of the projection with range M, kernel N.
 
     The graph {(v - P_M v, -P_M v) : v in N}, equal to the composed form
     -P_M ((I - P_M)|_N)^(-1).  The map v -> (v - P_M v, -P_M v) is an
     isometry, so it carries the orthonormal basis of N to an orthonormal
-    graph basis: no rank decision, and ``tol`` is accepted only for the
-    common signature.  dom x is the N-shadow on the complement of M;
-    mul x = M cap N.
+    graph basis: no rank decision.  dom x is the N-shadow on the complement
+    of M; mul x = M cap N.
     """
     if m.ambient_dim != n.ambient_dim:
         raise ValueError("range and kernel must share an ambient space")
@@ -223,7 +221,7 @@ def _projection_blocks(m: Subspace, n: Subspace, tol: Tolerance | None) -> Block
     """The paper's block form (I_M, x; 0, 0) along M of the projection with
     range M and kernel N, for x = ``coefficient_x(M, N)``."""
     m_perp = subspace_complement(m, tol)
-    return BlockRep(m, m_perp, identity_on(m), coefficient_x(m, n, tol), zero_on(m), zero_on(m_perp))
+    return BlockRep(m, m_perp, identity_on(m), coefficient_x(m, n), zero_on(m), zero_on(m_perp))
 
 
 def assemble_representation(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> BlockRep:

@@ -65,11 +65,6 @@ class LinearRelation:
         )
 
 
-class Restriction(NamedTuple):
-    relation: "LinearRelation"
-    image: Subspace
-
-
 class _Half(NamedTuple):
     """What one graph block decides at one tolerance: its span (dom for the
     input block F, ran for the output block H), the other block applied to
@@ -183,7 +178,7 @@ def from_graph_basis(dim_in: int, dim_out: int, vectors, tol: Tolerance | None =
     return LinearRelation(dim_in, dim_out, graph)
 
 
-def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearRelation:
+def graph_of_matrix(matrix: np.ndarray) -> LinearRelation:
     """The relation {(x, M x)} of an m x n matrix M, from one SVD of M.
 
     For M = U S V* the graph has the orthonormal basis [V C; U S C] with
@@ -195,9 +190,8 @@ def graph_of_matrix(matrix: np.ndarray, tol: Tolerance | None = None) -> LinearR
     mul = {0}: F's factors (V's columns reversed, so that its values
     descend) are stored with rank n for every tolerance.  ``parts`` reads
     H's rank r as ``Tolerance.rank`` of its values at each tolerance: ran is
-    U's first r columns and ker F's last n - r.  So ``parts`` and ``apply``
-    factor nothing at any tolerance, and ``tol`` is accepted only for the
-    common signature: no rank is decided here.
+    U's first r columns and ker F's last n - r.  So no rank is decided
+    here, and ``parts`` and ``apply`` factor nothing at any tolerance.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
@@ -339,26 +333,25 @@ def identity_minus(T: LinearRelation, tol: Tolerance | None = None) -> LinearRel
     return from_graph_basis(T.dim_in, T.dim_out, pairs, tol)
 
 
-def restrict(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Restriction:
-    """T restricted to inputs in M, plus the image T(M).
+def restrict(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> LinearRelation:
+    """T restricted to inputs in M: {(x, y) in T : x in M}.
 
     The graph coordinates a with F a in M form the preimage of M under the
     input block F; the graph basis times an orthonormal basis of them is
-    already orthonormal.
+    already orthonormal, and is the restriction's graph basis.
     """
     if m.ambient_dim != T.dim_in:
         raise DimensionMismatchError(
             f"restriction subspace ambient {m.ambient_dim} != dim_in {T.dim_in}"
         )
     coords = matrix_preimage(T.in_block, m, tol).basis
-    graph = Subspace(T.graph.basis @ coords, validate=False)
-    img = orthonormalize(T.out_block @ coords, tol, ambient_dim=T.dim_out)
-    return Restriction(LinearRelation(T.dim_in, T.dim_out, graph), img)
+    return LinearRelation(T.dim_in, T.dim_out, Subspace(T.graph.basis @ coords, validate=False))
 
 
 def image(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Subspace:
-    """T(M) = {y : (x, y) in T for some x in M}."""
-    return restrict(T, m, tol).image
+    """T(M) = {y : (x, y) in T for some x in M}: the range of the
+    restriction to M, read by ``parts`` at the same tolerance."""
+    return parts(restrict(T, m, tol), tol).ran
 
 
 def apply(T: LinearRelation, x: np.ndarray, tol: Tolerance | None = None) -> Coset:
@@ -381,15 +374,15 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
     right singular vectors the coordinates of the feasible directions
     X = D cap dom T.  dom T and the shifted point's value come from the input
     block's half of the parts, through ``apply``; T(X) comes from ``image``,
-    whose rank decision weighs unit graph vectors.  ``solve`` does not come
-    here: its outputs lie in dom A^-1 = ran A by construction, so it maps
-    them through the kept triplets of A's output block (``_map``), one
-    preimage SVD fewer.  Sending X through ``_map`` as well adds spurious
-    directions on the conditioning family (ROADMAP item 17), so T(X) keeps
-    ``image``.  Both routes carry
-    rounding of about eps / sigma_min into the image, where a direction
-    of X in ker T can surface as a spurious one (ROADMAP item 5).  At a
-    purely relative tolerance the cut of the off-dom part, a matrix of
+    the range of the restriction to X, whose rank decision weighs unit graph
+    vectors.  ``solve`` does not come here: its outputs lie in
+    dom A^-1 = ran A by construction, so it maps them through the kept
+    triplets of A's output block (``_map``), one preimage SVD fewer.
+    Sending X through ``_map`` as well adds spurious directions on the
+    conditioning family (ROADMAP item 17), so T(X) keeps ``image``.  Both
+    routes carry rounding of about eps / sigma_min into the image, where a
+    direction of X in ker T can surface as a spurious one (ROADMAP item 5).
+    At a purely relative tolerance the cut of the off-dom part, a matrix of
     rounding when D lies in dom T, can keep "rank" and drop feasible
     directions (ROADMAP item 13).
     """
@@ -432,8 +425,8 @@ def _map(
     decreasing order of 1 / s as for a weighted least-squares problem (Cox
     and Higham, 1998), makes them orthonormal and keeps the combinations
     that cancel a large row, which an SVD of the normalized columns loses to
-    rounding over s_min.  G times both is cut as ``restrict`` cuts an image:
-    unit graph vectors at the rank cutoff.
+    rounding over s_min.  G times both is cut as ``image`` cuts one: unit
+    graph vectors at the rank cutoff.
     """
     span, null_image, cut = _half(T, tol, side)
     other = T.out_block if side == _IN else T.in_block

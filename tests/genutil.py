@@ -213,7 +213,7 @@ def random_mv_projection(rng, n):
 
 def relation_with_parts(rng, n, dom, mul):
     """A relation with the prescribed domain and multivalued part."""
-    base = restrict(graph_of_matrix(cmat(rng, n, n)), dom).relation
+    base = restrict(graph_of_matrix(cmat(rng, n, n)), dom)
     return cw_sum(base, product_of_subspaces(zero_space(n), mul))
 
 

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import relcalc.cli
-from relcalc import Coset, ProblemFormatError, Tolerance, scale
+from relcalc import (
+    Coset, ProblemFormatError, Subspace, Tolerance, identity_on, parts, product_of_subspaces, scale, zero_on,
+)
 from relcalc.cli import COMMANDS, dispatch, emit, main, parse
 
-from genutil import cmat, cvec, random_psd, rotated_borderline_problem
+from genutil import cmat, cvec, projector_dist, random_psd, random_subspace, rotated_borderline_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -407,6 +409,31 @@ class TestExitCodes:
         assert code == 1 and payload == b""
         assert "weight size 3 != relation dimension 2" in capsys.readouterr().err
 
+    def test_w1w2_without_a_w1_solution_is_two(self, tmp_path):
+        doc = json.loads((DATA / "lss-no-solution.json").read_text())
+        doc["matrices"]["W2"] = _complex_json(np.eye(2, dtype=complex))
+        doc["weights"] = {"W1": doc["weights"]["W"], "W2": {"matrix": "W2", "kind": "psd"}}
+        doc["problem"] = {"relation": "A", "weight1": "W1", "weight2": "W2", "b": "b"}
+        code, payload = run_cli(["w1w2-solve", str(_write_problem(tmp_path, doc)), "--verify"])
+        report = json.loads(payload)
+        assert code == 2 and report["status"] == "no-solution"
+        assert report["result"] == {"solution_set": {"empty": True}}
+
+    def test_undefined_name_is_one(self, tmp_path, capsys):
+        doc = json.loads((DATA / "lss-solve.json").read_text())
+        doc["problem"]["relation"] = "X"
+        code, payload = run_cli(["lss-solve", str(_write_problem(tmp_path, doc))])
+        assert code == 1 and payload == b""
+        assert capsys.readouterr().err == "error: undefined relation 'X'\n"
+
+    @pytest.mark.parametrize("ref", [["W"], 3, None, {"name": "W"}])
+    def test_a_reference_that_is_no_name_is_one(self, tmp_path, capsys, ref):
+        doc = json.loads((DATA / "lss-solve.json").read_text())
+        doc["problem"]["weight"] = ref
+        code, payload = run_cli(["lss-solve", str(_write_problem(tmp_path, doc))])
+        assert code == 1 and payload == b""
+        assert capsys.readouterr().err == "error: problem.weight: expected a weight name\n"
+
     def test_file_and_batch_are_exclusive(self, capsys):
         code, _ = run_cli(["lss-solve"])
         assert code == 1
@@ -585,6 +612,61 @@ class TestBatch:
         shutil.copy(DATA / "malformed-vector.json", tmp_path / "bad.json")
         code, _ = run_cli(["lss-solve", "--batch", str(tmp_path)])
         assert code == 1
+
+    def test_a_second_run_skips_the_reports_of_the_first(self, tmp_path):
+        for name in ("lss-solve.json", "lss-no-solution.json"):
+            shutil.copy(DATA / name, tmp_path / name)
+        first = run_cli(["lss-solve", "--batch", str(tmp_path)])
+        reports = {path.name: path.read_bytes() for path in tmp_path.glob("*.report.json")}
+        assert sorted(reports) == ["lss-no-solution.report.json", "lss-solve.report.json"]
+        assert run_cli(["lss-solve", "--batch", str(tmp_path)]) == first
+        assert first[1] == b"lss-no-solution.json: no-solution\nlss-solve.json: ok\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.glob("*.report.json")} == reports
+
+    def test_batch_on_a_file_is_one(self, capsys):
+        path = DATA / "lss-solve.json"
+        assert run_cli(["lss-solve", "--batch", str(path)]) == (1, b"")
+        assert capsys.readouterr().err == f"error: {path} is not a directory\n"
+
+
+def _subspace_json(s):
+    return {"ambient": s.ambient_dim, "span": [_complex_json(v) for v in s.basis.T]}
+
+
+def _reported_subspace(entry):
+    basis = np.array([[re + 1j * im for re, im in v] for v in entry["basis"]]).T
+    return Subspace(basis.reshape(entry["ambient"], entry["dim"]), validate=False)
+
+
+class TestRelationKinds:
+    """The relations a problem file builds from its subspaces, read by
+    ``relation-analyze --verify`` against ``parts`` of the library's own."""
+
+    KINDS = {
+        "identity_on": ("S", lambda s, k: identity_on(s)),
+        "zero_on": ("S", lambda s, k: zero_on(s)),
+        "product_of": (["S", "K"], product_of_subspaces),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_report_matches_the_library(self, tmp_path, kind):
+        spec, build = self.KINDS[kind]
+        rng = np.random.default_rng(7300 + sorted(self.KINDS).index(kind))
+        for _ in range(20):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            s, k = random_subspace(rng, n), random_subspace(rng, m if kind == "product_of" else n)
+            doc = {"version": 1, "field": "complex",
+                   "subspaces": {"S": _subspace_json(s), "K": _subspace_json(k)},
+                   "relations": {"R": {kind: spec}}, "problem": {"relation": "R"}}
+            code, payload = run_cli(["relation-analyze", str(_write_problem(tmp_path, doc)), "--verify"])
+            report = json.loads(payload)
+            assert code == 0 and report["diagnostics"]["oracle_delta"] <= 1e-12
+            relation = build(s, k)
+            expected = parts(relation)
+            assert report["result"]["graph_dim"] == relation.graph.dim
+            for field in ("dom", "ran", "ker", "mul"):
+                got, want = _reported_subspace(report["result"][field]), getattr(expected, field)
+                assert got.dim == want.dim and projector_dist(got, want) <= 1e-12
 
 
 class TestFrozenResults:

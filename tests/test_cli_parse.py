@@ -362,6 +362,17 @@ MALFORMED = {
                       "relations.R.matrix row 0[1]: numbers must be finite, got inf"),
     "weight-matrix": (_with("weights", "W", {"matrix": [[[1, 0]], [[0, 1], [0, 0]]]}),
                       "weights.W.matrix row 1 has 2 entries, expected 1"),
+    # a relation's subspace references were first read by the handler, whose
+    # error named the problem field that led to the relation
+    "identity-on-list": (_with("relations", "R", {"identity_on": ["S"]}),
+                         "relations.R.identity_on: expected a subspace name"),
+    "zero-on-number": (_with("relations", "R", {"zero_on": 3}), "relations.R.zero_on: expected a subspace name"),
+    "product-of-entry": (_with("relations", "R", {"product_of": ["S", 3]}),
+                         "relations.R.product_of[1]: expected a subspace name"),
+    "product-of-null": (_with("relations", "R", {"product_of": [None, "S"]}),
+                        "relations.R.product_of[0]: expected a subspace name"),
+    "product-of-length": (_with("relations", "R", {"product_of": ["S", "S", "S"]}),
+                          "relations.R: product_of needs two subspace names"),
 }
 
 

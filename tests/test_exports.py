@@ -254,6 +254,30 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def _unread_parameters(tree: ast.AST):
+    """``function.parameter`` for every parameter of a function,
+    method or lambda that its body (nested scopes included) never reads."""
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = function.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            body = function.body if isinstance(function.body, list) else [function.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            name = getattr(function, "name", "<lambda>")
+            yield from (f"{name}.{p.arg}" for p in params if p.arg not in read)
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    # a parameter no line reads looks like a decision the call makes: a
+    # tol accepted "for the common signature" read as a construction at it
+    unread = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := list(_unread_parameters(ast.parse(path.read_text(encoding="utf-8")))))
+    }
+    assert unread == {}
+
+
 def _records_with_array_fields():
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"relcalc.{path.stem}")

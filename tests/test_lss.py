@@ -6,6 +6,7 @@ import pytest
 from relcalc import (
     ConsistencyError,
     Coset,
+    DimensionMismatchError,
     LinearRelation,
     LssProblem,
     NoSolutionError,
@@ -147,6 +148,17 @@ class TestProblemData:
         assert np.array_equal(p.b, [1.0, 1.0])
         assert after.min_value == before.min_value
         assert np.array_equal(after.witness, before.witness)
+
+    @pytest.mark.parametrize("which", ["LssProblem", "w1w2_solve W2"])
+    def test_a_weight_of_the_wrong_size_is_a_dimension_mismatch(self, which):
+        # the type weighted.py raises for a subspace of the wrong size; the
+        # weight's size check raised a plain ValueError
+        a, right, wrong = graph_of_matrix(np.eye(3)), Weight(np.eye(3), "psd"), Weight(np.eye(2), "psd")
+        with pytest.raises(DimensionMismatchError, match=r"^weight size 2 != relation dimension 3$"):
+            if which == "LssProblem":
+                LssProblem(a, wrong, np.ones(3))
+            else:
+                w1w2_solve(a, right, wrong, np.ones(3))
 
 
 class TestSolveExamples:

@@ -274,7 +274,7 @@ class TestCoefficientX:
             x = coefficient_x(m, k)
             assert np.allclose(x.graph.basis.conj().T @ x.graph.basis, np.eye(k.dim), atol=1e-13)
             proj = m.projector()
-            restricted = restrict(graph_of_matrix(np.eye(n) - proj), k).relation
+            restricted = restrict(graph_of_matrix(np.eye(n) - proj), k)
             composed = compose(scale(graph_of_matrix(proj), -1.0), invert(restricted))
             worst = max(worst, graph_dist(x, composed))
         assert worst <= 1e-9
@@ -319,7 +319,7 @@ class TestAssembleRepresentation:
     def test_wrong_coefficient_raises(self, monkeypatch):
         right = relcalc.mvproj.coefficient_x
         monkeypatch.setattr(
-            relcalc.mvproj, "coefficient_x", lambda m, n, tol=None: scale(right(m, n, tol), 2.0)
+            relcalc.mvproj, "coefficient_x", lambda m, n: scale(right(m, n), 2.0)
         )
         with pytest.raises(ConsistencyError, match="regenerate"):
             assemble_representation(E1, DIAG)
@@ -443,7 +443,7 @@ class TestGraphBlockRoutes:
                 s_perp = rep.co_splitter
                 corners = ((rep.a, s, s), (rep.b, s_perp, s), (rep.c, s, s_perp), (rep.d, s_perp, s_perp))
                 for corner, inp, out in corners:
-                    route = compose(graph_of_matrix(out.projector(), tol), restrict(t, inp, tol).relation, tol)
+                    route = compose(graph_of_matrix(out.projector()), restrict(t, inp, tol), tol)
                     worst = max(worst, _gap(corner.graph, route.graph))
         assert worst <= 1e-9
 

@@ -14,9 +14,10 @@ what the two returned.  Per operation and tolerance the report counts:
 
 - ``identical``: outputs equal bit for bit (a NaN equals a NaN, as in an
   unsolvable solve's ``min_value``);
-- ``moved``: outputs that differ, with ``max_gap``, the largest projector or
-  coset gap among them, and ``moved_structure``, those that moved a
-  dimension, an emptiness or a flag;
+- ``moved``: outputs that differ, with ``max_gap``, the largest projector,
+  coset or relative number gap among them, and ``moved_structure``, those
+  that moved a dimension, an emptiness or a flag (in a CLI report also a
+  status or a key set);
 - ``raises_matched``: both trees raised the same type with the same message;
 - ``raises_unmatched``: one tree raised and the other did not, or the two
   raised differently.
@@ -163,7 +164,7 @@ def _operations():
 
     def relation(case, tol):
         if case["graph"] is None:
-            return rc.graph_of_matrix(case["matrix"], tol)
+            return rc.graph_of_matrix(case["matrix"])
         n = case["n"]
         return rc.LinearRelation(n, n, rc.Subspace(case["graph"], validate=False))
 
@@ -355,8 +356,8 @@ def _gap(a, b) -> float:
     """How far two encoded outputs of one operation lie apart: projector
     distance for subspaces and graphs, the larger of the min-norm point's
     relative gap and the projector distance for cosets, relative norm for
-    arrays and numbers; inf when a dimension, an emptiness, a flag or a
-    report's bytes moved."""
+    arrays and numbers, and ``_report_gap`` of two CLI reports; inf when a
+    dimension, an emptiness or a flag moved."""
     tag = a[0]
     if tag != b[0]:
         return math.inf
@@ -376,13 +377,45 @@ def _gap(a, b) -> float:
         if math.isnan(a[1]) or math.isnan(b[1]):
             return 0.0 if math.isnan(a[1]) and math.isnan(b[1]) else math.inf
         return abs(a[1] - b[1]) / max(1.0, abs(a[1]))
-    if tag in ("flag", "text", "bytes"):
+    if tag == "bytes":
+        return _report_gap(json.loads(a[1]), json.loads(b[1]))
+    if tag in ("flag", "text"):
         return 0.0 if a[1] == b[1] else math.inf
     if tag == "tuple":
         if len(a[1]) != len(b[1]):
             return math.inf
         return max((_gap(x, y) for x, y in zip(a[1], b[1])), default=0.0)
     return 0.0
+
+
+def _reported_basis(subspace: dict) -> np.ndarray:
+    pairs = np.array(subspace["basis"], dtype=float).reshape(subspace["dim"], subspace["ambient"], 2)
+    return (pairs[..., 0] + 1j * pairs[..., 1]).T
+
+
+def _report_gap(a, b) -> float:
+    """``_gap`` of two parsed CLI reports: a subspace ``{ambient, dim,
+    basis}`` by projector distance, a nonempty coset ``{empty, point,
+    direction}`` as ``_gap`` reads a coset, any other float by relative gap;
+    inf when a key set, an integer (a dim), a flag, a string (a status) or
+    a list length moved, so an empty coset against a nonempty one too."""
+    if isinstance(a, dict):
+        if not isinstance(b, dict) or a.keys() != b.keys():
+            return math.inf
+        if a.keys() == {"ambient", "dim", "basis"}:
+            return _projector_gap(_reported_basis(a), _reported_basis(b))
+        if a.keys() == {"empty", "point", "direction"}:
+            x, y = (("coset", np.array(c["point"], dtype=float).reshape(-1, 2) @ [1, 1j],
+                     _reported_basis(c["direction"])) for c in (a, b))
+            return _gap(x, y) if x[1].shape == y[1].shape else math.inf
+        return max((_report_gap(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list):
+        if not isinstance(b, list) or len(a) != len(b):
+            return math.inf
+        return max((_report_gap(x, y) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, float) and isinstance(b, float):
+        return _gap(("number", a), ("number", b))
+    return 0.0 if type(a) is type(b) and a == b else math.inf
 
 
 def compare(parent: dict, change: dict) -> dict:

@@ -429,7 +429,7 @@ def _projector_delta(basis: np.ndarray, other: np.ndarray) -> float:
 def _cmd_proj_build(pf, tol, verify):
     m = _subspace(pf, _need(pf, "range"), tol, "problem.range")
     n = _subspace(pf, _need(pf, "kernel"), tol, "problem.kernel")
-    proj = make_pmn(m, n, tol)
+    proj = make_pmn(m, n)
     flags = classify(proj, tol)
     result = _ser_parts(proj, tol)
     result["is_idempotent"] = flags.is_idempotent

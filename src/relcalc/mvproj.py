@@ -28,7 +28,10 @@ from .errors import ConsistencyError, DimensionMismatchError, NotRepresentableEr
 from .subspaces import (
     Subspace,
     Tolerance,
+    _block_image,
     _negligible,
+    _null_of_rows,
+    _svd,
     matrix_image,
     matrix_preimage,
     null_space,
@@ -42,10 +45,8 @@ from .subspaces import (
 )
 from .relations import (
     LinearRelation,
-    _block_image,
     _op_sum_pairs,
     compose,
-    cw_sum,
     from_graph_basis,
     identity_on,
     parts,
@@ -104,16 +105,21 @@ def _fixed_points(E: LinearRelation, tol: Tolerance | None) -> Subspace:
     """ker(I - E) = {x : (x, x) in E}, F times the null space of F - H for
     the graph blocks F over H of E: one SVD.  For a unit c there, (F c, F c)
     is a unit graph vector, so sqrt(2) F c is already orthonormal."""
-    coords = null_space(E.in_block - E.out_block, tol).basis
-    return _block_image(np.sqrt(2.0) * E.in_block, coords, tol)
+    return _block_image(np.sqrt(2.0) * E.in_block, null_space(E.in_block - E.out_block, tol).basis)
 
 
-def make_pmn(m: Subspace, n: Subspace, tol: Tolerance | None = None) -> LinearRelation:
+def make_pmn(m: Subspace, n: Subspace) -> LinearRelation:
     """The multivalued projection with range M and kernel N.
 
     dom = M + N and mul = M cap N; squares to itself and maps into its domain.
+    Its graph is the thin U of the pairs (u, u) / sqrt(2) and (v, 0), sigma >= 0.541.
     """
-    return cw_sum(identity_on(m), zero_on(n), tol)
+    if m.ambient_dim != n.ambient_dim:
+        raise DimensionMismatchError("range and kernel must share an ambient space")
+    if not (m.dim and n.dim):
+        return zero_on(n) if n.dim else identity_on(m)
+    pairs = np.hstack([identity_on(m).graph.basis, zero_on(n).graph.basis])
+    return LinearRelation(m.ambient_dim, m.ambient_dim, Subspace(_svd(pairs)[0], validate=False))
 
 
 def classify(E: LinearRelation, tol: Tolerance | None = None) -> Classification:
@@ -157,7 +163,7 @@ def decompose(P: LinearRelation, tol: Tolerance | None = None) -> tuple[LinearRe
     The operator part projects onto M minus the overlap along N; its graph is
     orthogonal to the purely multivalued remainder, and their componentwise
     sum restores the input.  As the overlap lies in M, M minus the overlap
-    is M times the null space of overlap* M: one SVD.
+    is M times the null space of overlap* M (sigma = the kept cosines): one SVD.
     """
     if not P.is_square:
         raise ValueError("decompose needs a square relation")
@@ -167,8 +173,8 @@ def decompose(P: LinearRelation, tol: Tolerance | None = None) -> tuple[LinearRe
         raise ValueError("input is not a multivalued projection")
     m, n = p.ran, p.ker
     overlap = subspace_intersect(m, n, tol)
-    reduced = Subspace(m.basis @ null_space(overlap.basis.conj().T @ m.basis, tol).basis, validate=False)
-    return make_pmn(reduced, n, tol), overlap
+    reduced = Subspace(m.basis @ _null_of_rows(overlap.basis.conj().T @ m.basis).basis, validate=False)
+    return make_pmn(reduced, n), overlap
 
 
 def representable(T: LinearRelation, s: Subspace, tol: Tolerance | None = None) -> bool:
@@ -191,7 +197,7 @@ def canonical_blocks(T: LinearRelation, s: Subspace, tol: Tolerance | None = Non
     """
     if not representable(T, s, tol):
         raise NotRepresentableError("relation admits no block splitting along this subspace")
-    s_perp = subspace_complement(s, tol)
+    s_perp = subspace_complement(s)
     on_s, on_p = (matrix_preimage(T.in_block, side, tol).basis for side in (s, s_perp))
 
     def corner(out: Subspace, coords: np.ndarray) -> LinearRelation:
@@ -211,16 +217,16 @@ def coefficient_x(m: Subspace, n: Subspace) -> LinearRelation:
     of M; mul x = M cap N.
     """
     if m.ambient_dim != n.ambient_dim:
-        raise ValueError("range and kernel must share an ambient space")
+        raise DimensionMismatchError("range and kernel must share an ambient space")
     dim = m.ambient_dim
     onto_m = m.projector() @ n.basis
     return LinearRelation(dim, dim, Subspace(np.vstack([n.basis - onto_m, -onto_m]), validate=False))
 
 
-def _projection_blocks(m: Subspace, n: Subspace, tol: Tolerance | None) -> BlockRep:
+def _projection_blocks(m: Subspace, n: Subspace) -> BlockRep:
     """The paper's block form (I_M, x; 0, 0) along M of the projection with
-    range M and kernel N, for x = ``coefficient_x(M, N)``."""
-    m_perp = subspace_complement(m, tol)
+    range M and kernel N, for x = ``coefficient_x(M, N)``: no rank decision."""
+    m_perp = subspace_complement(m)
     return BlockRep(m, m_perp, identity_on(m), coefficient_x(m, n), zero_on(m), zero_on(m_perp))
 
 
@@ -229,8 +235,8 @@ def assemble_representation(m: Subspace, n: Subspace, tol: Tolerance | None = No
 
     The relation the four blocks generate must be P(M, N) itself.
     """
-    rep = _projection_blocks(m, n, tol)
-    if not relation_equals(rep.generate(tol), make_pmn(m, n, tol), tol):
+    rep = _projection_blocks(m, n)
+    if not relation_equals(rep.generate(tol), make_pmn(m, n), tol):
         raise ConsistencyError("block form failed to regenerate P(M, N)")
     return rep
 

@@ -14,19 +14,19 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .subspaces import (
-    _ORTHONORMAL_GRAM_GAP,
     Coset,
     Cut,
     Subspace,
     Tolerance,
     _as_vector,
+    _block_image,
     _cut_svd,
     _svd,
     _tol,
     matrix_preimage,
-    null_space,
     orthonormalize,
     subspace_contains,
+    subspace_complement,
     subspace_equals,
     subspace_sum,
 )
@@ -80,22 +80,6 @@ class _Half(NamedTuple):
 _IN, _OUT = 0, 1
 
 
-def _block_image(block: np.ndarray, coords: np.ndarray, tol: Tolerance) -> Subspace:
-    """The span of block @ coords, for coords an orthonormal basis of the
-    other graph block's null space.
-
-    The graph basis gives F*F + H*H = I, so these columns are orthonormal up
-    to the squares of the dropped singular values.  A graph basis taken
-    unvalidated with a looser Gram matrix, or a cutoff coarse enough to
-    show, is re-orthonormalized under the same rank cutoff instead.
-    """
-    vecs = block @ coords
-    gram_gap = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max(initial=0.0)
-    if gram_gap > _ORTHONORMAL_GRAM_GAP:
-        return orthonormalize(vecs, tol, ambient_dim=block.shape[0])
-    return Subspace(vecs, validate=False)
-
-
 def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
     """The cached half of the parts that the block on ``side`` (``_IN`` or
     ``_OUT``) decides at the tolerance, cut from the block's one stored SVD
@@ -113,7 +97,7 @@ def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
             svd = cache[None] = Cut(*_svd(block), None)
         r = tol.rank(svd.s, block.shape) if svd.rank is None else svd.rank
         span = Subspace(svd.u[:, :r], validate=False)
-        half = cache[tol] = _Half(span, _block_image(other, svd.vh[r:].conj().T, tol), svd._replace(rank=r))
+        half = cache[tol] = _Half(span, _block_image(other, svd.vh[r:].conj().T), svd._replace(rank=r))
     return half
 
 
@@ -252,14 +236,14 @@ def invert(T: LinearRelation) -> LinearRelation:
     return inverse
 
 
-def adjoint(T: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
+def adjoint(T: LinearRelation) -> LinearRelation:
     """{(u, v) : <y, u> = <x, v> for every (x, y) in T}.
 
-    One linear condition per graph basis vector; the adjoint graph is the null
-    space of the stacked condition matrix read in C^{dim_out} x C^{dim_in}.
+    One linear condition per graph basis vector: the adjoint graph is the
+    complement (sigma = 1) of the flipped graph columns (H, -F), in C^m x C^n.
     """
-    cond = np.hstack([T.out_block.conj().T, -T.in_block.conj().T])
-    return LinearRelation(T.dim_out, T.dim_in, null_space(cond, tol))
+    flipped = Subspace(np.vstack([T.out_block, -T.in_block]), validate=False)
+    return LinearRelation(T.dim_out, T.dim_in, subspace_complement(flipped))
 
 
 def _preimage_under_block(block: np.ndarray, e: int, target: Subspace, tol: Tolerance | None):
@@ -325,12 +309,12 @@ def scale(T: LinearRelation, lam: complex, tol: Tolerance | None = None) -> Line
     return from_graph_basis(T.dim_in, T.dim_out, stacked, tol)
 
 
-def identity_minus(T: LinearRelation, tol: Tolerance | None = None) -> LinearRelation:
-    """I - T = {(x, x - y) : (x, y) in T} on a square relation: one span."""
+def identity_minus(T: LinearRelation) -> LinearRelation:
+    """I - T = {(x, x - y) : (x, y) in T}: the span of (F a, F a - H a), sigma >= 0.618."""
     if not T.is_square:
         raise DimensionMismatchError("identity_minus needs a square relation")
     pairs = np.vstack([T.in_block, T.in_block - T.out_block])
-    return from_graph_basis(T.dim_in, T.dim_out, pairs, tol)
+    return LinearRelation(T.dim_in, T.dim_out, Subspace(_svd(pairs)[0], validate=False))
 
 
 def restrict(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> LinearRelation:

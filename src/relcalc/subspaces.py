@@ -6,7 +6,8 @@ rules live here and nowhere else: every SVD is one ``_svd``, every
 singular-value and eigenvalue cut one ``Tolerance.rank`` count, every
 containment one ``_negligible`` residual, and every acceptance threshold of
 a library check is a method of ``Tolerance`` or ``Coset`` or sits at the end
-of this module.
+of this module.  A construction whose dimension is fixed by construction
+reads ``_svd``'s factors at that dimension and makes no cut.
 """
 
 from __future__ import annotations
@@ -302,9 +303,28 @@ def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Su
     return orthonormalize(np.hstack([s1.basis, s2.basis]), tol)
 
 
-def subspace_complement(s: Subspace, tol: Tolerance | None = None) -> Subspace:
-    """Orthogonal complement, the null space of the adjoint basis."""
-    return null_space(s.basis.conj().T, tol)
+def subspace_complement(s: Subspace) -> Subspace:
+    """Orthogonal complement, the null space of the adjoint basis (sigma = 1)."""
+    return _null_of_rows(s.basis.conj().T)
+
+
+def _null_of_rows(rows: np.ndarray) -> Subspace:
+    """{x : rows @ x = 0} for q rows independent by construction: ``_svd``'s vh[q:]."""
+    return Subspace(_svd(rows)[2][rows.shape[0] :].conj().T, validate=False)
+
+
+def _block_image(block: np.ndarray, coords: np.ndarray) -> Subspace:
+    """The span of block @ coords, for coords an orthonormal basis of the
+    other graph block's null space.
+
+    The graph basis gives F*F + H*H = I, so these columns are orthogonal with
+    norms sqrt(1 - s^2) for the dropped singular values s.  A graph basis
+    taken unvalidated with a looser Gram matrix, or a cutoff coarse enough
+    to show, is re-orthonormalized instead, by its thin U: no rank decision.
+    """
+    vecs = block @ coords
+    gram_gap = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max(initial=0.0)
+    return Subspace(_svd(vecs)[0] if gram_gap > _ORTHONORMAL_GRAM_GAP else vecs, validate=False)
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Subspace:

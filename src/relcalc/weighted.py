@@ -29,11 +29,11 @@ from .subspaces import (
     Subspace,
     Tolerance,
     _cut_svd,
+    _null_of_rows,
     _solve_rounding,
     _tol,
     matrix_image,
     matrix_preimage,
-    null_space,
     subspace_complement,
     subspace_equals,
     subspace_intersect,
@@ -168,8 +168,8 @@ def w_companion(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Subspac
     """Vectors W-orthogonal to S: the complement of W S, equal to the
     W-preimage of the complement of S.  Both routes are computed and must agree."""
     _check_ambient(w, s)
-    via_image = subspace_complement(matrix_image(w.matrix, s, tol), tol)
-    via_preimage = matrix_preimage(w.matrix, subspace_complement(s, tol), tol)
+    via_image = subspace_complement(matrix_image(w.matrix, s, tol))
+    via_preimage = matrix_preimage(w.matrix, subspace_complement(s), tol)
     if not subspace_equals(via_image, via_preimage, tol):
         raise ConsistencyError("companion computed by image and preimage routes disagrees")
     return via_image
@@ -177,7 +177,7 @@ def w_companion(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Subspac
 
 def make_pws(w: Weight, s: Subspace, tol: Tolerance | None = None) -> LinearRelation:
     """The weighted projection: range S, kernel the W-orthogonal companion of S."""
-    return make_pmn(s, w_companion(s, w, tol), tol)
+    return make_pmn(s, w_companion(s, w, tol))
 
 
 class _Corner(NamedTuple):
@@ -275,7 +275,7 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
         raise ConsistencyError(
             f"domain criterion ({by_domain}) disagrees with block criterion ({by_blocks})"
         )
-    blocks = _projection_blocks(s, companion, tol) if by_domain else None
+    blocks = _projection_blocks(s, companion) if by_domain else None
     return ComplementabilityReport(
         is_complementable=by_domain,
         domain=domain,
@@ -323,9 +323,9 @@ def krein_classify(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Krei
     S^[perp] = (J S)-perp for a unit eigenvector v as J is unitary: the
     eigenvectors between the negative and the positive eigenvalues that the
     rank cut keeps.  It must equal S cap ker(U*J), ranked by principal
-    angles.  As J is invertible,
-    dim S^[perp] = n - dim S and S + S^[perp] is everything exactly when
-    S cap S^[perp] = 0: regular and nondegenerate are one flag.
+    angles.  As J is unitary, ker(U*J) = S^[perp] (sigma = 1) needs no rank
+    decision: it has dimension n - dim S, and S + S^[perp] is everything
+    exactly when S cap S^[perp] = 0: regular and nondegenerate are one flag.
     """
     if w.kind != "symmetry":
         raise ValueError("classification needs a symmetry weight (W^2 = I)")
@@ -335,7 +335,7 @@ def krein_classify(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Krei
     eigs, vecs = _signed_eigh(h @ u)
     negative, positive = tol.rank(-eigs, eigs.shape * 2), tol.rank(eigs[::-1], eigs.shape * 2)
     isotropic = Subspace(u @ vecs[:, negative : eigs.size - positive], validate=False)
-    by_intersection = subspace_intersect(s, null_space(h, tol), tol)
+    by_intersection = subspace_intersect(s, _null_of_rows(h), tol)
     if not subspace_equals(by_intersection, isotropic, tol):
         raise ConsistencyError(
             f"isotropic part from the Gram matrix (dim {isotropic.dim}) disagrees with "

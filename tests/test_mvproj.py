@@ -7,6 +7,7 @@ import relcalc.mvproj
 from relcalc import (
     BlockRep,
     ConsistencyError,
+    DimensionMismatchError,
     NotRepresentableError,
     Tolerance,
     adjoint,
@@ -47,16 +48,20 @@ from relcalc import (
 
 from relcalc import oracles
 from relcalc.mvproj import _fixed_points, _generated_super
+from relcalc.relations import _IN, _half
+from relcalc.subspaces import _ORTHONORMAL_GRAM_GAP
 
 from genutil import (
     cmat,
     cvec,
     graph_dist,
+    loosely_orthonormal_relation,
     projector_dist,
     random_mv_projection,
     random_relation,
     random_representable,
     random_subspace,
+    relation_with_ker_and_mul,
     subspace_of,
 )
 
@@ -107,6 +112,16 @@ class TestMakePmn:
         p, m, k = random_mv_projection(rng, n)
         first = make_pmn(m, subspace_intersect(m, k))
         assert relation_equals(compose(first, p), p)
+
+    @pytest.mark.parametrize(
+        "build", [make_pmn, coefficient_x, assemble_representation], ids=lambda f: f.__name__
+    )
+    def test_range_and_kernel_in_different_ambients(self, build):
+        # one error about the subspaces the caller passed, not about the
+        # relations built from them
+        rng = np.random.default_rng(2150)
+        with pytest.raises(DimensionMismatchError, match="^range and kernel must share an ambient space$"):
+            build(random_subspace(rng, 2), random_subspace(rng, 3))
 
 
 class TestClassify:
@@ -170,7 +185,7 @@ class TestDecompose:
             n = int(rng.integers(2, 9))
             m, k = random_subspace(rng, n), random_subspace(rng, n)
             overlap_dim = max(0, m.dim + k.dim - n)
-            op_part, overlap = decompose(make_pmn(m, k, tol), tol)
+            op_part, overlap = decompose(make_pmn(m, k), tol)
             p = parts(op_part, tol)
             got = (overlap.dim, p.ran.dim, p.ker.dim, p.mul.dim)
             assert got == (overlap_dim, m.dim - overlap_dim, k.dim, 0)
@@ -456,7 +471,7 @@ class TestGraphBlockRoutes:
             for _ in range(1000):
                 m, s1, s2, x = _super_instance(rng)
                 n = m.ambient_dim
-                m_perp = subspace_complement(m, tol)
+                m_perp = subspace_complement(m)
                 rep = BlockRep(
                     m,
                     m_perp,
@@ -483,7 +498,7 @@ class TestGraphBlockRoutes:
                     e = cw_sum(make_pmn(m, k), product_of_subspaces(zero_space(n), s))
                 else:
                     e = random_relation(rng, n, n)
-                worst = max(worst, _gap(_fixed_points(e, tol), parts(identity_minus(e, tol), tol).ker))
+                worst = max(worst, _gap(_fixed_points(e, tol), parts(identity_minus(e), tol).ker))
         assert worst <= 1e-9
 
 
@@ -513,7 +528,7 @@ class TestResidualRoutes:
             tol = CROSS_TOLS[i % 3]
             m, s1, s2, x = _super_instance(rng)
             n = m.ambient_dim
-            m_perp = subspace_complement(m, tol)
+            m_perp = subspace_complement(m)
             if i % 4 == 1:
                 s2 = random_subspace(rng, n)
             elif i % 4 == 2:
@@ -642,3 +657,96 @@ class TestRankDecisionCount:
             counts.append(svd_calls.count("svd"))
         assert np.mean(counts) <= 3
         assert max(counts) <= 3
+
+
+# the six tolerances of tools/compare.py's grid
+GRID_TOLERANCES = [
+    pytest.param(Tolerance(), id="default"),
+    pytest.param(Tolerance(1e-6), id="1e-6"),
+    pytest.param(Tolerance(1e-12), id="1e-12"),
+    pytest.param(Tolerance(0, 1e-9), id="rel-1e-9"),
+    pytest.param(Tolerance(0, 0), id="zero"),
+    pytest.param(Tolerance(0, 1e-15), id="rel-1e-15"),
+]
+
+
+def _known_dimension_draws(seed, count=60):
+    """Pairs (T, S) of an n -> m and an n -> n relation from one family,
+    cycling through a random relation, a pair tilted 10^-4..-8 off the input
+    axis, a graph basis 1e-9 off orthonormal taken unvalidated, and the
+    graph of a rank-deficient matrix."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        tilt = 10.0 ** -(4 + (i // 4) % 5)
+
+        def draw(rows, cols):
+            k = int(rng.integers(0, min(rows, cols) + 1))
+            return {
+                0: lambda: random_relation(rng, cols, rows),
+                1: lambda: relation_with_ker_and_mul(rng, cols, rows, tilt),
+                2: lambda: loosely_orthonormal_relation(rng, cols, rows),
+                3: lambda: graph_of_matrix(cmat(rng, rows, k) @ cmat(rng, k, cols)),
+            }[i % 4]()
+
+        yield draw(m, n), draw(n, n)
+
+
+class TestKnownDimensions:
+    """A construction whose dimension is fixed by construction reads _svd's
+    factors at that dimension: no Tolerance.rank call, and that dimension
+    whatever tolerance its inputs were read at."""
+
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        calls = []
+        original = Tolerance.rank
+        monkeypatch.setattr(Tolerance, "rank", lambda self, *args: calls.append(self) or original(self, *args))
+        return calls
+
+    def test_no_rank_decision(self, rank_calls):
+        rng = np.random.default_rng(3700)
+        for t, square in _known_dimension_draws(3700):
+            n = square.dim_in
+            m, k = random_subspace(rng, n), random_subspace(rng, n)
+            rank_calls.clear()
+            subspace_complement(m), adjoint(t), identity_minus(square), make_pmn(m, k)
+            relcalc.mvproj._projection_blocks(m, k)
+            assert rank_calls == []
+
+    def test_one_rank_decision_per_half_of_a_loose_graph(self, rank_calls):
+        # a graph basis 1e-9 off orthonormal, unvalidated, gives null images
+        # 1e-9 off orthonormal too; they are re-orthonormalized at their
+        # known dimension, so each half is its own block's cut alone
+        rng = np.random.default_rng(3701)
+        loose_images = 0
+        for _ in range(40):
+            t = loosely_orthonormal_relation(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+            for param in GRID_TOLERANCES:
+                tol = param.values[0]
+                rank_calls.clear()
+                p = parts(t, tol)
+                p.dom, p.ran, p.ker, p.mul
+                assert len(rank_calls) == 2
+                svd = _half(t, tol, _IN).cut
+                raw = t.out_block @ svd.vh[svd.rank :].conj().T
+                loose_images += np.abs(raw.conj().T @ raw - np.eye(raw.shape[1])).max(initial=0.0) > _ORTHONORMAL_GRAM_GAP
+                assert p.mul.dim == raw.shape[1]
+                assert np.abs(p.mul.basis.conj().T @ p.mul.basis - np.eye(p.mul.dim)).max(initial=0.0) < 1e-13
+        assert loose_images >= 40
+
+    @pytest.mark.parametrize("tol", GRID_TOLERANCES)
+    def test_known_dimensions_at_every_tolerance(self, tol):
+        for t, square in _known_dimension_draws(3702):
+            n, m, g = t.dim_in, t.dim_out, t.graph.dim
+            adj = adjoint(t)
+            assert adj.graph.dim == n + m - g
+            flipped = np.vstack([t.out_block, -t.in_block])
+            assert np.abs(flipped.conj().T @ adj.graph.basis).max(initial=0.0) < 1e-12
+            assert identity_minus(square).graph.dim == square.graph.dim
+            p = parts(square, tol)
+            n = square.dim_in
+            for s in (p.dom, p.ran, p.ker, p.mul):
+                assert subspace_complement(s).dim == n - s.dim
+            for range_m, kernel_n in ((p.ran, p.ker), (p.dom, p.mul), (p.mul, p.ran)):
+                assert make_pmn(range_m, kernel_n).graph.dim == range_m.dim + kernel_n.dim

@@ -35,6 +35,8 @@ case's relation as the inner and as the outer factor of a product, and as
 the first summand of a sum), and for each command the cases can feed, the
 bytes of its ``--verify`` report, ``emit(dispatch(...))`` on a
 ``ProblemFile`` built from the case's arrays (``cli.report:<command>``).
+A function that takes no ``tol`` in one tree is called without it there,
+so a tree whose function still takes one decides at the grid tolerance.
 Nothing is written but the report.
 """
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -226,6 +229,16 @@ def _operations():
     def report(command):
         return lambda c, t: cli.emit(cli.dispatch(command, problem_file(c, CLI_PROBLEMS[command]), t, verify=True))
 
+    def at(function, *args, tol):
+        """function(*args, tol), or function(*args) where this tree's
+        function takes no ``tol``: a tree whose function still takes one
+        decides at the grid tolerance."""
+        takes_tol = "tol" in inspect.signature(function).parameters
+        return function(*args, tol) if takes_tol else function(*args)
+
+    def pmn(case, tol):
+        return at(rc.make_pmn, sub(case["range_m"]), sub(case["kernel_n"]), tol=tol)
+
     return {
         "solve": lambda c, t: rc.solve(problem(c, t), t),
         "check_normal": lambda c, t: rc.check_normal(problem(c, t), c["x"], t),
@@ -249,7 +262,12 @@ def _operations():
         "subspace_contains": lambda c, t: rc.subspace_contains(sub(c["s1"]), sub(c["s2"]), t),
         "matrix_image": lambda c, t: rc.matrix_image(c["m_matrix"], sub(c["s1"]), t),
         "classify": lambda c, t: rc.classify(relation(c, t), t),
-        "decompose": lambda c, t: rc.decompose(rc.make_pmn(sub(c["range_m"]), sub(c["kernel_n"]), t), t),
+        "adjoint": lambda c, t: at(rc.adjoint, relation(c, t), tol=t),
+        "identity_minus": lambda c, t: at(rc.identity_minus, relation(c, t), tol=t),
+        "subspace_complement": lambda c, t: at(rc.subspace_complement, sub(c["s1"]), tol=t),
+        "make_pmn": pmn,
+        "make_pws": lambda c, t: rc.make_pws(rc.Weight(c["w"], "psd"), sub(c["s1"]), t),
+        "decompose": lambda c, t: rc.decompose(pmn(c, t), t),
         "canonical_blocks.generate": representable,
         "assemble_representation": lambda c, t: rc.assemble_representation(
             sub(c["range_m"]), sub(c["kernel_n"]), t

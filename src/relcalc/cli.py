@@ -27,7 +27,7 @@ from .errors import (
     NotRepresentableError,
     ProblemFormatError,
 )
-from .subspaces import DEFAULT_ABS_EPS, Coset, Subspace, Tolerance, orthonormalize
+from .subspaces import Coset, Subspace, Tolerance, orthonormalize
 from .relations import (
     LinearRelation,
     from_graph_basis,
@@ -223,10 +223,13 @@ def parse(path: str | Path) -> ProblemFile:
         spec = data["tolerance"]
         if not isinstance(spec, dict):
             raise ProblemFormatError("tolerance: expected an object")
-        abs_eps = _number(spec.get("abs_eps", DEFAULT_ABS_EPS), "tolerance.abs_eps")
-        rel_eps = None if spec.get("rel_eps") is None else _number(spec["rel_eps"], "tolerance.rel_eps")
+        fields = {}
+        for key, value in spec.items():
+            if key not in ("abs_eps", "rel_eps"):
+                raise ProblemFormatError(f"tolerance: unknown field {key!r}")
+            fields[key] = None if key == "rel_eps" and value is None else _number(value, f"tolerance.{key}")
         try:
-            tolerance = Tolerance(abs_eps, rel_eps)
+            tolerance = Tolerance(**fields)
         except ValueError as exc:  # a negative value; the message starts with its field
             raise ProblemFormatError(f"tolerance.{exc}") from exc
 

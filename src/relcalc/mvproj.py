@@ -119,7 +119,7 @@ def make_pmn(m: Subspace, n: Subspace) -> LinearRelation:
     if not (m.dim and n.dim):
         return zero_on(n) if n.dim else identity_on(m)
     pairs = np.hstack([identity_on(m).graph.basis, zero_on(n).graph.basis])
-    return LinearRelation(m.ambient_dim, m.ambient_dim, Subspace(_svd(pairs)[0], validate=False))
+    return LinearRelation(m.ambient_dim, m.ambient_dim, Subspace._trusted(_svd(pairs)[0]))
 
 
 def classify(E: LinearRelation, tol: Tolerance | None = None) -> Classification:
@@ -173,7 +173,7 @@ def decompose(P: LinearRelation, tol: Tolerance | None = None) -> tuple[LinearRe
         raise ValueError("input is not a multivalued projection")
     m, n = p.ran, p.ker
     overlap = subspace_intersect(m, n, tol)
-    reduced = Subspace(m.basis @ _null_of_rows(overlap.basis.conj().T @ m.basis).basis, validate=False)
+    reduced = Subspace._trusted(m.basis @ _null_of_rows(overlap.basis.conj().T @ m.basis).basis)
     return make_pmn(reduced, n), overlap
 
 
@@ -220,7 +220,7 @@ def coefficient_x(m: Subspace, n: Subspace) -> LinearRelation:
         raise DimensionMismatchError("range and kernel must share an ambient space")
     dim = m.ambient_dim
     onto_m = m.projector() @ n.basis
-    return LinearRelation(dim, dim, Subspace(np.vstack([n.basis - onto_m, -onto_m]), validate=False))
+    return LinearRelation(dim, dim, Subspace._trusted(np.vstack([n.basis - onto_m, -onto_m])))
 
 
 def _projection_blocks(m: Subspace, n: Subspace) -> BlockRep:

@@ -96,7 +96,7 @@ def _half(T: LinearRelation, tol: Tolerance | None, side: int) -> _Half:
         if svd is None:
             svd = cache[None] = Cut(*_svd(block), None)
         r = tol.rank(svd.s, block.shape) if svd.rank is None else svd.rank
-        span = Subspace(svd.u[:, :r], validate=False)
+        span = Subspace._trusted(svd.u[:, :r])
         half = cache[tol] = _Half(span, _block_image(other, svd.vh[r:].conj().T), svd._replace(rank=r))
     return half
 
@@ -192,7 +192,7 @@ def graph_of_matrix(matrix: np.ndarray) -> LinearRelation:
     basis = np.zeros((n + m, n), dtype=complex)
     basis[:n] = v * in_s
     basis[n:, : s.size] = u * out_s[: s.size]
-    T = LinearRelation(n, m, Subspace(basis, validate=False))
+    T = LinearRelation(n, m, Subspace._trusted(basis))
     coords = np.eye(n, dtype=complex)
     T._halves[_IN][None] = Cut(v[:, ::-1], in_s[::-1], coords[::-1], n)
     T._halves[_OUT][None] = Cut(u, out_s[: s.size], coords, None)
@@ -202,20 +202,20 @@ def graph_of_matrix(matrix: np.ndarray) -> LinearRelation:
 def identity_on(s: Subspace) -> LinearRelation:
     """{(u, u) : u in S} on the ambient space of S."""
     b = s.basis / np.sqrt(2.0)
-    return LinearRelation(s.ambient_dim, s.ambient_dim, Subspace(np.vstack([b, b]), validate=False))
+    return LinearRelation(s.ambient_dim, s.ambient_dim, Subspace._trusted(np.vstack([b, b])))
 
 
 def zero_on(s: Subspace) -> LinearRelation:
     """S x {0}: everything in S is sent to zero."""
     n = s.ambient_dim
-    return LinearRelation(n, n, Subspace(np.vstack([s.basis, np.zeros_like(s.basis)]), validate=False))
+    return LinearRelation(n, n, Subspace._trusted(np.vstack([s.basis, np.zeros_like(s.basis)])))
 
 
 def product_of_subspaces(m: Subspace, n: Subspace) -> LinearRelation:
     """M x N as a relation: dom M, constant value set N."""
     top = np.vstack([m.basis, np.zeros((n.ambient_dim, m.dim), dtype=complex)])
     bot = np.vstack([np.zeros((m.ambient_dim, n.dim), dtype=complex), n.basis])
-    return LinearRelation(m.ambient_dim, n.ambient_dim, Subspace(np.hstack([top, bot]), validate=False))
+    return LinearRelation(m.ambient_dim, n.ambient_dim, Subspace._trusted(np.hstack([top, bot])))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def invert(T: LinearRelation) -> LinearRelation:
     both.
     """
     swapped = np.vstack([T.out_block, T.in_block])
-    inverse = LinearRelation(T.dim_out, T.dim_in, Subspace(swapped, validate=False))
+    inverse = LinearRelation(T.dim_out, T.dim_in, Subspace._trusted(swapped))
     inverse._halves = T._halves[::-1]
     return inverse
 
@@ -242,7 +242,7 @@ def adjoint(T: LinearRelation) -> LinearRelation:
     One linear condition per graph basis vector: the adjoint graph is the
     complement (sigma = 1) of the flipped graph columns (H, -F), in C^m x C^n.
     """
-    flipped = Subspace(np.vstack([T.out_block, -T.in_block]), validate=False)
+    flipped = Subspace._trusted(np.vstack([T.out_block, -T.in_block]))
     return LinearRelation(T.dim_out, T.dim_in, subspace_complement(flipped))
 
 
@@ -305,6 +305,8 @@ def cw_sum(T: LinearRelation, S: LinearRelation, tol: Tolerance | None = None) -
 
 def scale(T: LinearRelation, lam: complex, tol: Tolerance | None = None) -> LinearRelation:
     """{(x, lam * y) : (x, y) in T}; lam = 0 collapses onto dom T x {0}."""
+    if not np.isfinite(lam):
+        raise ValueError("scale factor must be finite")
     stacked = np.vstack([T.in_block, lam * T.out_block])
     return from_graph_basis(T.dim_in, T.dim_out, stacked, tol)
 
@@ -314,7 +316,7 @@ def identity_minus(T: LinearRelation) -> LinearRelation:
     if not T.is_square:
         raise DimensionMismatchError("identity_minus needs a square relation")
     pairs = np.vstack([T.in_block, T.in_block - T.out_block])
-    return LinearRelation(T.dim_in, T.dim_out, Subspace(_svd(pairs)[0], validate=False))
+    return LinearRelation(T.dim_in, T.dim_out, Subspace._trusted(_svd(pairs)[0]))
 
 
 def restrict(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> LinearRelation:
@@ -329,7 +331,7 @@ def restrict(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Li
             f"restriction subspace ambient {m.ambient_dim} != dim_in {T.dim_in}"
         )
     coords = matrix_preimage(T.in_block, m, tol).basis
-    return LinearRelation(T.dim_in, T.dim_out, Subspace(T.graph.basis @ coords, validate=False))
+    return LinearRelation(T.dim_in, T.dim_out, Subspace._trusted(T.graph.basis @ coords))
 
 
 def image(T: LinearRelation, m: Subspace, tol: Tolerance | None = None) -> Subspace:
@@ -387,7 +389,7 @@ def apply_to_coset(T: LinearRelation, c: Coset, tol: Tolerance | None = None) ->
     value = apply(T, c.point - d @ cut.solve(c.point - dom @ (dom.conj().T @ c.point)), tol)
     if value.is_empty:
         return value
-    feasible = Subspace(d @ cut.vh[cut.rank :].conj().T, validate=False)
+    feasible = Subspace._trusted(d @ cut.vh[cut.rank :].conj().T)
     return Coset.of(value.point, image(T, feasible, tol))
 
 

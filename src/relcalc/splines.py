@@ -122,7 +122,7 @@ def spline_solve(p: SplineProblem, tol: Tolerance | None = None) -> SplineSoluti
     """
     cut = p._v_cut._replace(rank=_tol(tol)._data_rank(p._v_cut.s, p.V.shape))
     x_feasible = cut.solve(p.b)
-    ker_v = Subspace(cut.vh[cut.rank :].conj().T, validate=False)
+    ker_v = Subspace._trusted(cut.vh[cut.rank :].conj().T)
     t = float(np.linalg.norm(p.T)) or 1.0
     root = p.T / t
     corner = _factor_corner(root.conj().T @ root, ker_v.basis, tol)
@@ -183,7 +183,7 @@ def smooth_solve(p: SmoothingProblem, tol: Tolerance | None = None) -> Smoothing
     cut = _data_cut(stacked, tol)
     x_star = cut.solve(target)
     min_value = _smoothing_minimum(stacked, target, x_star, cut.u[:, : cut.rank], cut.s)
-    argmin = Coset.of(x_star, Subspace(cut.vh[cut.rank :].conj().T, validate=False))
+    argmin = Coset.of(x_star, Subspace._trusted(cut.vh[cut.rank :].conj().T))
     return SmoothingSolution(argmin_set=argmin, min_value=min_value)
 
 

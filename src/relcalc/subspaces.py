@@ -7,7 +7,8 @@ singular-value and eigenvalue cut one ``Tolerance.rank`` count, every
 containment one ``_negligible`` residual, and every acceptance threshold of
 a library check is a method of ``Tolerance`` or ``Coset`` or sits at the end
 of this module.  A construction whose dimension is fixed by construction
-reads ``_svd``'s factors at that dimension and makes no cut.
+reads ``_svd``'s factors at that dimension and makes no cut.  A public
+``Subspace`` is validated; a library basis enters by ``Subspace._trusted``.
 """
 
 from __future__ import annotations
@@ -168,15 +169,15 @@ class Subspace:
     The zero subspace is the k = 0 case, not a special sentinel.  Instances are
     immutable; all operations return new objects.
 
-    A validated basis may miss orthonormal by up to 1e-8 in its Gram matrix
-    B*B; past ``_ORTHONORMAL_GRAM_GAP`` it is stored as its polar factor
-    B (B*B)^(-1/2), the orthonormal basis of the same span nearest to it,
-    since every consumer reads B B* as the projector.
+    Every consumer reads B B* as the projector, so ``Subspace(basis)``
+    refuses a basis more than 1e-8 off orthonormal in its Gram matrix B*B,
+    or not finite, and past ``_ORTHONORMAL_GRAM_GAP`` stores its polar factor
+    B (B*B)^(-1/2), the orthonormal basis of the same span nearest to it.
     """
 
     __slots__ = ("basis",)
 
-    def __init__(self, basis: np.ndarray, validate: bool = True):
+    def __init__(self, basis: np.ndarray):
         basis = np.array(basis, dtype=complex)
         if basis.ndim != 2:
             raise ValueError("basis must be a 2-d array of column vectors")
@@ -184,7 +185,7 @@ class Subspace:
             raise ValueError(
                 f"basis has {basis.shape[1]} columns in ambient dimension {basis.shape[0]}"
             )
-        if validate and basis.shape[1]:
+        if basis.shape[1]:
             gram = basis.conj().T @ basis
             gap = np.abs(gram - np.eye(basis.shape[1])).max()
             if not gap <= 1e-8:  # NaN fails too
@@ -194,6 +195,15 @@ class Subspace:
                 basis = basis @ ((vecs / np.sqrt(eigs)) @ vecs.conj().T)
         basis.setflags(write=False)
         self.basis = basis
+
+    @classmethod
+    def _trusted(cls, basis: np.ndarray) -> "Subspace":
+        """A library basis, orthonormal by construction: unchecked, but copied,
+        as the copy fixes the memory layout on which BLAS rounding depends."""
+        s = object.__new__(cls)
+        s.basis = np.array(basis, dtype=complex)
+        s.basis.setflags(write=False)
+        return s
 
     @property
     def ambient_dim(self) -> int:
@@ -249,11 +259,11 @@ def _check_same_ambient(s1: Subspace, s2: Subspace):
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(np.eye(n, dtype=complex), validate=False)
+    return Subspace._trusted(np.eye(n, dtype=complex))
 
 
 def zero_space(n: int) -> Subspace:
-    return Subspace(np.zeros((n, 0), dtype=complex), validate=False)
+    return Subspace._trusted(np.zeros((n, 0), dtype=complex))
 
 
 def orthonormalize(vectors, tol: Tolerance | None = None, *, ambient_dim: int | None = None) -> Subspace:
@@ -282,7 +292,7 @@ def orthonormalize(vectors, tol: Tolerance | None = None, *, ambient_dim: int | 
                 raise ValueError("ambient_dim is required for an empty span")
             mat = np.zeros((ambient_dim, 0), dtype=complex)
     cut = _cut_svd(mat, tol)
-    return Subspace(cut.u[:, : cut.rank], validate=False)
+    return Subspace._trusted(cut.u[:, : cut.rank])
 
 
 def null_space(matrix: np.ndarray, tol: Tolerance | None = None) -> Subspace:
@@ -291,7 +301,7 @@ def null_space(matrix: np.ndarray, tol: Tolerance | None = None) -> Subspace:
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     cut = _cut_svd(matrix, tol)
-    return Subspace(cut.vh[cut.rank :].conj().T, validate=False)
+    return Subspace._trusted(cut.vh[cut.rank :].conj().T)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Subspace:
@@ -310,7 +320,7 @@ def subspace_complement(s: Subspace) -> Subspace:
 
 def _null_of_rows(rows: np.ndarray) -> Subspace:
     """{x : rows @ x = 0} for q rows independent by construction: ``_svd``'s vh[q:]."""
-    return Subspace(_svd(rows)[2][rows.shape[0] :].conj().T, validate=False)
+    return Subspace._trusted(_svd(rows)[2][rows.shape[0] :].conj().T)
 
 
 def _block_image(block: np.ndarray, coords: np.ndarray) -> Subspace:
@@ -319,12 +329,12 @@ def _block_image(block: np.ndarray, coords: np.ndarray) -> Subspace:
 
     The graph basis gives F*F + H*H = I, so these columns are orthogonal with
     norms sqrt(1 - s^2) for the dropped singular values s.  A graph basis
-    taken unvalidated with a looser Gram matrix, or a cutoff coarse enough
+    taken unchecked with a looser Gram matrix, or a cutoff coarse enough
     to show, is re-orthonormalized instead, by its thin U: no rank decision.
     """
     vecs = block @ coords
     gram_gap = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max(initial=0.0)
-    return Subspace(_svd(vecs)[0] if gram_gap > _ORTHONORMAL_GRAM_GAP else vecs, validate=False)
+    return Subspace._trusted(_svd(vecs)[0] if gram_gap > _ORTHONORMAL_GRAM_GAP else vecs)
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None) -> Subspace:
@@ -343,7 +353,7 @@ def subspace_intersect(s1: Subspace, s2: Subspace, tol: Tolerance | None = None)
     if s2.dim == 0:
         return s2
     coords = matrix_preimage(s2.basis, s1, tol)
-    return Subspace(s2.basis @ coords.basis, validate=False)
+    return Subspace._trusted(s2.basis @ coords.basis)
 
 
 def subspace_contains(outer: Subspace, inner: Subspace, tol: Tolerance | None = None) -> bool:
@@ -467,10 +477,10 @@ class Coset:
 # ---------------------------------------------------------------------------
 # acceptance thresholds of the library's checks
 
-# the Gram gap past which a validated basis is stored as its polar factor
-# and a graph-block image is re-orthonormalized: far below the 1e-8 a
-# validated basis may be off, and above the rounding of a product of
-# orthonormal factors (under 1e-14 at n = 200)
+# the Gram gap past which ``Subspace(basis)`` stores its polar factor and a
+# graph-block image is re-orthonormalized: far below the 1e-8 a public
+# basis may be off, and above the rounding of a product of orthonormal
+# factors (under 1e-14 at n = 200)
 _ORTHONORMAL_GRAM_GAP = 1e-13
 
 # Multiple of eps * dim * (||a|| ||x|| + ||b||), the rounding error of a

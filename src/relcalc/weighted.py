@@ -146,7 +146,7 @@ def _unit_psd(w: Weight, tol: Tolerance | None) -> tuple[float, np.ndarray, np.n
     eigs[:cut] = 0.0
     root = (vecs * np.sqrt(eigs)) @ vecs.conj().T
     kernel = np.asfortranarray(vecs[:, :cut])  # laid out as in _signed_eigh
-    return top, w.matrix / top, root, Subspace(kernel, validate=False)
+    return top, w.matrix / top, root, Subspace._trusted(kernel)
 
 
 def psd_sqrt(matrix: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
@@ -244,7 +244,7 @@ def _project_by_blocks(corner: _Corner, root: np.ndarray, b: np.ndarray) -> Cose
             "block-form point fails the normal equation U*W(x - b) = 0 on the ambient "
             f"vectors (gap {gap:.3e} > threshold {allowance + rounding:.3e})"
         )
-    return Coset.of(point, Subspace(u @ vecs[:, :cut], validate=False))
+    return Coset.of(point, Subspace._trusted(u @ vecs[:, :cut]))
 
 
 def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> ComplementabilityReport:
@@ -266,7 +266,7 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     _check_ambient(w, s)
     n, u = w.ambient_dim, s.basis
     _, _, g_right_h, r = _cut_svd(u.conj().T @ w.matrix, tol)
-    companion = Subspace(g_right_h[r:].conj().T, validate=False)
+    companion = Subspace._trusted(g_right_h[r:].conj().T)
     _, _, m_right_h, rank_a = _cut_svd(g_right_h[:r] @ u, tol)
     ker_a = u @ m_right_h[rank_a:].conj().T
     domain = subspace_sum(s, companion, tol)
@@ -279,7 +279,7 @@ def complementability(w: Weight, s: Subspace, tol: Tolerance | None = None) -> C
     return ComplementabilityReport(
         is_complementable=by_domain,
         domain=domain,
-        mul=Subspace(ker_a, validate=False),
+        mul=Subspace._trusted(ker_a),
         criterion_ab=by_blocks,
         pws_blocks=blocks,
         borderline_weight=w.borderline,
@@ -334,7 +334,7 @@ def krein_classify(s: Subspace, w: Weight, tol: Tolerance | None = None) -> Krei
     h = u.conj().T @ w.matrix
     eigs, vecs = _signed_eigh(h @ u)
     negative, positive = tol.rank(-eigs, eigs.shape * 2), tol.rank(eigs[::-1], eigs.shape * 2)
-    isotropic = Subspace(u @ vecs[:, negative : eigs.size - positive], validate=False)
+    isotropic = Subspace._trusted(u @ vecs[:, negative : eigs.size - positive])
     by_intersection = subspace_intersect(s, _null_of_rows(h), tol)
     if not subspace_equals(by_intersection, isotropic, tol):
         raise ConsistencyError(

@@ -110,13 +110,13 @@ def relation_near_output_axis(rng, n, m, tilt):
 def loosely_orthonormal_relation(rng, n, m, gram_gap=1e-9):
     """``relation_with_ker_and_mul`` with its graph basis moved off
     orthonormal within its span, by about ``gram_gap`` in the Gram matrix,
-    and kept loose with ``validate=False``: a validated ``Subspace`` stores
+    and kept loose by ``Subspace._trusted``: the public constructor stores
     the polar factor of any basis more than 1e-13 off orthonormal."""
     basis = relation_with_ker_and_mul(rng, n, m, tilt=1.0).graph.basis
     k = basis.shape[1]
     h = random_selfadjoint(rng, k)
     loose = basis @ (np.eye(k) + gram_gap / 2 * h / np.abs(h).max())
-    return LinearRelation(n, m, Subspace(loose, validate=False))
+    return LinearRelation(n, m, Subspace._trusted(loose))
 
 
 def random_psd(rng, n, force_singular=None):

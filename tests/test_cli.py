@@ -635,7 +635,7 @@ def _subspace_json(s):
 
 def _reported_subspace(entry):
     basis = np.array([[re + 1j * im for re, im in v] for v in entry["basis"]]).T
-    return Subspace(basis.reshape(entry["ambient"], entry["dim"]), validate=False)
+    return Subspace(basis.reshape(entry["ambient"], entry["dim"]))
 
 
 class TestRelationKinds:

@@ -373,6 +373,8 @@ MALFORMED = {
                         "relations.R.product_of[0]: expected a subspace name"),
     "product-of-length": (_with("relations", "R", {"product_of": ["S", "S", "S"]}),
                           "relations.R: product_of needs two subspace names"),
+    # a misspelt field was ignored, and the run went on at the default
+    "tolerance-field": (_with("tolerance", "abs_epsilon", 1e-3), "tolerance: unknown field 'abs_epsilon'"),
 }
 
 

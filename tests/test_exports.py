@@ -325,3 +325,19 @@ def test_records_holding_arrays_compare_by_identity(name):
     assert type(first).__name__ == name
     assert first == first and first != second
     assert hash(first) == hash(first) and len({first, second}) == 2
+
+
+def test_library_bases_enter_through_trusted():
+    # a public Subspace is always validated, so the library's own bases,
+    # orthonormal by construction, are wrapped by Subspace._trusted alone:
+    # no module passes a validate keyword or calls the public constructor
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name == "Subspace" or any(k.arg == "validate" for k in node.keywords):
+                found.append((path.name, node.lineno))
+    assert found == []

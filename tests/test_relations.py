@@ -873,6 +873,14 @@ class TestMisc:
         assert parts(z).ran.dim == 0
         assert subspace_equals(parts(z).dom, parts(t).dom)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(0, np.inf)], ids=repr)
+    def test_scale_refuses_a_non_finite_factor(self, lam):
+        # nan warned and then failed to converge in the SVD, and inf was
+        # refused as a non-finite matrix the caller never passed
+        t = random_relation(np.random.default_rng(14), 3, 3)
+        with pytest.raises(ValueError, match="^scale factor must be finite$"):
+            scale(t, lam)
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,

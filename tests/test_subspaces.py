@@ -1,12 +1,16 @@
 """Subspace arithmetic: examples, lattice laws, and the projector oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from relcalc import (
     Coset,
     DimensionMismatchError,
+    LinearRelation,
     LssProblem,
+    RelationParts,
     SmoothingProblem,
     SplineProblem,
     Subspace,
@@ -26,7 +30,9 @@ from relcalc import (
     full_space,
     graph_of_matrix,
     identity_minus,
+    image,
     krein_classify,
+    make_pmn,
     matrix_image,
     matrix_preimage,
     null_space,
@@ -48,6 +54,7 @@ from relcalc import (
     zero_space,
 )
 from relcalc import oracles
+from relcalc.subspaces import _ORTHONORMAL_GRAM_GAP
 
 from genutil import (
     cmat,
@@ -60,6 +67,8 @@ from genutil import (
     random_subspace,
     random_symmetry,
     random_unitary,
+    relation_near_output_axis,
+    relation_with_ker_and_mul,
     weight_and_subspace,
 )
 
@@ -133,7 +142,7 @@ class TestLattice:
 
 
 def _span(basis):
-    return Subspace(basis, validate=False)
+    return Subspace(basis)
 
 
 class TestIntersectAgainstDeMorgan:
@@ -380,7 +389,88 @@ class TestSubspaceInvariants:
 
     def test_too_many_columns_rejected(self):
         with pytest.raises(ValueError):
-            Subspace(np.ones((2, 3)), validate=False)
+            Subspace(np.ones((2, 3)))
+
+    def test_every_public_basis_is_checked(self):
+        # an unvalidated NaN basis was accepted, and full_space(2) then read
+        # as not containing it, with no error
+        with pytest.raises(TypeError):
+            Subspace(np.eye(2, 1), validate=False)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(np.array([[np.nan], [0.0]]))
+
+    def test_trusted_stores_a_readonly_copy(self):
+        basis = np.eye(3, 2, dtype=complex)
+        s = Subspace._trusted(basis)
+        basis[0, 0] = 5.0
+        assert s.basis[0, 0] == 1.0 and not s.basis.flags.writeable
+        with pytest.raises(ValueError):
+            s.basis[0, 0] = 5.0
+
+
+def _bases(value):
+    """Every Subspace in an operation's result: a relation's graph, the four
+    parts, a coset's direction and the fields of a report."""
+    if isinstance(value, Subspace):
+        yield value
+    elif isinstance(value, LinearRelation):
+        yield value.graph
+    elif isinstance(value, RelationParts):
+        yield from (value.dom, value.ran, value.ker, value.mul)
+    elif isinstance(value, Coset) and not value.is_empty:
+        yield value.direction
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _bases(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _bases(getattr(value, field.name))
+
+
+class TestLibraryBasesAreOrthonormal:
+    """The library wraps its own bases unchecked (``Subspace._trusted``),
+    which is sound only while each is orthonormal within the Gram gap past
+    which the public constructor would store a polar factor instead: then
+    ``Subspace(basis)`` keeps its bits."""
+
+    @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(1e-6)], ids=repr)
+    def test_every_returned_basis_is_within_the_gram_gap(self, tol):
+        rng = np.random.default_rng(3800)
+        worst, checked = 0.0, 0
+        for i in range(200):
+            n = int(rng.integers(2, 9))
+            kind = i % 4
+            if kind == 0:
+                t = random_relation(rng, n, n)
+            elif kind == 1:
+                t = relation_with_ker_and_mul(rng, n, n, tilt=10.0 ** -rng.integers(4, 9))
+            elif kind == 2:
+                t = graph_of_matrix(cmat(rng, n, n - 1) @ cmat(rng, n - 1, n))
+            else:
+                t = relation_near_output_axis(rng, n, n, 10.0 ** -rng.integers(4, 9))
+            s1, s2 = random_subspace(rng, n), random_subspace(rng, n)
+            results = [
+                t,
+                parts(t, tol),
+                subspace_intersect(s1, s2, tol),
+                subspace_sum(s1, s2, tol),
+                subspace_complement(s1),
+                image(t, s1, tol),
+                restrict(t, s1, tol),
+                adjoint(t),
+                compose(t, t, tol),
+                identity_minus(t),
+                apply_to_coset(t, Coset.of(cvec(rng, n), s2), tol),
+                solve(LssProblem(t, Weight(random_psd(rng, n), "psd"), cvec(rng, n)), tol),
+                complementability(Weight(random_psd(rng, n), "psd"), s1, tol),
+                make_pmn(s1, s2),
+                classify(make_pmn(s1, s2), tol),
+            ]
+            for s in _bases(results):
+                checked += 1
+                b = s.basis
+                worst = max(worst, np.abs(b.conj().T @ b - np.eye(b.shape[1])).max(initial=0.0))
+        assert checked >= 200 * len(results) and worst <= _ORTHONORMAL_GRAM_GAP
 
 
 def _tall_full(calls):

@@ -626,7 +626,7 @@ class TestMetamorphic:
         moved = [
             (w, s)
             for w, s, q, verdict in _complementability_family()
-            if _complementability_verdict(q @ w @ q.conj().T, Subspace(q @ s.basis, validate=False)) != verdict
+            if _complementability_verdict(q @ w @ q.conj().T, Subspace(q @ s.basis)) != verdict
         ]
         assert moved == []
 
@@ -639,7 +639,7 @@ class TestMetamorphic:
             s = degenerate_subspace(rng, j) if i % 2 else random_subspace(rng, n)
             q = random_unitary(rng, n)
             report = krein_classify(s, Weight(j, "symmetry"))
-            turned = krein_classify(Subspace(q @ s.basis, validate=False), Weight(q @ j @ q.conj().T, "symmetry"))
+            turned = krein_classify(Subspace(q @ s.basis), Weight(q @ j @ q.conj().T, "symmetry"))
             assert (turned.isotropic.dim, turned.regular) == (report.isotropic.dim, report.regular)
             degenerate += not report.regular
         assert degenerate >= 100

@@ -26,7 +26,7 @@ The grid: square relations in C^n, n 2..8, cycling through a random relation,
 a relation with a kernel, a multivalued part and a pair tilted 10^-4..-8 off
 the input axis, ``graph_of_matrix`` of a rank-deficient matrix, a pair tilted
 10^-4..-8 off the output axis, and a graph basis 1e-9 off orthonormal,
-taken unvalidated; weights cycling through a random psd matrix, one with
+taken unchecked; weights cycling through a random psd matrix, one with
 tiny eigenvalues and one with mul A inside ker W, every 7th scaled by
 10^-24..15.  Besides the library's operations, the grid runs the oracles
 behind ``relation-analyze``, ``spline``, ``w1w2-solve``, ``proj-build`` and
@@ -165,14 +165,15 @@ def _operations():
     import relcalc as rc
     from relcalc import cli, oracles
 
+    # both trees take every basis unchecked: a tree before
+    # ``Subspace._trusted`` did so with ``validate=False``
+    sub = getattr(rc.Subspace, "_trusted", None) or (lambda basis: rc.Subspace(basis, validate=False))
+
     def relation(case, tol):
         if case["graph"] is None:
             return rc.graph_of_matrix(case["matrix"])
         n = case["n"]
-        return rc.LinearRelation(n, n, rc.Subspace(case["graph"], validate=False))
-
-    def sub(basis):
-        return rc.Subspace(basis, validate=False)
+        return rc.LinearRelation(n, n, sub(case["graph"]))
 
     def problem(case, tol):
         return rc.LssProblem(relation(case, tol), rc.Weight(case["w"], "psd"), case["b"])
